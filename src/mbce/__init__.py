@@ -1,9 +1,10 @@
 """Desk-scale toolkit for pilot-constrained MIMO channel estimation.
 
-Synthesizes physically grounded multipath channels and RSS maps, produces
-coarse least-squares estimates from few OFDM pilots, refines them with a
-physics-regularized U-Net that fuses RSS context via cross-attention, and
-benchmarks against a sparse-recovery baseline.
+Synthesizes physically grounded multipath channels and RSS maps from an
+image-method ray model, produces coarse least-squares estimates from few
+OFDM pilots, and benchmarks them against an OMP sparse-recovery baseline.
+``mbce.autodiff`` is a small reverse-mode engine for the refinement network,
+which is not implemented yet.
 """
 
 __version__ = "0.1.0"

@@ -13,7 +13,6 @@ from .engine import (
     add,
     backward,
     concat,
-    elementwise,
     grad_check,
     layer_norm,
     matmul,
@@ -39,7 +38,6 @@ __all__ = [
     "mul",
     "scale",
     "relu",
-    "elementwise",
     "matmul",
     "reshape",
     "permute",

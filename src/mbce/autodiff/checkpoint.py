@@ -7,6 +7,7 @@ little-endian.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -37,27 +38,33 @@ def save_params(params: dict[str, Tensor], path) -> None:
 
 
 def load_params(path) -> dict[str, Tensor]:
+    """Read a checkpoint; a malformed or truncated file raises ``ValueError``."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    off = struct.calcsize("<4sII")
-    magic, version, count = struct.unpack_from("<4sII", raw, 0)
+        raw = memoryview(fh.read())
+    off = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal off
+        if off + n > len(raw):
+            raise ValueError(f"truncated checkpoint: needs {off + n} bytes, file has {len(raw)}")
+        off += n
+        return raw[off - n : off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    magic, version, count = unpack("<4sII")
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     if version != 1:
         raise ValueError(f"unsupported checkpoint version {version}")
     params: dict[str, Tensor] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        dims = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        data = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
+        (name_len,) = unpack("<H")
+        name = str(take(name_len), "utf-8")
+        (rank,) = unpack("<B")
+        dims = unpack(f"<{rank}I")
+        data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
         params[name] = Tensor(data.astype(np.float32), requires_grad=True)
     if off != len(raw):
         raise ValueError("trailing bytes after last tensor record")

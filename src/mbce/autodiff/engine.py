@@ -125,11 +125,11 @@ _TAPE_STACK: list["Tape"] = []
 class Tape:
     """Ordered record of executed ops; reverse replay populates gradients."""
 
-    __slots__ = ("_nodes", "_spent")
+    __slots__ = ("_nodes", "_consumed")
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._spent = False
+        self._consumed: int | None = None  # node count once backward has run
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -141,20 +141,26 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._nodes)
+        return len(self._nodes) if self._consumed is None else self._consumed
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate dLoss/dLeaf into every requires_grad leaf, visiting
-        each recorded node exactly once (reverse execution order)."""
-        if self._spent:
+        each recorded node exactly once (reverse execution order).
+
+        The nodes are dropped afterwards, so the tape no longer keeps the
+        step's activations alive (a node's output refers back to its tape);
+        ``len`` still reports how many were recorded.
+        """
+        if self._consumed is not None:
             raise RuntimeError("stale tape: backward was already run")
         if loss.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         if loss._tape is not self:
             raise RuntimeError("loss was not recorded on this tape")
-        self._spent = True
+        nodes, self._nodes = self._nodes, []
+        self._consumed = len(nodes)
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes):
+        for node in reversed(nodes):
             g = node.out.grad
             if g is None:
                 continue
@@ -261,22 +267,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * (out > 0),)
 
     return _record(out, (a,), bwd)
-
-
-_ELEMENTWISE = {"add": add, "sub": sub, "mul": mul}
-
-
-def elementwise(kind: str, a: Tensor, b=None) -> Tensor:
-    """Dispatch by name: add | sub | mul | relu | scale."""
-    if kind == "relu":
-        return relu(a)
-    if kind == "scale":
-        return scale(a, b)
-    try:
-        op = _ELEMENTWISE[kind]
-    except KeyError:
-        raise ValueError(f"unknown elementwise kind {kind!r}") from None
-    return op(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ parallelized across seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,18 +104,21 @@ class PilotObservation:
             raise ValueError("observation contains non-finite entries")
 
 
+def _pilot_response(h: ChannelTensor, cfg: PilotConfig) -> np.ndarray:
+    """Noise-free pilot model ``Y_k = H_k S`` at every pilot subcarrier."""
+    if cfg.n_sc < h.d:
+        raise ValueError(f"subcarriers {cfg.n_sc} < tap count {h.d}")
+    if cfg.nt != h.nt:
+        raise ValueError(f"pilot config is for Nt={cfg.nt}, channel has Nt={h.nt}")
+    return channel_frequency_response(h, cfg.n_sc)[list(cfg.placement)] @ cfg.scaled_matrix
+
+
 def transmit_pilots(h: ChannelTensor, cfg: PilotConfig, rng_seed) -> PilotObservation:
     """Simulate pilot reception: ``Y_k = H_k S + V_k`` at each pilot subcarrier.
 
     Deterministic given ``rng_seed``.
     """
-    if cfg.n_sc < h.d:
-        raise ValueError(f"subcarriers {cfg.n_sc} < tap count {h.d}")
-    if cfg.nt != h.nt:
-        raise ValueError(f"pilot config is for Nt={cfg.nt}, channel has Nt={h.nt}")
-    h_freq = channel_frequency_response(h, cfg.n_sc)[list(cfg.placement)]
-    s = cfg.scaled_matrix
-    y = h_freq @ s
+    y = _pilot_response(h, cfg)
 
     if cfg.snr_db is not None:
         p_sig = float(np.mean(np.abs(y) ** 2))
@@ -205,11 +208,19 @@ def nmse_db(h_hat: ChannelTensor, h: ChannelTensor) -> float:
 
 @dataclass
 class OmpDictionary:
-    """Separable angle/delay dictionary for greedy sparse recovery.
+    """Separable angle/delay dictionary for greedy sparse recovery, and the
+    linear operator it defines.
 
-    Atoms are ``delta(tap=d) x outer(a_r, a_t) / sqrt(Nr*Nt)``, unit
-    Frobenius norm. Direction grids are direction-cosine pairs, one row per
-    atom direction.
+    Atom ``(d, r, t)`` of the grid :attr:`shape` ``(Nd, Gr, Gt)`` has flat
+    index ``(d*Gr + r)*Gt + t`` and is the tap tensor ``delta(tap=delays[d])
+    x outer(a_r[r], a_t[t]) / sqrt(Nr*Nt)``, of unit Frobenius norm.
+    Direction grids are direction-cosine pairs, one row per atom direction.
+
+    :meth:`synthesize` maps atom indices and gains to taps, :meth:`forward`
+    maps them to the noise-free pilot observation of those taps, and
+    :meth:`adjoint` maps a pilot residual to its correlation with every
+    atom. The two are adjoint: ``vdot(forward(x), r) == vdot(x, adjoint(r))``
+    for every sparse ``x`` and residual ``r``.
     """
 
     delays: np.ndarray            # [Nd] integer taps
@@ -226,6 +237,7 @@ class OmpDictionary:
             raise ValueError("empty dictionary")
         self._a_r = self._steer_matrix(self.rx_dirs, self.rx_geom)
         self._a_t = self._steer_matrix(self.tx_dirs, self.tx_geom)
+        self._norm = np.sqrt(self.rx_geom.size * self.tx_geom.size)
 
     @staticmethod
     def _steer_matrix(dirs: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
@@ -236,8 +248,13 @@ class OmpDictionary:
         return np.stack(cols, axis=1)  # [n_elem, G]
 
     @property
+    def shape(self) -> tuple[int, int, int]:
+        """Atom grid ``(Nd, Gr, Gt)``; flat atom indices run over it in C order."""
+        return (self.delays.size, self.rx_dirs.shape[0], self.tx_dirs.shape[0])
+
+    @property
     def n_atoms(self) -> int:
-        return int(self.delays.size * self.rx_dirs.shape[0] * self.tx_dirs.shape[0])
+        return int(np.prod(self.shape))
 
     @classmethod
     def build(
@@ -266,24 +283,33 @@ class OmpDictionary:
             tx_geom=tx_geom,
         )
 
-    def atom_indices(self, flat: int) -> tuple[int, int, int]:
-        gr = self.rx_dirs.shape[0]
-        gt = self.tx_dirs.shape[0]
-        di, rem = divmod(flat, gr * gt)
-        ri, ti = divmod(rem, gt)
-        return di, ri, ti
+    def synthesize(self, atoms, gains) -> ChannelTensor:
+        """Taps ``sum_j gains[j] * atom[atoms[j]]``, ``max(delays) + 1`` of them."""
+        di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
+        spatial = self._a_r[:, ri].T[:, :, None] * self._a_t[:, ti].T[:, None, :] / self._norm
+        taps = np.zeros(
+            (int(self.delays.max()) + 1, self.rx_geom.size, self.tx_geom.size),
+            dtype=np.complex128,
+        )
+        np.add.at(taps, self.delays[di], np.asarray(gains)[:, None, None] * spatial)
+        return ChannelTensor(taps)
 
-    def spatial_atom(self, ri: int, ti: int) -> np.ndarray:
-        norm = np.sqrt(self.rx_geom.size * self.tx_geom.size)
-        return np.outer(self._a_r[:, ri], self._a_t[:, ti]) / norm
+    def forward(self, atoms, gains, cfg: PilotConfig) -> np.ndarray:
+        """Noise-free ``[P, Nr, Nt]`` pilot observation of :meth:`synthesize`."""
+        return _pilot_response(self.synthesize(atoms, gains), cfg)
 
-    def measurement_column(self, flat: int, cfg: PilotConfig) -> np.ndarray:
-        """Noise-free observation of one unit-gain atom, flattened."""
-        di, ri, ti = self.atom_indices(flat)
-        b = self.spatial_atom(ri, ti) @ cfg.scaled_matrix
+    def adjoint(self, residual: np.ndarray, cfg: PilotConfig) -> np.ndarray:
+        """Correlation ``[Nd, Gr, Gt]`` of a ``[P, Nr, Nt]`` residual with every atom.
+
+        Per pilot, ``A_r^H (R_k S^H) conj(A_t)`` correlates with every spatial
+        atom; the delay phases ``exp(+2j*pi*k*d/n_sc)`` then sum over pilots.
+        """
         ks = np.asarray(cfg.placement, dtype=np.float64)
-        phases = np.exp(-2j * np.pi * ks * self.delays[di] / cfg.n_sc)
-        return (phases[:, None, None] * b[None, :, :]).ravel()
+        phase = np.exp(2j * np.pi * np.outer(self.delays, ks) / cfg.n_sc)  # [Nd, P]
+        r_s = residual @ cfg.scaled_matrix.conj().T
+        spatial = np.conj(self._a_r).T @ (r_s @ np.conj(self._a_t))  # [P, Gr, Gt]
+        corr = phase @ spatial.reshape(len(ks), -1)
+        return corr.reshape(self.shape) / self._norm
 
 
 @dataclass
@@ -307,63 +333,38 @@ def omp_estimate(
     Each iteration selects the atom with maximal residual correlation, then
     refits all selected gains by least squares. Stops after ``k_max`` atoms
     or once the residual norm drops to ``resid_tol`` times the observation
-    norm. A rank-deficient refit drops the newest atom and stops.
+    norm. A rank-deficient refit drops the newest atom and stops. A residual
+    that grows across an iteration raises ``FloatingPointError``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     dc = dictionary
     y = obs.y.ravel()
     y_norm = float(np.linalg.norm(y))
-    d_taps = int(dc.delays.max()) + 1
-
-    nr, nt = dc.rx_geom.size, dc.tx_geom.size
-    zero = ChannelTensor(np.zeros((d_taps, nr, nt), dtype=np.complex128))
     resid_norms = [y_norm]
-    if y_norm <= resid_tol * y_norm or y_norm == 0.0:
-        result = OmpResult(zero, [], np.zeros(0, dtype=np.complex128), resid_norms)
-        return result if return_info else result.estimate
-
-    ks = np.asarray(cfg.placement, dtype=np.float64)
-    # corr[d, gr, gt] = sum_k exp(+2j pi k d / N) * <B_{gr,gt} S, R_k>_F
-    phase = np.exp(2j * np.pi * np.outer(dc.delays, ks) / cfg.n_sc)  # [Nd, P]
-    s_h = cfg.scaled_matrix.conj().T
-    spatial_norm = np.sqrt(nr * nt)
-
     selected: list[int] = []
     cols: list[np.ndarray] = []
     gains = np.zeros(0, dtype=np.complex128)
-    residual = obs.y.copy()
+    residual = obs.y
 
-    for _ in range(k_max):
-        t = residual @ s_h @ np.conj(dc._a_t)               # [P, Nr, Gt]
-        c = np.einsum("ng,pnt->pgt", np.conj(dc._a_r), t)   # [P, Gr, Gt]
-        corr = np.einsum("dp,pgt->dgt", phase, c) / spatial_norm
-        flat_corr = np.abs(corr).ravel()
-        if selected:
-            flat_corr[np.asarray(selected)] = 0.0
-        pick = int(np.argmax(flat_corr))
-        selected.append(pick)
-        cols.append(dc.measurement_column(pick, cfg))
+    while len(selected) < k_max and resid_norms[-1] > resid_tol * y_norm:
+        corr = np.abs(dc.adjoint(residual, cfg)).ravel()
+        corr[selected] = 0.0
+        pick = int(np.argmax(corr))
+        cols.append(dc.forward([pick], [1.0], cfg).ravel())
 
         phi = np.stack(cols, axis=1)
         sol, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
         if rank < len(cols):
-            selected.pop()
-            cols.pop()
             break
+        selected.append(pick)
         gains = sol
         r_vec = y - phi @ gains
         residual = r_vec.reshape(obs.y.shape)
         r_norm = float(np.linalg.norm(r_vec))
         if r_norm > resid_norms[-1] + 1e-9 * y_norm:
-            raise AssertionError("OMP residual increased across an iteration")
+            raise FloatingPointError("OMP residual increased across an iteration")
         resid_norms.append(r_norm)
-        if r_norm <= resid_tol * y_norm:
-            break
 
-    taps = np.zeros((d_taps, nr, nt), dtype=np.complex128)
-    for g, flat in zip(gains, selected):
-        di, ri, ti = dc.atom_indices(flat)
-        taps[dc.delays[di]] += g * dc.spatial_atom(ri, ti)
-    result = OmpResult(ChannelTensor(taps), selected, gains, resid_norms)
+    result = OmpResult(dc.synthesize(selected, gains), selected, gains, resid_norms)
     return result if return_info else result.estimate

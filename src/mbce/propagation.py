@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .channel_model import Path, PathSet
 __all__ = [
     "ETA0",
     "C0",
-    "PhysConstants",
     "Box",
     "Scene",
     "RssMap",
@@ -59,19 +58,6 @@ _PATH_CSV_COLUMNS = (
     "aod_az_rad",
     "aod_el_rad",
 )
-
-
-@dataclass(frozen=True)
-class PhysConstants:
-    """Physical constants tied to a carrier frequency."""
-
-    carrier_freq: float
-    eta0: float = ETA0
-    c: float = C0
-
-    @property
-    def wavelength(self) -> float:
-        return self.c / self.carrier_freq
 
 
 @dataclass(frozen=True)
@@ -143,6 +129,8 @@ class RssMap:
             raise ValueError("grid spacing must be > 0")
         if self.values.ndim != 2:
             raise ValueError("RSS values must be a 2-D array")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("RSS values must be finite")
         if np.any(self.values < 0):
             raise ValueError("RSS values must be non-negative")
 
@@ -265,6 +253,11 @@ def _segment_blocked(p0: np.ndarray, p1: np.ndarray, boxes_lo, boxes_hi) -> bool
     return bool(np.any((enter < leave) & (leave > eps) & (enter < 1.0 - eps)))
 
 
+def _gain_scale(wavelength: float, p_t: float, nr: int, nt: int) -> float:
+    """Field-to-gain factor ``lambda / sqrt(8*pi*eta0 * p_t * nr * nt)``."""
+    return wavelength / math.sqrt(8.0 * math.pi * ETA0 * p_t * nr * nt)
+
+
 def _make_path(points: list[np.ndarray], scene: Scene, calib: GainCalibration) -> Path:
     segs = [points[i + 1] - points[i] for i in range(len(points) - 1)]
     lengths = [float(np.linalg.norm(s)) for s in segs]
@@ -277,7 +270,7 @@ def _make_path(points: list[np.ndarray], scene: Scene, calib: GainCalibration) -
         * np.exp(-2j * np.pi * dist / lam)
         / dist
     )
-    alpha = lam * efield / math.sqrt(8.0 * math.pi * ETA0 * calib.p_t * calib.nr * calib.nt)
+    alpha = efield * _gain_scale(lam, calib.p_t, calib.nr, calib.nt)
 
     u_dep = segs[0] / lengths[0]            # departure direction from tx
     u_arr = -segs[-1] / lengths[-1]         # direction the wave arrives from, seen at rx
@@ -360,7 +353,7 @@ def calibrate_alphas(
     paths: PathSet, wavelength: float, p_t: float, nr: int, nt: int
 ) -> PathSet:
     """Recompute channel gains from fields for a given power/array context."""
-    scale = wavelength / math.sqrt(8.0 * math.pi * ETA0 * p_t * nr * nt)
+    scale = _gain_scale(wavelength, p_t, nr, nt)
     out = [
         Path(
             alpha=p.field * scale,

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from mbce.autodiff import (
     concat,
     conv2d,
     conv_transpose2d,
-    elementwise,
     grad_check,
     layer_norm,
     load_params,
@@ -52,12 +53,10 @@ class TestElementwise:
 
     def test_elementwise_dispatch(self):
         a, b = Tensor([2.0]), Tensor([3.0])
-        assert elementwise("mul", a, b).data[0] == 6.0
-        assert elementwise("sub", a, b).data[0] == -1.0
-        assert elementwise("scale", a, 4.0).data[0] == 8.0
-        assert elementwise("relu", Tensor([-2.0])).data[0] == 0.0
-        with pytest.raises(ValueError):
-            elementwise("div", a, b)
+        assert mul(a, b).data[0] == 6.0
+        assert sub(a, b).data[0] == -1.0
+        assert scale(a, 4.0).data[0] == 8.0
+        assert relu(Tensor([-2.0])).data[0] == 0.0
 
     @pytest.mark.parametrize("trial", range(10))
     def test_mul_gradient_finite_differences(self, trial):
@@ -313,6 +312,26 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="stale"):
             tape.backward(loss)
 
+    def test_finished_step_leaves_no_garbage_cycles(self):
+        def step():
+            x = Tensor(RNG.normal(size=(2, 3, 8, 8)), requires_grad=True)
+            w = Tensor(RNG.normal(size=(4, 3, 3, 3)), requires_grad=True)
+            with Tape() as tape:
+                h = relu(conv2d(x, w, stride=1, pad=1))
+                loss = mean(mul(h, h))
+            tape.backward(loss)
+            assert len(tape) > 0 and w.grad is not None
+
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            step()
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_backward_free_function(self):
         x = Tensor(np.ones((2,)), requires_grad=True)
         with Tape():
@@ -399,3 +418,16 @@ class TestCheckpoint:
         p.write_bytes(b"NOPE" + b"\x00" * 8)
         with pytest.raises(ValueError, match="magic"):
             load_params(p)
+
+    def test_truncated_file_raises_value_error(self, tmp_path):
+        params = {"w": Tensor(np.arange(6.0).reshape(2, 3)), "b": Tensor(np.ones(2))}
+        path = tmp_path / "full.mbwt"
+        save_params(params, path)
+        raw = path.read_bytes()
+        # cuts in the header, then in the first record's name length, name,
+        # rank, dims and data, then in the second record's name and data
+        for cut in (0, 7, 12, 13, 14, 15, 19, 24, 30, len(raw) - 1):
+            p = tmp_path / f"cut{cut}.mbwt"
+            p.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                load_params(p)

@@ -10,6 +10,7 @@ from mbce.channel_model import (
     Path,
     PathSet,
     PulseConfig,
+    steering_vector,
     synth_channel,
 )
 from mbce.estimation import (
@@ -231,17 +232,6 @@ class TestCoarsePipeline:
             assert b <= a + 0.2  # 0.2 dB slack
 
 
-def on_grid_channel(dictionary, picks, gains):
-    taps = np.zeros(
-        (len(dictionary.delays), dictionary.rx_geom.size, dictionary.tx_geom.size),
-        dtype=np.complex128,
-    )
-    for flat, g in zip(picks, gains):
-        di, ri, ti = dictionary.atom_indices(flat)
-        taps[dictionary.delays[di]] += g * dictionary.spatial_atom(ri, ti)
-    return ChannelTensor(taps)
-
-
 class TestOmp:
     def setup_method(self):
         self.rx = ArrayGeometry(2, 1)
@@ -250,7 +240,7 @@ class TestOmp:
         self.dict = OmpDictionary.build(4, self.rx, self.tx, oversample=1)
 
     def test_single_atom_exact_recovery(self):
-        h = on_grid_channel(self.dict, [5], [1.3 - 0.4j])
+        h = self.dict.synthesize([5], [1.3 - 0.4j])
         obs = transmit_pilots(h, self.cfg, 0)
         est = omp_estimate(obs, self.cfg, self.dict, k_max=1)
         assert nmse_db(est, h) < -40.0
@@ -259,11 +249,11 @@ class TestOmp:
         rng = np.random.default_rng(21)
         atoms = self.dict.n_atoms
         phi = np.stack(
-            [self.dict.measurement_column(i, self.cfg) for i in range(atoms)], axis=1
+            [self.dict.forward([i], [1.0], self.cfg).ravel() for i in range(atoms)], axis=1
         )
         picks = sorted(rng.choice(atoms, size=3, replace=False).tolist())
         gains = rng.normal(size=3) + 1j * rng.normal(size=3)
-        h = on_grid_channel(self.dict, picks, gains)
+        h = self.dict.synthesize(picks, gains)
         obs = transmit_pilots(h, self.cfg, 0)
         res = omp_estimate(obs, self.cfg, self.dict, k_max=3, return_info=True)
 
@@ -277,6 +267,31 @@ class TestOmp:
                 best, best_err = combo, err
         assert sorted(res.selected) == sorted(best)
 
+    def test_forward_adjoint_identity(self):
+        # <A x, r> == <x, A^H r> for sparse x and arbitrary pilot residuals r
+        rng = np.random.default_rng(40)
+        for trial in range(5):
+            picks = rng.choice(self.dict.n_atoms, size=trial + 1, replace=False)
+            x = rng.normal(size=picks.size) + 1j * rng.normal(size=picks.size)
+            r = rng.normal(size=(8, 2, 4)) + 1j * rng.normal(size=(8, 2, 4))
+            lhs = np.vdot(self.dict.forward(picks, x, self.cfg), r)
+            rhs = np.vdot(x, self.dict.adjoint(r, self.cfg).ravel()[picks])
+            assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    def test_synthesis_matches_atom_convention(self):
+        # atom (d, r, t) = delta(tap=delays[d]) x outer(a_r[r], a_t[t]) / sqrt(Nr*Nt)
+        def steer(dirs, geom):
+            return np.kron(steering_vector(dirs[0], geom.nx), steering_vector(dirs[1], geom.ny))
+
+        for flat in (0, 5, self.dict.n_atoms - 1):
+            di, ri, ti = np.unravel_index(flat, self.dict.shape)
+            expect = np.zeros((4, 2, 4), dtype=np.complex128)
+            expect[self.dict.delays[di]] = np.outer(
+                steer(self.dict.rx_dirs[ri], self.rx), steer(self.dict.tx_dirs[ti], self.tx)
+            ) / np.sqrt(8.0)
+            taps = self.dict.synthesize([flat], [1.0]).taps
+            np.testing.assert_allclose(taps, expect, rtol=0, atol=1e-15)
+
     def test_pure_noise_with_unit_tolerance_selects_nothing(self):
         y = np.random.default_rng(5).normal(size=(8, 2, 4)) + 0j
         from mbce.estimation import PilotObservation
@@ -288,8 +303,8 @@ class TestOmp:
 
     def test_residual_norms_non_increasing(self):
         rng = np.random.default_rng(30)
-        h = on_grid_channel(
-            self.dict, rng.choice(self.dict.n_atoms, 4, replace=False), rng.normal(size=4)
+        h = self.dict.synthesize(
+            rng.choice(self.dict.n_atoms, 4, replace=False), rng.normal(size=4)
         )
         cfg = PilotConfig(n_sc=16, n_pilot=8, nt=4, snr_db=5.0)
         obs = transmit_pilots(h, cfg, 1)

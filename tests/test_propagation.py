@@ -262,6 +262,13 @@ class TestRssMap:
         expect = lam**2 / (8 * math.pi * ETA0) * abs(e) ** 2
         assert m.values[0, 0] == pytest.approx(expect, rel=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_values(self, bad):
+        vals = np.zeros((3, 3))
+        vals[1, 2] = bad
+        with pytest.raises(ValueError, match="RSS values"):
+            RssMap(origin=np.array([0.0, 0.0]), spacing=1.0, values=vals, rx_height=1.5)
+
     def test_map_values_non_negative(self):
         wall = Box(10.0, 14.0, -20.0, 20.0, 0.0, 30.0)
         scene = Scene(buildings=(wall,), tx_position=(0, 0, 25), carrier_freq=CARRIER)
