@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = [
@@ -55,13 +57,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad)
-        return t
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
@@ -119,11 +114,18 @@ class _Node:
         self.backward_fn = backward_fn
 
 
-_TAPE_STACK: list["Tape"] = []
+class _TapeStack(threading.local):
+    def __init__(self):
+        self.tapes: list[Tape] = []  # open in the current thread, innermost last
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class Tape:
-    """Ordered record of executed ops; reverse replay populates gradients."""
+    """Ordered record of executed ops; reverse replay populates gradients.
+
+    Ops record onto the innermost tape open in the calling thread."""
 
     __slots__ = ("_nodes", "_consumed")
 
@@ -132,12 +134,14 @@ class Tape:
         self._consumed: int | None = None  # node count once backward has run
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _TAPE_STACK.pop()
-        assert popped is self, "tape stack corrupted"
+        tapes = _TAPE_STACK.tapes
+        if not tapes or tapes[-1] is not self:
+            raise RuntimeError("tape stack corrupted: tapes must close innermost first")
+        tapes.pop()
         return False
 
     def __len__(self):
@@ -185,7 +189,8 @@ def backward(loss: Tensor) -> None:
 def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     if not np.all(np.isfinite(out_data)):
         raise NumericFault("operation produced non-finite values")
-    tape = _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    tape = tapes[-1] if tapes else None
     needs = tuple(p.requires_grad or p._tape is tape for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = out_data

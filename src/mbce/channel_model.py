@@ -157,9 +157,6 @@ class ChannelTensor:
         """Squared Frobenius norm summed over taps."""
         return float(np.sum(np.abs(self.taps) ** 2))
 
-    def copy(self) -> "ChannelTensor":
-        return ChannelTensor(self.taps.copy())
-
 
 def steering_vector(theta: float, n: int) -> np.ndarray:
     """Linear-array steering vector for direction cosine ``theta``.

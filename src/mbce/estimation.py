@@ -151,15 +151,13 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     n_p = est.shape[0]
     if n_p != len(cfg.placement):
         raise ValueError("estimate count does not match pilot placement")
+    if n_p == 1:
+        return np.broadcast_to(est[0], (cfg.n_sc,) + est.shape[1:]).copy()
+
     xs = np.asarray(cfg.placement, dtype=np.float64)
     xq = np.arange(cfg.n_sc, dtype=np.float64)
-
     mag = np.abs(est)
-    phase = np.unwrap(np.angle(est), axis=0) if n_p > 1 else np.angle(est)
-
-    if n_p == 1:
-        full = np.broadcast_to(est[0], (cfg.n_sc,) + est.shape[1:]).copy()
-        return full
+    phase = np.unwrap(np.angle(est), axis=0)
 
     # Shared breakpoints: one searchsorted, then a broadcast lerp per pair.
     idx = np.clip(np.searchsorted(xs, xq, side="right") - 1, 0, n_p - 2)

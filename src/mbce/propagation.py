@@ -7,8 +7,12 @@ calibrated as ``alpha_l = lambda * E_l / sqrt(8*pi*eta0*P_T*Nr*Nt)``.
 
 The ray model returns the line-of-sight path plus specular reflections
 (image method) off the ground and off vertical building facets, up to two
-bounces. Scenes are immutable; every function here is pure and safe to call
-concurrently.
+bounces. Facets are arrays (normal axis, plane value, outward sign, 3-D
+bounds, unbounded along the normal and for the ground), and the tx images
+of every facet and ordered facet pair are built once per scene; per
+receiver, the hit-point, facing and occlusion tests are masks over all
+candidates of a bounce order. Scenes are immutable; every function here is
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -125,6 +129,10 @@ class RssMap:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64)
         self.values = np.asarray(self.values, dtype=np.float64)
+        if self.origin.shape != (2,) or not np.all(
+            np.isfinite([*self.origin, self.spacing, self.rx_height])
+        ):
+            raise ValueError("origin must be 2 finite values; spacing and rx_height finite")
         if self.spacing <= 0:
             raise ValueError("grid spacing must be > 0")
         if self.values.ndim != 2:
@@ -133,11 +141,6 @@ class RssMap:
             raise ValueError("RSS values must be finite")
         if np.any(self.values < 0):
             raise ValueError("RSS values must be non-negative")
-
-    def cell_center(self, row: int, col: int) -> np.ndarray:
-        return np.array(
-            [self.origin[0] + col * self.spacing, self.origin[1] + row * self.spacing]
-        )
 
     def nearest_cell(self, xy) -> tuple[int, int]:
         col = int(round((xy[0] - self.origin[0]) / self.spacing))
@@ -174,83 +177,123 @@ class GainCalibration:
 
 
 # ---------------------------------------------------------------------------
-# geometry internals
+# image-method tracer
 # ---------------------------------------------------------------------------
+
+_EPS = 1e-9
 
 
 @dataclass(frozen=True)
-class _Facet:
-    """Planar reflector: ground plane or a vertical building wall.
+class _Geometry:
+    """Scene-only arrays of the image method, built once per scene.
 
-    ``axis`` is the normal axis (0=x, 1=y, 2=z/ground), ``value`` the plane
-    coordinate, ``sign`` the outward normal direction. ``lo``/``hi`` bound the
-    in-plane rectangle (unused for the infinite ground plane).
+    Facet ``f`` is the plane ``x[axis[f]] == value[f]``, outward normal
+    ``sign[f]``, clipped to ``lo[f] <= x <= hi[f]`` (unbounded along the
+    normal). Facet 0 is the ground, unbounded; then each building's x-min,
+    x-max, y-min and y-max walls. ``chains[b]`` holds the ``b``-bounce
+    candidates: facets ``[n, b]`` and images ``[n, b, 3]``, image ``j`` being
+    tx mirrored in facets ``0..j`` in turn. Chain 0 is the line of sight,
+    chain 1 every facet, chain 2 every ordered pair of distinct facets.
     """
 
-    axis: int
-    value: float
-    sign: float
-    lo: tuple[float, float] = (0.0, 0.0)
-    hi: tuple[float, float] = (0.0, 0.0)
-    infinite: bool = False
-
-    def mirror(self, p: np.ndarray) -> np.ndarray:
-        q = p.copy()
-        q[self.axis] = 2.0 * self.value - q[self.axis]
-        return q
-
-    def outside(self, p: np.ndarray) -> bool:
-        return self.sign * (p[self.axis] - self.value) > 1e-9
-
-    def hit_point(self, a: np.ndarray, b: np.ndarray):
-        """Intersection of segment a->b with the plane, or None."""
-        da = a[self.axis] - self.value
-        db = b[self.axis] - self.value
-        if da * db >= 0:  # no strict crossing
-            return None
-        t = da / (da - db)
-        if not 1e-9 < t < 1.0 - 1e-9:
-            return None
-        r = a + t * (b - a)
-        if self.infinite:
-            return r
-        others = [i for i in range(3) if i != self.axis]
-        for k, i in enumerate(others):
-            if not self.lo[k] - 1e-9 <= r[i] <= self.hi[k] + 1e-9:
-                return None
-        return r
+    tx: np.ndarray
+    axis: np.ndarray
+    value: np.ndarray
+    sign: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    boxes_lo: np.ndarray
+    boxes_hi: np.ndarray
+    chains: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _scene_facets(scene: Scene) -> list[_Facet]:
-    facets = [_Facet(axis=2, value=0.0, sign=1.0, infinite=True)]  # ground
-    for b in scene.buildings:
-        facets.append(_Facet(0, b.xmin, -1.0, (b.ymin, b.zmin), (b.ymax, b.zmax)))
-        facets.append(_Facet(0, b.xmax, +1.0, (b.ymin, b.zmin), (b.ymax, b.zmax)))
-        facets.append(_Facet(1, b.ymin, -1.0, (b.xmin, b.zmin), (b.xmax, b.zmax)))
-        facets.append(_Facet(1, b.ymax, +1.0, (b.xmin, b.zmin), (b.xmax, b.zmax)))
-    return facets
+def _geometry(scene: Scene) -> _Geometry:
+    bounds = np.array([b.bounds for b in scene.buildings]).reshape(-1, 2, 3)
+    n = len(bounds)
+    axis = np.concatenate([[2], np.tile([0, 0, 1, 1], n)])
+    value = np.concatenate([[0.0], bounds[:, [0, 1, 0, 1], [0, 0, 1, 1]].ravel()])
+    sign = np.concatenate([[1.0], np.tile([-1.0, 1.0, -1.0, 1.0], n)])
+    lo = np.concatenate([np.full((1, 3), -np.inf), np.repeat(bounds[:, 0], 4, axis=0)])
+    hi = np.concatenate([np.full((1, 3), np.inf), np.repeat(bounds[:, 1], 4, axis=0)])
+    facets = np.arange(len(axis))
+    lo[facets, axis] = -np.inf
+    hi[facets, axis] = np.inf
+    tx = np.asarray(scene.tx_position, dtype=np.float64)
+    img1 = np.tile(tx, (len(axis), 1))
+    img1[facets, axis] = 2.0 * value - tx[axis]
+    f1, f2 = np.nonzero(facets[:, None] != facets)  # C order
+    img2 = img1[f1]
+    img2[np.arange(len(f2)), axis[f2]] = 2.0 * value[f2] - img2[np.arange(len(f2)), axis[f2]]
+    chains = [
+        (np.zeros((1, 0), dtype=int), np.zeros((1, 0, 3))),
+        (facets[:, None], img1[:, None]),
+        (np.stack([f1, f2], axis=1), np.stack([img1[f1], img2], axis=1)),
+    ]
+    return _Geometry(tx, axis, value, sign, lo, hi, bounds[:, 0], bounds[:, 1],
+                     chains[: scene.max_bounces + 1])
 
 
-def _segment_blocked(p0: np.ndarray, p1: np.ndarray, boxes_lo, boxes_hi) -> bool:
-    """Slab test of segment p0->p1 against all boxes, endpoints excluded."""
-    if len(boxes_lo) == 0:
-        return False
-    d = p1 - p0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (boxes_lo - p0) / d
-        t1 = (boxes_hi - p0) / d
-    tmin = np.minimum(t0, t1)
-    tmax = np.maximum(t0, t1)
-    # Parallel axes: inside the slab -> (-inf, inf), outside -> empty.
+def _outside(g: _Geometry, f: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Whether points ``p`` lie on the outer side of facets ``f``; the ground
+    counts every point as outside."""
+    ax = g.axis[f]
+    off = g.sign[f] * (p[np.arange(len(f)), ax] - g.value[f])
+    return (ax == 2) | (off > _EPS)
+
+
+def _hit(g: _Geometry, f: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Where segments ``a[i] -> b[i]`` cross facets ``f[i]``, and a mask of the
+    strict crossings that land inside the facet's bounds."""
+    rows = np.arange(len(f))
+    ax = g.axis[f]
+    da = a[rows, ax] - g.value[f]
+    db = b[rows, ax] - g.value[f]
+    cross = da * db < 0
+    t = np.divide(da, da - db, out=np.zeros_like(da), where=cross)
+    r = a + t[:, None] * (b - a)
+    ok = cross & (t > _EPS) & (t < 1.0 - _EPS)
+    ok &= np.all((r >= g.lo[f] - _EPS) & (r <= g.hi[f] + _EPS), axis=1)
+    return r, ok
+
+
+def _blocked(g: _Geometry, verts: np.ndarray) -> np.ndarray:
+    """Slab test of every segment of the polylines ``verts [n, k, 3]`` against
+    every box, segment endpoints excluded; true where any segment is blocked."""
+    p0 = verts[:, :-1, None]            # [n, k-1, 1, 3] against boxes [B, 3]
+    d = verts[:, 1:, None] - p0
     par = d == 0.0
-    if np.any(par):
-        inside = (p0 >= boxes_lo) & (p0 <= boxes_hi)
-        tmin = np.where(par, np.where(inside, -np.inf, np.inf), tmin)
-        tmax = np.where(par, np.where(inside, np.inf, -np.inf), tmax)
-    enter = np.max(tmin, axis=1)
-    leave = np.min(tmax, axis=1)
-    eps = 1e-9
-    return bool(np.any((enter < leave) & (leave > eps) & (enter < 1.0 - eps)))
+    step = np.where(par, 1.0, d)
+    with np.errstate(over="ignore"):    # a near-parallel axis sends t to +-inf: its slab limit
+        t0 = (g.boxes_lo - p0) / step
+        t1 = (g.boxes_hi - p0) / step
+    # Parallel axes: inside the slab -> (-inf, inf), outside -> empty.
+    inside = (p0 >= g.boxes_lo) & (p0 <= g.boxes_hi)
+    tmin = np.where(par, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
+    tmax = np.where(par, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
+    enter, leave = tmin.max(axis=-1), tmax.min(axis=-1)
+    return np.any((enter < leave) & (leave > _EPS) & (enter < 1.0 - _EPS), axis=(1, 2))
+
+
+def _trace(g: _Geometry, rx: np.ndarray) -> list[np.ndarray]:
+    """Vertices ``[n, b+2, 3]`` (tx, reflection points, rx) of the unblocked
+    paths, one array per bounce order ``b``, in chain order. Reflection points
+    are found from rx backwards, each where the ray from its image to the next
+    point crosses its facet; each facet must face both neighbouring vertices."""
+    orders = []
+    for facets, images in g.chains:
+        n, bounces = facets.shape
+        points = [np.broadcast_to(rx, (n, 3))]
+        ok = np.ones(n, dtype=bool)
+        for j in reversed(range(bounces)):
+            r, hit = _hit(g, facets[:, j], images[:, j], points[0])
+            ok &= hit
+            points.insert(0, r)
+        verts = np.stack([np.broadcast_to(g.tx, (n, 3)), *points], axis=1)
+        for j in range(bounces):
+            ok &= _outside(g, facets[:, j], verts[:, j]) & _outside(g, facets[:, j], verts[:, j + 2])
+        verts = verts[ok]
+        orders.append(verts[~_blocked(g, verts)])
+    return orders
 
 
 def _gain_scale(wavelength: float, p_t: float, nr: int, nt: int) -> float:
@@ -258,31 +301,15 @@ def _gain_scale(wavelength: float, p_t: float, nr: int, nt: int) -> float:
     return wavelength / math.sqrt(8.0 * math.pi * ETA0 * p_t * nr * nt)
 
 
-def _make_path(points: list[np.ndarray], scene: Scene, calib: GainCalibration) -> Path:
-    segs = [points[i + 1] - points[i] for i in range(len(points) - 1)]
-    lengths = [float(np.linalg.norm(s)) for s in segs]
-    dist = sum(lengths)
-    bounces = len(points) - 2
-    lam = scene.wavelength
-    efield = (
-        E0_REF
-        * scene.reflection_coeff**bounces
-        * np.exp(-2j * np.pi * dist / lam)
-        / dist
-    )
-    alpha = efield * _gain_scale(lam, calib.p_t, calib.nr, calib.nt)
-
-    u_dep = segs[0] / lengths[0]            # departure direction from tx
-    u_arr = -segs[-1] / lengths[-1]         # direction the wave arrives from, seen at rx
-    return Path(
-        alpha=complex(alpha),
-        toa=dist / C0,
-        aoa_az=math.atan2(u_arr[1], u_arr[0]),
-        aoa_el=math.asin(max(-1.0, min(1.0, u_arr[2]))),
-        aod_az=math.atan2(u_dep[1], u_dep[0]),
-        aod_el=math.asin(max(-1.0, min(1.0, u_dep[2]))),
-        field=complex(efield),
-    )
+def _unfold(verts: np.ndarray, scene: Scene):
+    """Segments, segment lengths, total lengths and fields
+    ``E = E0 * Gamma^b * exp(-2j*pi*d/lambda) / d`` of same-order paths."""
+    segs = np.diff(verts, axis=1)
+    lengths = np.linalg.norm(segs, axis=2)
+    dist = lengths.sum(axis=1)
+    gamma = E0_REF * scene.reflection_coeff ** (verts.shape[1] - 2)
+    efield = gamma * np.exp(-2j * np.pi * dist / scene.wavelength) / dist
+    return segs, lengths, dist, efield
 
 
 def trace_paths(
@@ -299,53 +326,20 @@ def trace_paths(
     gain calibrated against ``calib`` (transmit power and array sizes).
     """
     calib = calib or GainCalibration()
-    tx = np.asarray(scene.tx_position, dtype=np.float64)
     rx = np.asarray(rx_position, dtype=np.float64)
-    for b in scene.buildings:
-        if b.contains(rx):
-            raise ValueError("receiver position lies inside a building")
-
-    boxes_lo = np.array([b.bounds[0] for b in scene.buildings]).reshape(-1, 3)
-    boxes_hi = np.array([b.bounds[1] for b in scene.buildings]).reshape(-1, 3)
-
-    def clear(a, b):
-        return not _segment_blocked(a, b, boxes_lo, boxes_hi)
-
+    if any(b.contains(rx) for b in scene.buildings):
+        raise ValueError("receiver position lies inside a building")
+    g = _geometry(scene)
+    scale = _gain_scale(scene.wavelength, calib.p_t, calib.nr, calib.nt)
     paths: list[Path] = []
-    if clear(tx, rx):
-        paths.append(_make_path([tx, rx], scene, calib))
-
-    facets = _scene_facets(scene)
-    if scene.max_bounces >= 1:
-        for f in facets:
-            if not (f.infinite or (f.outside(tx) and f.outside(rx))):
-                continue
-            r1 = f.hit_point(f.mirror(tx), rx)
-            if r1 is None:
-                continue
-            if clear(tx, r1) and clear(r1, rx):
-                paths.append(_make_path([tx, r1, rx], scene, calib))
-
-    if scene.max_bounces >= 2:
-        for f1 in facets:
-            i1 = f1.mirror(tx)
-            for f2 in facets:
-                if f1 is f2:
-                    continue
-                i2 = f2.mirror(i1)
-                r2 = f2.hit_point(i2, rx)
-                if r2 is None:
-                    continue
-                r1 = f1.hit_point(i1, r2)
-                if r1 is None:
-                    continue
-                if not (f1.infinite or (f1.outside(tx) and f1.outside(r2))):
-                    continue
-                if not (f2.infinite or (f2.outside(r1) and f2.outside(rx))):
-                    continue
-                if clear(tx, r1) and clear(r1, r2) and clear(r2, rx):
-                    paths.append(_make_path([tx, r1, r2, rx], scene, calib))
-
+    for verts in _trace(g, rx):
+        segs, lengths, dist, efield = _unfold(verts, scene)
+        # u[0]: direction the wave arrives from, seen at rx; u[1]: departure from tx
+        u = np.stack([-segs[:, -1] / lengths[:, -1:], segs[:, 0] / lengths[:, :1]])
+        az = np.arctan2(u[..., 1], u[..., 0]).tolist()
+        el = np.arcsin(np.clip(u[..., 2], -1.0, 1.0)).tolist()
+        rows = zip(efield.tolist(), (dist / C0).tolist(), az[0], el[0], az[1], el[1])
+        paths += [Path(e * scale, toa, *angles, field=e) for e, toa, *angles in rows]
     return PathSet(paths)
 
 
@@ -408,18 +402,16 @@ def generate_rss_map(
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
     origin = np.asarray(origin, dtype=np.float64)
-    lam = scene.wavelength
+    g = _geometry(scene)
+    xs = origin[0] + np.arange(cols) * spacing
+    ys = origin[1] + np.arange(rows) * spacing
     values = np.zeros((rows, cols), dtype=np.float64)
-    for r in range(rows):
-        y = origin[1] + r * spacing
-        for c in range(cols):
-            x = origin[0] + c * spacing
-            pos = (x, y, rx_height)
-            if any(b.contains(pos) for b in scene.buildings):
-                continue
-            ps = trace_paths(scene, pos)
-            if len(ps):
-                values[r, c] = rss_from_fields(ps.fields, lam)
+    for r, c in np.ndindex(rows, cols):
+        rx = np.array([xs[c], ys[r], rx_height])
+        if any(b.contains(rx) for b in scene.buildings):
+            continue
+        fields = [_unfold(v, scene)[3] for v in _trace(g, rx)]
+        values[r, c] = rss_from_fields(np.concatenate(fields), scene.wavelength)
     return RssMap(origin=origin, spacing=spacing, values=values, rx_height=rx_height)
 
 

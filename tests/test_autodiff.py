@@ -1,4 +1,6 @@
 import gc
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -331,6 +333,38 @@ class TestBackward:
         finally:
             if was_enabled:
                 gc.enable()
+
+    def test_tapes_in_concurrent_threads_stay_separate(self):
+        # Each thread records chains of 20 multiplications, y = x^21, on its
+        # own tapes while the interpreter switches threads every microsecond.
+        def worker(k):
+            for i in range(300):
+                x = Tensor(np.full(3, 1.0 + 0.001 * (k + i % 7)), requires_grad=True)
+                with Tape() as tape:
+                    y = x
+                    for _ in range(20):
+                        y = mul(y, x)
+                    loss = tensor_sum(y)
+                tape.backward(loss)
+                np.testing.assert_allclose(x.grad, 21 * x.data**20, rtol=1e-12)
+                assert len(tape) == 21
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for done in [pool.submit(worker, k) for k in range(4)]:
+                    done.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_out_of_order_exit_raises(self):
+        outer, inner = Tape(), Tape()
+        with outer:
+            inner.__enter__()
+            with pytest.raises(RuntimeError, match="tape stack corrupted"):
+                outer.__exit__(None, None, None)
+            inner.__exit__(None, None, None)
 
     def test_backward_free_function(self):
         x = Tensor(np.ones((2,)), requires_grad=True)

@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -269,6 +270,24 @@ class TestRssMap:
         with pytest.raises(ValueError, match="RSS values"):
             RssMap(origin=np.array([0.0, 0.0]), spacing=1.0, values=vals, rx_height=1.5)
 
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("origin", [np.nan, 0.0]),
+            ("origin", [0.0, np.inf]),
+            ("origin", [0.0, 0.0, 0.0]),
+            ("origin", [1.0]),
+            ("spacing", np.nan),
+            ("spacing", np.inf),
+            ("rx_height", np.inf),
+            ("rx_height", np.nan),
+        ],
+    )
+    def test_rejects_bad_geometry(self, name, bad):
+        good = dict(origin=[0.0, 0.0], spacing=1.0, values=np.zeros((2, 2)), rx_height=1.5)
+        with pytest.raises(ValueError, match="origin|spacing|rx_height"):
+            RssMap(**{**good, name: bad})
+
     def test_map_values_non_negative(self):
         wall = Box(10.0, 14.0, -20.0, 20.0, 0.0, 30.0)
         scene = Scene(buildings=(wall,), tx_position=(0, 0, 25), carrier_freq=CARRIER)
@@ -376,6 +395,18 @@ class TestRssMapIO:
         np.testing.assert_array_equal(loaded.values, vals)
         np.testing.assert_array_equal(loaded.origin, m.origin)
         assert loaded.spacing == m.spacing and loaded.rx_height == m.rx_height
+
+    # Header field offsets in "<4sIIIdddd": origin x, origin y, spacing, rx height.
+    @pytest.mark.parametrize("offset", [16, 24, 32, 40], ids=["ox", "oy", "spacing", "rx_h"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_header_rejected(self, tmp_path, offset, bad):
+        path = tmp_path / "map.rssm"
+        save_rss_map(RssMap(np.zeros(2), 1.0, np.ones((2, 3)), 1.5), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, offset, bad)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="finite"):
+            load_rss_map(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rssm"
