@@ -10,6 +10,7 @@ All functions are pure; no shared mutable state.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -21,27 +22,29 @@ __all__ = [
     "PathSet",
     "PulseConfig",
     "ChannelTensor",
+    "PULSE_SUPPORT",
     "steering_vector",
     "ura_response",
+    "ura_from_cosines",
+    "rank_one_taps",
     "raised_cosine",
     "synth_channel",
     "channel_frequency_response",
 ]
 
+PULSE_SUPPORT = 8.0  # pulse half-width in samples; beyond it, below 1e-4 for beta >= 0.1
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform rectangular array; spacing is fixed at half a wavelength."""
+    """Uniform rectangular array; elements are half a wavelength apart."""
 
     nx: int
     ny: int
-    spacing: float = 0.5
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"element counts must be >= 1, got {self.nx}x{self.ny}")
-        if self.spacing != 0.5:
-            raise ValueError("only half-wavelength element spacing is supported")
 
     @property
     def size(self) -> int:
@@ -53,8 +56,9 @@ class Path:
     """One multipath component.
 
     ``alpha`` is the dimensionless complex channel gain, ``field`` the complex
-    electric-field amplitude in V/m at the receiver. Angles are radians;
-    elevations lie in [-pi/2, pi/2], azimuths in (-pi, pi].
+    electric-field amplitude in V/m at the receiver; both and ``toa`` must
+    be finite. Angles are radians; elevations lie in [-pi/2, pi/2], azimuths
+    in (-pi, pi].
     """
 
     alpha: complex
@@ -66,6 +70,9 @@ class Path:
     field: complex = 0j
 
     def __post_init__(self):
+        for name in ("alpha", "toa", "field"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)} is not finite")
         if self.toa < 0:
             raise ValueError(f"time of arrival must be >= 0, got {self.toa}")
         for name in ("aoa_el", "aod_el"):
@@ -111,19 +118,19 @@ class PulseConfig:
 
     ``ts`` is the sampling interval in seconds, ``beta`` the roll-off in
     [0, 1], ``t_off`` the transmitter/receiver clock offset (0 means
-    synchronized). ``support`` bounds the pulse when accumulating taps:
-    contributions beyond ``support * ts`` from the peak are dropped (below
-    1e-4 for beta >= 0.1).
+    synchronized). :func:`synth_channel` drops pulse contributions farther
+    than ``PULSE_SUPPORT * ts`` from a tap.
     """
 
     ts: float
     beta: float = 0.3
     t_off: float = 0.0
-    support: float = 8.0
 
     def __post_init__(self):
-        if self.ts <= 0:
-            raise ValueError(f"sampling interval must be > 0, got {self.ts}")
+        if not (math.isfinite(self.ts) and self.ts > 0):
+            raise ValueError(f"sampling interval must be finite and > 0, got {self.ts}")
+        if not math.isfinite(self.t_off):
+            raise ValueError(f"clock offset must be finite, got {self.t_off}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"roll-off must be in [0, 1], got {self.beta}")
 
@@ -158,28 +165,37 @@ class ChannelTensor:
         return float(np.sum(np.abs(self.taps) ** 2))
 
 
-def steering_vector(theta: float, n: int) -> np.ndarray:
-    """Linear-array steering vector for direction cosine ``theta``.
+def steering_vector(theta, n: int) -> np.ndarray:
+    """Linear-array steering vectors for direction cosines ``theta``.
 
     Element ``k`` (0-based) is ``exp(-1j * pi * k * theta)``; all entries have
-    unit magnitude.
+    unit magnitude. ``theta`` is a scalar or an array; the result has shape
+    ``shape(theta) + (n,)``.
     """
     if n < 1:
         raise ValueError(f"element count must be >= 1, got {n}")
     k = np.arange(n, dtype=np.float64)
-    return np.exp(-1j * np.pi * k * theta)
+    return np.exp(np.multiply.outer(theta, -1j * np.pi * k))
 
 
-def ura_response(az: float, el: float, geom: ArrayGeometry) -> np.ndarray:
-    """URA response as the Kronecker product of two steering vectors.
+def ura_from_cosines(ux, uy, geom: ArrayGeometry) -> np.ndarray:
+    """URA responses ``[..., nx*ny]``, the Kronecker products of the x-axis
+    steering vector for cosine ``ux`` (the slow index) and the y-axis one for
+    ``uy``. Accepts scalars or broadcastable arrays."""
+    outer = steering_vector(ux, geom.nx)[..., :, None] * steering_vector(uy, geom.ny)[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (geom.size,))
 
-    The x-axis factor uses the direction cosine ``cos(el) * sin(az)``, the
-    y-axis factor ``sin(el)``; the x factor is the slow (first) Kronecker
-    index.
-    """
-    t_par = math.cos(el) * math.sin(az)
-    t_perp = math.sin(el)
-    return np.kron(steering_vector(t_par, geom.nx), steering_vector(t_perp, geom.ny))
+
+def ura_response(az, el, geom: ArrayGeometry) -> np.ndarray:
+    """:func:`ura_from_cosines` at the x-axis direction cosine ``cos(el) *
+    sin(az)`` and the y-axis one ``sin(el)``. Accepts scalars or arrays."""
+    return ura_from_cosines(np.cos(el) * np.sin(az), np.sin(el), geom)
+
+
+def rank_one_taps(w: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> ChannelTensor:
+    """Taps ``H[d] = sum_l w[d, l] * outer(a_r[l], a_t[l])`` for weights
+    ``w [D, L]`` and array responses ``a_r [L, Nr]``, ``a_t [L, Nt]``."""
+    return ChannelTensor(np.einsum("dl,lr,lt->drt", w, a_r, a_t))
 
 
 def raised_cosine(t, cfg: PulseConfig):
@@ -200,7 +216,7 @@ def raised_cosine(t, cfg: PulseConfig):
     singular = np.abs(den) < 1e-10
     safe_den = np.where(singular, 1.0, den)
     out = num / safe_den
-    if beta > 0:
+    if np.any(singular) and beta > 0:  # a subnormal beta has no singular point
         out = np.where(singular, (np.pi / 4.0) * np.sinc(1.0 / (2.0 * beta)), out)
 
     # Exact zeros on the sample grid keep one-tap channels exactly isolated.
@@ -221,27 +237,20 @@ def synth_channel(
 
     Tap ``d`` receives ``alpha_l * f_p(d*ts - (toa_l - t_off))`` times the
     outer product of the receive and transmit array responses. Pulse
-    contributions farther than ``cfg.support * ts`` from a tap are dropped.
+    contributions farther than ``PULSE_SUPPORT * ts`` from a tap are dropped.
     """
     if d <= 0:
         raise ValueError(f"tap count must be >= 1, got {d}")
     if len(paths) == 0:
         raise ValueError("no paths: cannot synthesize a channel from an empty PathSet")
 
-    taps = np.zeros((d, rx.size, tx.size), dtype=np.complex128)
-    grid = np.arange(d, dtype=np.float64) * cfg.ts
-    for p in paths.paths:
-        delay = p.toa - cfg.t_off
-        arg = grid - delay
-        mask = np.abs(arg) <= cfg.support * cfg.ts
-        if not np.any(mask):
-            continue
-        w = np.zeros(d, dtype=np.float64)
-        w[mask] = raised_cosine(arg[mask], cfg)
-        a_r = ura_response(p.aoa_az, p.aoa_el, rx)
-        a_t = ura_response(p.aod_az, p.aod_el, tx)
-        taps += (p.alpha * w)[:, None, None] * np.outer(a_r, a_t)[None, :, :]
-    return ChannelTensor(taps)
+    ang = np.array([(p.aoa_az, p.aoa_el, p.aod_az, p.aod_el) for p in paths.paths]).T
+    alpha = np.array([p.alpha for p in paths.paths], dtype=np.complex128)
+    arg = np.arange(d)[:, None] * cfg.ts - (paths.toas - cfg.t_off)  # [D, L]
+    pulse = np.where(np.abs(arg) <= PULSE_SUPPORT * cfg.ts, raised_cosine(arg, cfg), 0.0)
+    return rank_one_taps(
+        pulse * alpha, ura_response(ang[0], ang[1], rx), ura_response(ang[2], ang[3], tx)
+    )
 
 
 def channel_frequency_response(h: ChannelTensor, n_sc: int) -> np.ndarray:

@@ -12,16 +12,12 @@ parallelized across seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_model import (
-    ArrayGeometry,
-    ChannelTensor,
-    channel_frequency_response,
-    steering_vector,
-)
+from .channel_model import ArrayGeometry, ChannelTensor, rank_one_taps, ura_from_cosines
 
 __all__ = [
     "PilotConfig",
@@ -52,7 +48,8 @@ class PilotConfig:
     pilot subcarrier. Noise: if ``snr_db`` is set, the noise variance is
     derived per call as mean received pilot power over 10^(snr/10) per
     receive antenna; otherwise ``noise_var`` is used directly (0/None means
-    noiseless).
+    noiseless). At most one of the two may be set; ``snr_db`` must be finite,
+    ``noise_var`` finite and >= 0, ``p_t`` finite and > 0.
     """
 
     n_sc: int
@@ -67,8 +64,16 @@ class PilotConfig:
     def __post_init__(self):
         if not 1 <= self.n_pilot <= self.n_sc:
             raise ValueError(f"need 1 <= n_pilot <= n_sc, got {self.n_pilot}/{self.n_sc}")
-        if self.p_t <= 0:
-            raise ValueError("transmit power must be > 0")
+        if not (math.isfinite(self.p_t) and self.p_t > 0):
+            raise ValueError(f"transmit power must be finite and > 0, got {self.p_t}")
+        if self.snr_db is not None and self.noise_var is not None:
+            raise ValueError("set at most one of snr_db and noise_var")
+        if self.snr_db is not None and not math.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        if self.noise_var is not None and not (
+            math.isfinite(self.noise_var) and self.noise_var >= 0
+        ):
+            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
         if not self.placement:
             object.__setattr__(self, "placement", _comb_indices(self.n_sc, self.n_pilot))
         if len(self.placement) != self.n_pilot or any(
@@ -104,13 +109,21 @@ class PilotObservation:
             raise ValueError("observation contains non-finite entries")
 
 
+def _pilot_dft(cfg: PilotConfig, taps) -> np.ndarray:
+    """``[P, len(taps)]`` rows ``exp(-2j*pi*k*d/n_sc)``: pilot subcarriers ``k``, taps ``d``."""
+    return np.exp(-2j * np.pi * np.multiply.outer(cfg.placement, taps) / cfg.n_sc)
+
+
 def _pilot_response(h: ChannelTensor, cfg: PilotConfig) -> np.ndarray:
     """Noise-free pilot model ``Y_k = H_k S`` at every pilot subcarrier."""
     if cfg.n_sc < h.d:
         raise ValueError(f"subcarriers {cfg.n_sc} < tap count {h.d}")
     if cfg.nt != h.nt:
         raise ValueError(f"pilot config is for Nt={cfg.nt}, channel has Nt={h.nt}")
-    return channel_frequency_response(h, cfg.n_sc)[list(cfg.placement)] @ cfg.scaled_matrix
+    # einsum, not one [P, D] x [D, Nr*Nt] matmul: at benchmark sizes that gemm
+    # goes multithreaded in OpenBLAS, and waking its threads costs more than it saves.
+    h_k = np.einsum("pd,drt->prt", _pilot_dft(cfg, np.arange(h.d)), h.taps)
+    return h_k @ cfg.scaled_matrix
 
 
 def transmit_pilots(h: ChannelTensor, cfg: PilotConfig, rng_seed) -> PilotObservation:
@@ -135,8 +148,17 @@ def transmit_pilots(h: ChannelTensor, cfg: PilotConfig, rng_seed) -> PilotObserv
     return PilotObservation(y=y, placement=cfg.placement)
 
 
+def _check_placement(obs: PilotObservation, cfg: PilotConfig) -> None:
+    if tuple(obs.placement) != cfg.placement:
+        raise ValueError("observation pilot placement differs from the pilot config's")
+
+
 def ls_estimate(obs: PilotObservation, cfg: PilotConfig) -> np.ndarray:
-    """Per-pilot-subcarrier least squares: ``H_hat_k = Y_k S^{-1}``."""
+    """Per-pilot-subcarrier least squares: ``H_hat_k = Y_k S^{-1}``.
+
+    The observation must come from ``cfg``'s pilot placement.
+    """
+    _check_placement(obs, cfg)
     s_inv = cfg.pilot_matrix.conj().T / np.sqrt(cfg.p_t)
     return obs.y @ s_inv
 
@@ -212,13 +234,15 @@ class OmpDictionary:
     Atom ``(d, r, t)`` of the grid :attr:`shape` ``(Nd, Gr, Gt)`` has flat
     index ``(d*Gr + r)*Gt + t`` and is the tap tensor ``delta(tap=delays[d])
     x outer(a_r[r], a_t[t]) / sqrt(Nr*Nt)``, of unit Frobenius norm.
-    Direction grids are direction-cosine pairs, one row per atom direction.
+    Direction grids are direction-cosine pairs, one row per atom direction,
+    steered by :func:`~mbce.channel_model.ura_from_cosines`.
 
-    :meth:`synthesize` maps atom indices and gains to taps, :meth:`forward`
-    maps them to the noise-free pilot observation of those taps, and
-    :meth:`adjoint` maps a pilot residual to its correlation with every
-    atom. The two are adjoint: ``vdot(forward(x), r) == vdot(x, adjoint(r))``
-    for every sparse ``x`` and residual ``r``.
+    :meth:`synthesize` maps atom indices and gains to taps (one-hot delay
+    weights in :func:`~mbce.channel_model.rank_one_taps`), :meth:`forward`
+    applies the pilot DFT rows to them, and :meth:`adjoint` correlates a pilot
+    residual with every atom through the same rows, conjugate-transposed.
+    The two are adjoint: ``vdot(forward(x), r) == vdot(x, adjoint(r))`` for
+    every sparse ``x`` and residual ``r``.
     """
 
     delays: np.ndarray            # [Nd] integer taps
@@ -233,17 +257,9 @@ class OmpDictionary:
         self.tx_dirs = np.atleast_2d(np.asarray(self.tx_dirs, dtype=np.float64))
         if self.delays.size == 0 or self.rx_dirs.size == 0 or self.tx_dirs.size == 0:
             raise ValueError("empty dictionary")
-        self._a_r = self._steer_matrix(self.rx_dirs, self.rx_geom)
-        self._a_t = self._steer_matrix(self.tx_dirs, self.tx_geom)
+        self._a_r = ura_from_cosines(*self.rx_dirs.T, self.rx_geom)  # [Gr, Nr]
+        self._a_t = ura_from_cosines(*self.tx_dirs.T, self.tx_geom)  # [Gt, Nt]
         self._norm = np.sqrt(self.rx_geom.size * self.tx_geom.size)
-
-    @staticmethod
-    def _steer_matrix(dirs: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
-        cols = [
-            np.kron(steering_vector(dx, geom.nx), steering_vector(dy, geom.ny))
-            for dx, dy in dirs
-        ]
-        return np.stack(cols, axis=1)  # [n_elem, G]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -284,13 +300,9 @@ class OmpDictionary:
     def synthesize(self, atoms, gains) -> ChannelTensor:
         """Taps ``sum_j gains[j] * atom[atoms[j]]``, ``max(delays) + 1`` of them."""
         di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
-        spatial = self._a_r[:, ri].T[:, :, None] * self._a_t[:, ti].T[:, None, :] / self._norm
-        taps = np.zeros(
-            (int(self.delays.max()) + 1, self.rx_geom.size, self.tx_geom.size),
-            dtype=np.complex128,
-        )
-        np.add.at(taps, self.delays[di], np.asarray(gains)[:, None, None] * spatial)
-        return ChannelTensor(taps)
+        w = np.zeros((int(self.delays.max()) + 1, di.size), dtype=np.complex128)
+        w[self.delays[di], np.arange(di.size)] = np.asarray(gains) / self._norm
+        return rank_one_taps(w, self._a_r[ri], self._a_t[ti])
 
     def forward(self, atoms, gains, cfg: PilotConfig) -> np.ndarray:
         """Noise-free ``[P, Nr, Nt]`` pilot observation of :meth:`synthesize`."""
@@ -299,14 +311,13 @@ class OmpDictionary:
     def adjoint(self, residual: np.ndarray, cfg: PilotConfig) -> np.ndarray:
         """Correlation ``[Nd, Gr, Gt]`` of a ``[P, Nr, Nt]`` residual with every atom.
 
-        Per pilot, ``A_r^H (R_k S^H) conj(A_t)`` correlates with every spatial
-        atom; the delay phases ``exp(+2j*pi*k*d/n_sc)`` then sum over pilots.
+        Per pilot, ``conj(A_r) (R_k S^H) A_t^H`` correlates with every spatial
+        atom; the conjugate transpose of the pilot DFT rows at :attr:`delays`
+        then sums over pilots.
         """
-        ks = np.asarray(cfg.placement, dtype=np.float64)
-        phase = np.exp(2j * np.pi * np.outer(self.delays, ks) / cfg.n_sc)  # [Nd, P]
         r_s = residual @ cfg.scaled_matrix.conj().T
-        spatial = np.conj(self._a_r).T @ (r_s @ np.conj(self._a_t))  # [P, Gr, Gt]
-        corr = phase @ spatial.reshape(len(ks), -1)
+        spatial = np.conj(self._a_r) @ (r_s @ np.conj(self._a_t).T)  # [P, Gr, Gt]
+        corr = _pilot_dft(cfg, self.delays).conj().T @ spatial.reshape(len(spatial), -1)
         return corr.reshape(self.shape) / self._norm
 
 
@@ -332,10 +343,12 @@ def omp_estimate(
     refits all selected gains by least squares. Stops after ``k_max`` atoms
     or once the residual norm drops to ``resid_tol`` times the observation
     norm. A rank-deficient refit drops the newest atom and stops. A residual
-    that grows across an iteration raises ``FloatingPointError``.
+    that grows across an iteration raises ``FloatingPointError``. The
+    observation must come from ``cfg``'s pilot placement.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_placement(obs, cfg)
     dc = dictionary
     y = obs.y.ravel()
     y_norm = float(np.linalg.norm(y))

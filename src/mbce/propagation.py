@@ -17,6 +17,7 @@ pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 import struct
@@ -93,9 +94,21 @@ class Box:
         )
 
 
+def _point3(p, name: str) -> np.ndarray:
+    """``p`` as a float64 array of 3 finite values, else ``ValueError``."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape != (3,) or not np.all(np.isfinite(p)):
+        raise ValueError(f"{name} must be 3 finite values, got {p.tolist()}")
+    return p
+
+
 @dataclass(frozen=True)
 class Scene:
-    """Static propagation environment: buildings, ground plane at z=0, one tx."""
+    """Static propagation environment: buildings, ground plane at z=0, one tx.
+
+    ``tx_position`` is 3 finite values, ``carrier_freq`` finite and > 0,
+    ``reflection_coeff`` finite with magnitude <= 1.
+    """
 
     buildings: tuple[Box, ...]
     tx_position: tuple[float, float, float]
@@ -104,10 +117,12 @@ class Scene:
     max_bounces: int = 1
 
     def __post_init__(self):
-        if self.carrier_freq <= 0:
-            raise ValueError("carrier frequency must be > 0")
-        if abs(self.reflection_coeff) > 1.0 + 1e-12:
-            raise ValueError("|reflection coefficient| must be <= 1")
+        _point3(self.tx_position, "tx_position")
+        f, gamma = self.carrier_freq, self.reflection_coeff
+        if not (math.isfinite(f) and f > 0):
+            raise ValueError(f"carrier frequency must be finite and > 0, got {f}")
+        if not (cmath.isfinite(gamma) and abs(gamma) <= 1.0 + 1e-12):
+            raise ValueError(f"reflection coefficient must be finite, |.| <= 1, got {gamma}")
         if self.max_bounces not in (0, 1, 2):
             raise ValueError("max_bounces must be 0, 1 or 2")
 
@@ -324,9 +339,10 @@ def trace_paths(
     occluded receiver with no reflected path yields an empty PathSet. Each
     path carries ``E = E0 * Gamma^b * exp(-2j*pi*d/lambda) / d`` and a channel
     gain calibrated against ``calib`` (transmit power and array sizes).
+    ``rx_position`` must be 3 finite values.
     """
     calib = calib or GainCalibration()
-    rx = np.asarray(rx_position, dtype=np.float64)
+    rx = _point3(rx_position, "rx_position")
     if any(b.contains(rx) for b in scene.buildings):
         raise ValueError("receiver position lies inside a building")
     g = _geometry(scene)
@@ -397,15 +413,17 @@ def generate_rss_map(
     """Evaluate the coherent RSS at every grid cell center.
 
     Cells whose receiver point is occluded (or inside a building) hold 0.
+    The grid geometry is checked as :class:`RssMap` checks it, before any
+    cell is traced.
     """
     rows, cols = shape
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
-    origin = np.asarray(origin, dtype=np.float64)
+    values = np.zeros((rows, cols), dtype=np.float64)
+    origin = RssMap(origin=origin, spacing=spacing, values=values, rx_height=rx_height).origin
     g = _geometry(scene)
     xs = origin[0] + np.arange(cols) * spacing
     ys = origin[1] + np.arange(rows) * spacing
-    values = np.zeros((rows, cols), dtype=np.float64)
     for r, c in np.ndindex(rows, cols):
         rx = np.array([xs[c], ys[r], rx_height])
         if any(b.contains(rx) for b in scene.buildings):
@@ -513,7 +531,13 @@ def import_paths(stream) -> list[tuple[int, PathSet]]:
 
 
 def save_rss_map(rss_map: RssMap, path) -> None:
-    """Write the flat binary map format (magic RSSM, version 1)."""
+    """Write the flat binary map format (magic RSSM, version 1).
+
+    Values are stored as float32; a value beyond its range raises
+    ``ValueError`` and writes nothing.
+    """
+    if np.any(rss_map.values > np.finfo(np.float32).max):
+        raise ValueError("RSS values exceed the float32 range of the map format")
     rows, cols = rss_map.values.shape
     header = struct.pack(
         "<4sIIIdddd",

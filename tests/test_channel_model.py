@@ -87,9 +87,29 @@ class TestUraResponse:
             )
             np.testing.assert_allclose(ura_response(az, el, geom), expect, atol=1e-12)
 
-    def test_spacing_pinned_to_half_wavelength(self):
-        with pytest.raises(ValueError):
-            ArrayGeometry(2, 2, spacing=0.7)
+
+class TestPathAndPulseChecks:
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("alpha", complex(np.nan, 0.0)),
+            ("alpha", complex(0.0, np.inf)),
+            ("toa", np.nan),
+            ("toa", np.inf),
+            ("field", complex(np.inf, 0.0)),
+        ],
+    )
+    def test_path_rejects_non_finite(self, name, bad):
+        good = dict(alpha=1.0, toa=0.0, aoa_az=0.0, aoa_el=0.0, aod_az=0.0, aod_el=0.0)
+        with pytest.raises(ValueError, match=f"{name}=.*not finite"):
+            Path(**{**good, name: bad})
+
+    @pytest.mark.parametrize(
+        "kw", [dict(ts=np.nan), dict(ts=np.inf), dict(ts=1e-9, t_off=np.nan)]
+    )
+    def test_pulse_rejects_non_finite(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            PulseConfig(**kw)
 
 
 class TestRaisedCosine:

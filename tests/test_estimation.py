@@ -16,6 +16,7 @@ from mbce.channel_model import (
 from mbce.estimation import (
     OmpDictionary,
     PilotConfig,
+    PilotObservation,
     coarse_estimate,
     interpolate_full_band,
     ls_estimate,
@@ -78,6 +79,36 @@ class TestTransmitPilots:
             obs = transmit_pilots(h, cfg, seed)
             noise_pow.append(np.mean(np.abs(obs.y - clean.y) ** 2))
         assert np.mean(noise_pow) == pytest.approx(p_sig / 10.0, rel=0.05)
+
+
+class TestPilotConfigChecks:
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            (dict(snr_db=10.0, noise_var=0.1), "at most one"),
+            (dict(snr_db=np.nan), "snr_db"),
+            (dict(snr_db=np.inf), "snr_db"),
+            (dict(noise_var=-0.1), "noise_var"),
+            (dict(noise_var=np.nan), "noise_var"),
+            (dict(p_t=np.nan), "transmit power"),
+            (dict(p_t=np.inf), "transmit power"),
+        ],
+        ids=["both-noise-levels", "snr-nan", "snr-inf", "noise-negative", "noise-nan",
+             "power-nan", "power-inf"],
+    )
+    def test_rejects(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            PilotConfig(n_sc=16, n_pilot=4, nt=2, **kw)
+
+    def test_estimators_reject_mismatched_placement(self):
+        cfg = PilotConfig(n_sc=16, n_pilot=4, nt=2)
+        other = PilotConfig(n_sc=16, n_pilot=4, nt=2, placement=(1, 5, 9, 13))
+        obs = transmit_pilots(random_channel(np.random.default_rng(0), nt=2), other, 0)
+        dictionary = OmpDictionary.build(4, ArrayGeometry(2, 1), ArrayGeometry(2, 1))
+        with pytest.raises(ValueError, match="placement"):
+            ls_estimate(obs, cfg)
+        with pytest.raises(ValueError, match="placement"):
+            omp_estimate(obs, cfg, dictionary, k_max=1)
 
 
 class TestLsEstimate:
@@ -294,8 +325,6 @@ class TestOmp:
 
     def test_pure_noise_with_unit_tolerance_selects_nothing(self):
         y = np.random.default_rng(5).normal(size=(8, 2, 4)) + 0j
-        from mbce.estimation import PilotObservation
-
         obs = PilotObservation(y=y, placement=self.cfg.placement)
         res = omp_estimate(obs, self.cfg, self.dict, k_max=4, resid_tol=1.0, return_info=True)
         assert res.selected == []

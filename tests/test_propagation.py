@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from mbce import propagation
 from mbce.channel_model import ArrayGeometry, Path, PathSet, PulseConfig, synth_channel
 from mbce.propagation import (
     C0,
@@ -36,6 +37,55 @@ def free_space(max_bounces=1, **kw):
         max_bounces=max_bounces,
         **kw,
     )
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "name,bad,match",
+        [
+            ("tx_position", (np.nan, 0.0, 25.0), "tx_position"),
+            ("tx_position", (0.0, 0.0, np.inf), "tx_position"),
+            ("tx_position", (0.0, 0.0), "tx_position"),
+            ("tx_position", (0.0, 0.0, 25.0, 1.0), "tx_position"),
+            ("carrier_freq", np.nan, "carrier"),
+            ("carrier_freq", np.inf, "carrier"),
+            ("reflection_coeff", complex(np.nan, 0.0), "reflection"),
+            ("reflection_coeff", complex(0.0, np.inf), "reflection"),
+        ],
+    )
+    def test_scene_rejects(self, name, bad, match):
+        good = dict(buildings=(), tx_position=(0.0, 0.0, 25.0), carrier_freq=CARRIER)
+        with pytest.raises(ValueError, match=match):
+            Scene(**{**good, name: bad})
+
+    @pytest.mark.parametrize(
+        "rx", [(np.nan, 0.0, 1.5), (10.0, -np.inf, 1.5), (10.0, 0.0), (10.0, 0.0, 1.5, 0.0)]
+    )
+    def test_trace_paths_rejects_receiver(self, rx):
+        with pytest.raises(ValueError, match="rx_position"):
+            trace_paths(free_space(), rx)
+
+    @pytest.mark.parametrize(
+        "name,bad",
+        [
+            ("origin", (np.nan, 0.0)),
+            ("origin", (0.0, 0.0, 0.0)),
+            ("spacing", np.nan),
+            ("spacing", np.inf),
+            ("spacing", 0.0),
+            ("spacing", -1.0),
+            ("rx_height", np.nan),
+            ("rx_height", np.inf),
+        ],
+    )
+    def test_rss_map_grid_checked_before_tracing(self, monkeypatch, name, bad):
+        def no_trace(*args):
+            raise AssertionError("traced a cell of an invalid grid")
+
+        monkeypatch.setattr(propagation, "_trace", no_trace)
+        good = dict(origin=(10.0, 0.0), spacing=1.0, shape=(2, 2), rx_height=1.5)
+        with pytest.raises(ValueError, match="origin|spacing|rx_height"):
+            generate_rss_map(free_space(), **{**good, name: bad})
 
 
 class TestTracePaths:
@@ -370,6 +420,15 @@ class TestImportPaths:
         with pytest.raises(PathImportError, match="line 2.*e_real"):
             import_paths(io.StringIO(text))
 
+    @pytest.mark.parametrize("column", [2, 3, 4], ids=["e_real", "e_imag", "toa_s"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, column, bad):
+        row = "1,0,0.5,0,1e-8,0,0,0,0".split(",")
+        row[column] = bad
+        text = HEADER + "\n0,0,1,0,1e-8,0,0,0,0\n" + ",".join(row) + "\n"
+        with pytest.raises(PathImportError, match="line 3.*not finite"):
+            import_paths(io.StringIO(text))
+
     def test_unknown_column_rejected(self):
         text = HEADER + ",extra\n"
         with pytest.raises(PathImportError, match="unknown column"):
@@ -407,6 +466,12 @@ class TestRssMapIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="finite"):
             load_rss_map(path)
+
+    def test_values_beyond_float32_rejected(self, tmp_path):
+        path = tmp_path / "big.rssm"
+        with pytest.raises(ValueError, match="float32"):
+            save_rss_map(RssMap(np.zeros(2), 1.0, np.full((2, 2), 1e39), 1.5), path)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rssm"

@@ -1,0 +1,167 @@
+"""Property tests of the pilot model, the OMP operator, channel synthesis and
+the two binary file formats."""
+
+import math
+import tempfile
+from pathlib import Path as FsPath
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from mbce.autodiff import Tensor, load_params, save_params
+from mbce.channel_model import (
+    PULSE_SUPPORT,
+    ArrayGeometry,
+    ChannelTensor,
+    Path,
+    PathSet,
+    PulseConfig,
+    channel_frequency_response,
+    raised_cosine,
+    synth_channel,
+    ura_response,
+)
+from mbce.estimation import OmpDictionary, PilotConfig, transmit_pilots
+from mbce.propagation import RssMap, load_rss_map, save_rss_map
+
+PROPS = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def pilot_grids(draw, max_sc=48):
+    """``(n_sc, d, placement)``: a strictly increasing placement of any size
+    and a tap count ``d <= n_sc``."""
+    n_sc = draw(st.integers(1, max_sc))
+    d = draw(st.integers(1, n_sc))
+    placement = sorted(draw(st.sets(st.integers(0, n_sc - 1), min_size=1)))
+    return n_sc, d, tuple(placement)
+
+
+def random_channel(seed, d, nr, nt):
+    rng = np.random.default_rng(seed)
+    return ChannelTensor(rng.normal(size=(d, nr, nt)) + 1j * rng.normal(size=(d, nr, nt)))
+
+
+@PROPS
+@given(
+    grid=pilot_grids(), nr=st.integers(1, 3), nt=st.integers(1, 4), seed=st.integers(0, 2**32)
+)
+def test_noiseless_pilots_are_band_response_rows(grid, nr, nt, seed):
+    n_sc, d, placement = grid
+    h = random_channel(seed, d, nr, nt)
+    cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=nt, placement=placement)
+    expect = channel_frequency_response(h, n_sc)[list(placement)] @ cfg.scaled_matrix
+    np.testing.assert_allclose(transmit_pilots(h, cfg, 0).y, expect, rtol=0, atol=1e-12 * d)
+
+
+@PROPS
+@given(
+    grid=pilot_grids(max_sc=24),
+    dims=st.tuples(*[st.integers(1, 2)] * 4),
+    oversample=st.integers(1, 2),
+    seed=st.integers(0, 2**32),
+)
+def test_omp_adjoint_identity_on_any_placement(grid, dims, oversample, seed):
+    n_sc, d, placement = grid
+    rx, tx = ArrayGeometry(*dims[:2]), ArrayGeometry(*dims[2:])
+    comb = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=tx.size).placement
+    assume(placement != comb)
+    cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=tx.size, placement=placement)
+    dc = OmpDictionary.build(d, rx, tx, oversample=oversample)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(dc.n_atoms, size=min(3, dc.n_atoms), replace=False)
+    x = rng.normal(size=picks.size) + 1j * rng.normal(size=picks.size)
+    shape = (len(placement), rx.size, tx.size)
+    r = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    lhs = np.vdot(dc.forward(picks, x, cfg), r)
+    rhs = np.vdot(x, dc.adjoint(r, cfg).ravel()[picks])
+    assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+angles = st.tuples(
+    st.floats(-math.pi + 1e-6, math.pi),
+    st.floats(-math.pi / 2, math.pi / 2),
+    st.floats(-math.pi + 1e-6, math.pi),
+    st.floats(-math.pi / 2, math.pi / 2),
+)
+
+
+@PROPS
+@given(
+    d=st.integers(1, 12),
+    # delays in sampling intervals: below -PULSE_SUPPORT or above d - 1 +
+    # PULSE_SUPPORT the whole pulse lies outside the tap window
+    rays=st.lists(
+        st.tuples(st.floats(-12.0, 24.0), st.complex_numbers(max_magnitude=5.0), angles),
+        min_size=1,
+        max_size=6,
+    ),
+    beta=st.floats(0.0, 1.0),
+)
+def test_synth_channel_matches_per_path_oracle(d, rays, beta):
+    ts = 1e-9
+    cfg = PulseConfig(ts=ts, beta=beta, t_off=12 * ts)
+    rx, tx = ArrayGeometry(2, 1), ArrayGeometry(1, 3)
+    paths = PathSet([Path(a, (delay + 12) * ts, *ang) for delay, a, ang in rays])
+    h = synth_channel(paths, d, cfg, rx, tx)
+
+    expect = np.zeros((d, rx.size, tx.size), dtype=np.complex128)
+    for p in paths:
+        a_r, a_t = ura_response(p.aoa_az, p.aoa_el, rx), ura_response(p.aod_az, p.aod_el, tx)
+        spatial = np.outer(a_r, a_t)
+        for di in range(d):
+            arg = di * ts - (p.toa - cfg.t_off)
+            if abs(arg) <= PULSE_SUPPORT * ts:
+                expect[di] += p.alpha * raised_cosine(arg, cfg) * spatial
+    np.testing.assert_allclose(h.taps, expect, rtol=1e-12, atol=1e-13)
+
+
+finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+@PROPS
+@given(
+    params=st.dictionaries(
+        st.text(max_size=8),
+        hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0),
+                   elements=finite32),
+        max_size=4,
+    )
+)
+def test_params_round_trip(params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = FsPath(tmp) / "params.mbwt"
+        save_params({k: Tensor(v) for k, v in params.items()}, path)
+        loaded = load_params(path)
+    assert set(loaded) == set(params)
+    for name, value in params.items():
+        assert loaded[name].data.dtype == np.float32
+        np.testing.assert_array_equal(loaded[name].data, value)
+
+
+finite64 = st.floats(-1e6, 1e6)
+
+
+@PROPS
+@given(
+    values=hnp.arrays(
+        np.float32,
+        hnp.array_shapes(min_dims=2, max_dims=2),
+        elements=st.floats(0.0, float(np.finfo(np.float32).max), width=32),
+    ),
+    origin=st.tuples(finite64, finite64),
+    spacing=st.floats(1e-3, 1e3),
+    rx_height=finite64,
+)
+def test_rss_map_round_trip(values, origin, spacing, rx_height):
+    m = RssMap(origin=origin, spacing=spacing, values=values, rx_height=rx_height)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = FsPath(tmp) / "map.rssm"
+        save_rss_map(m, path)
+        loaded = load_rss_map(path)
+    np.testing.assert_array_equal(loaded.values, m.values)
+    np.testing.assert_array_equal(loaded.origin, m.origin)
+    assert (loaded.spacing, loaded.rx_height) == (m.spacing, m.rx_height)
+
