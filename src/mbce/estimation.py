@@ -99,12 +99,18 @@ class PilotConfig:
 
 @dataclass
 class PilotObservation:
-    """Received Nr x Nt matrices, one per pilot subcarrier."""
+    """Received Nr x Nt matrices, one per pilot subcarrier: ``y`` is finite
+    and ``[len(placement), Nr, Nt]``."""
 
     y: np.ndarray                 # [n_pilot, Nr, Nt]
     placement: tuple[int, ...]
 
     def __post_init__(self):
+        if np.ndim(self.y) != 3 or len(self.y) != len(self.placement):
+            raise ValueError(
+                f"observation must be [{len(self.placement)}, Nr, Nt], one matrix per "
+                f"pilot, got shape {np.shape(self.y)}"
+            )
         if not np.all(np.isfinite(self.y)):
             raise ValueError("observation contains non-finite entries")
 
@@ -239,10 +245,13 @@ class OmpDictionary:
 
     :meth:`synthesize` maps atom indices and gains to taps (one-hot delay
     weights in :func:`~mbce.channel_model.rank_one_taps`), :meth:`forward`
-    applies the pilot DFT rows to them, and :meth:`adjoint` correlates a pilot
-    residual with every atom through the same rows, conjugate-transposed.
-    The two are adjoint: ``vdot(forward(x), r) == vdot(x, adjoint(r))`` for
-    every sparse ``x`` and residual ``r``.
+    observes them at the pilots (pilot DFT weights in the same tap sum), and
+    :meth:`adjoint` correlates a pilot residual with every atom through the
+    pilot DFT rows, conjugate-transposed. The two are adjoint:
+    ``vdot(forward(x), r) == vdot(x, adjoint(r))`` for every sparse ``x`` and
+    residual ``r``. Their Gram matrix ``adjoint(forward(.))`` is separable in
+    delay, rx direction and tx direction; :meth:`gram_factors` gives its three
+    factors.
     """
 
     delays: np.ndarray            # [Nd] integer taps
@@ -297,6 +306,14 @@ class OmpDictionary:
             tx_geom=tx_geom,
         )
 
+    def _pilot_matrix(self, cfg: PilotConfig) -> np.ndarray:
+        """``cfg.scaled_matrix``, once ``cfg`` is known to be for this tx array."""
+        if cfg.nt != self.tx_geom.size:
+            raise ValueError(
+                f"pilot config is for Nt={cfg.nt}, dictionary has Nt={self.tx_geom.size}"
+            )
+        return cfg.scaled_matrix
+
     def synthesize(self, atoms, gains) -> ChannelTensor:
         """Taps ``sum_j gains[j] * atom[atoms[j]]``, ``max(delays) + 1`` of them."""
         di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
@@ -305,8 +322,15 @@ class OmpDictionary:
         return rank_one_taps(w, self._a_r[ri], self._a_t[ti])
 
     def forward(self, atoms, gains, cfg: PilotConfig) -> np.ndarray:
-        """Noise-free ``[P, Nr, Nt]`` pilot observation of :meth:`synthesize`."""
-        return _pilot_response(self.synthesize(atoms, gains), cfg)
+        """Noise-free ``[P, Nr, Nt]`` pilot observation of :meth:`synthesize`.
+
+        Each atom's pilot DFT row at its delay weighs its rank-one term, so the
+        tap tensor is never formed; then ``S`` is applied.
+        """
+        s = self._pilot_matrix(cfg)
+        di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
+        w = _pilot_dft(cfg, self.delays[di]) * (np.asarray(gains) / self._norm)
+        return rank_one_taps(w, self._a_r[ri], self._a_t[ti]).taps @ s
 
     def adjoint(self, residual: np.ndarray, cfg: PilotConfig) -> np.ndarray:
         """Correlation ``[Nd, Gr, Gt]`` of a ``[P, Nr, Nt]`` residual with every atom.
@@ -315,10 +339,27 @@ class OmpDictionary:
         atom; the conjugate transpose of the pilot DFT rows at :attr:`delays`
         then sums over pilots.
         """
-        r_s = residual @ cfg.scaled_matrix.conj().T
+        r_s = residual @ self._pilot_matrix(cfg).conj().T
         spatial = np.conj(self._a_r) @ (r_s @ np.conj(self._a_t).T)  # [P, Gr, Gt]
         corr = _pilot_dft(cfg, self.delays).conj().T @ spatial.reshape(len(spatial), -1)
         return corr.reshape(self.shape) / self._norm
+
+    def gram_factors(self, cfg: PilotConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Factors ``kd [Nd, Nd]``, ``kr [Gr, Gr]``, ``kt [Gt, Gt]`` of the Gram
+        matrix: for atom ``j = (d_j, r_j, t_j)``,
+        ``adjoint(forward([j], [1]))[d, r, t] == kd[d, d_j] * kr[r, r_j] * kt[t, t_j]``.
+
+        ``kd = F^H F / (Nr*Nt)`` with ``F`` the pilot DFT rows at :attr:`delays`,
+        ``kr = conj(A_r) A_r^T`` and ``kt = conj(A_t) (S S^H)^T A_t^T``. ``S S^H``
+        is kept rather than taken as ``p_t * I``, so the identity holds to
+        rounding for a pilot matrix that is unitary only to 1e-10.
+        """
+        s = self._pilot_matrix(cfg)
+        f = _pilot_dft(cfg, self.delays)
+        kd = f.conj().T @ f / self._norm**2
+        kr = np.conj(self._a_r) @ self._a_r.T
+        kt = np.conj(self._a_t) @ (s @ s.conj().T).T @ self._a_t.T
+        return kd, kr, kt
 
 
 @dataclass
@@ -337,42 +378,63 @@ def omp_estimate(
     resid_tol: float = 0.0,
     return_info: bool = False,
 ):
-    """Greedy matching pursuit over the angle/delay dictionary.
+    """Greedy matching pursuit over the angle/delay dictionary (Batch-OMP).
 
     Each iteration selects the atom with maximal residual correlation, then
-    refits all selected gains by least squares. Stops after ``k_max`` atoms
-    or once the residual norm drops to ``resid_tol`` times the observation
-    norm. A rank-deficient refit drops the newest atom and stops. A residual
-    that grows across an iteration raises ``FloatingPointError``. The
-    observation must come from ``cfg``'s pilot placement.
+    refits all selected gains by least squares. The observation is correlated
+    with every atom once, ``alpha0 = A^H y``; after that the residual's
+    correlation is ``alpha0 - G[:, I] g`` for the selected atoms ``I`` and
+    gains ``g``, with the Gram columns ``G[:, I]`` formed from
+    :meth:`OmpDictionary.gram_factors` one factor at a time, never stored
+    whole. The refit grows the Cholesky factor of ``G[I, I]`` by one row per
+    pick and solves two triangular systems against ``alpha0[I]``. A pick whose
+    new squared pivot is at most ``1e-10`` times its own Gram entry lies in
+    the span of the atoms already selected: the refit is rank-deficient, so
+    that atom is dropped and the pursuit stops.
+
+    Stops after ``k_max`` atoms or once the residual norm, of
+    ``y - forward(selected, gains)``, drops to ``resid_tol`` times the
+    observation norm. A residual that grows across an iteration raises
+    ``FloatingPointError``. The observation must come from ``cfg``'s pilot
+    placement and have the dictionary's ``(Nr, Nt)``.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     _check_placement(obs, cfg)
     dc = dictionary
-    y = obs.y.ravel()
-    y_norm = float(np.linalg.norm(y))
+    arrays = (dc.rx_geom.size, dc.tx_geom.size)
+    if obs.y.shape[1:] != arrays:
+        raise ValueError(f"observation is for {obs.y.shape[1:]} arrays, dictionary for {arrays}")
+    y_norm = float(np.linalg.norm(obs.y))
     resid_norms = [y_norm]
+    alpha0 = dc.adjoint(obs.y, cfg)
+    kd, kr, kt = dc.gram_factors(cfg)
+    nd, gr = dc.shape[:2]
+    chol = np.zeros((k_max, k_max), dtype=np.complex128)  # lower, G[I, I] = L L^H
     selected: list[int] = []
-    cols: list[np.ndarray] = []
     gains = np.zeros(0, dtype=np.complex128)
-    residual = obs.y
 
     while len(selected) < k_max and resid_norms[-1] > resid_tol * y_norm:
-        corr = np.abs(dc.adjoint(residual, cfg)).ravel()
+        k = len(selected)
+        d, r, t = np.unravel_index(np.asarray(selected, dtype=np.int64), dc.shape)
+        fit = ((kd[:, d] * gains)[:, None, :] * kr[None, :, r]).reshape(nd * gr, k) @ kt[:, t].T
+        corr = np.abs(alpha0 - fit.reshape(dc.shape)).ravel()
         corr[selected] = 0.0
         pick = int(np.argmax(corr))
-        cols.append(dc.forward([pick], [1.0], cfg).ravel())
 
-        phi = np.stack(cols, axis=1)
-        sol, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
-        if rank < len(cols):
+        dp, rp, tp = np.unravel_index(pick, dc.shape)
+        row = np.linalg.solve(chol[:k, :k], kd[d, dp] * kr[r, rp] * kt[t, tp])
+        g_pp = float((kd[dp, dp] * kr[rp, rp] * kt[tp, tp]).real)
+        pivot2 = g_pp - float(np.vdot(row, row).real)
+        if pivot2 <= 1e-10 * g_pp:
             break
+        chol[k, :k] = row.conj()
+        chol[k, k] = np.sqrt(pivot2)
         selected.append(pick)
-        gains = sol
-        r_vec = y - phi @ gains
-        residual = r_vec.reshape(obs.y.shape)
-        r_norm = float(np.linalg.norm(r_vec))
+        low = chol[: k + 1, : k + 1]
+        gains = np.linalg.solve(low.conj().T, np.linalg.solve(low, alpha0.ravel()[selected]))
+
+        r_norm = float(np.linalg.norm(obs.y - dc.forward(selected, gains, cfg)))
         if r_norm > resid_norms[-1] + 1e-9 * y_norm:
             raise FloatingPointError("OMP residual increased across an iteration")
         resid_norms.append(r_norm)

@@ -184,11 +184,18 @@ class GainCalibration:
     ``alpha = lambda * E / sqrt(8*pi*eta0 * p_t * nr * nt)`` makes the
     field-side and channel-side RSS agree exactly for a single on-grid path
     (``||outer(a_r, a_t)||_F^2 = nr*nt`` and unit pulse energy on-grid).
+    ``p_t`` must be finite and > 0, ``nr`` and ``nt`` at least 1.
     """
 
     p_t: float = 1.0
     nr: int = 1
     nt: int = 1
+
+    def __post_init__(self):
+        if not (math.isfinite(self.p_t) and self.p_t > 0):
+            raise ValueError(f"transmit power p_t must be finite and > 0, got {self.p_t}")
+        if self.nr < 1 or self.nt < 1:
+            raise ValueError(f"array sizes nr, nt must be >= 1, got {self.nr}, {self.nt}")
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +318,9 @@ def _trace(g: _Geometry, rx: np.ndarray) -> list[np.ndarray]:
     return orders
 
 
-def _gain_scale(wavelength: float, p_t: float, nr: int, nt: int) -> float:
+def _gain_scale(wavelength: float, calib: GainCalibration) -> float:
     """Field-to-gain factor ``lambda / sqrt(8*pi*eta0 * p_t * nr * nt)``."""
-    return wavelength / math.sqrt(8.0 * math.pi * ETA0 * p_t * nr * nt)
+    return wavelength / math.sqrt(8.0 * math.pi * ETA0 * calib.p_t * calib.nr * calib.nt)
 
 
 def _unfold(verts: np.ndarray, scene: Scene):
@@ -346,7 +353,7 @@ def trace_paths(
     if any(b.contains(rx) for b in scene.buildings):
         raise ValueError("receiver position lies inside a building")
     g = _geometry(scene)
-    scale = _gain_scale(scene.wavelength, calib.p_t, calib.nr, calib.nt)
+    scale = _gain_scale(scene.wavelength, calib)
     paths: list[Path] = []
     for verts in _trace(g, rx):
         segs, lengths, dist, efield = _unfold(verts, scene)
@@ -362,8 +369,9 @@ def trace_paths(
 def calibrate_alphas(
     paths: PathSet, wavelength: float, p_t: float, nr: int, nt: int
 ) -> PathSet:
-    """Recompute channel gains from fields for a given power/array context."""
-    scale = _gain_scale(wavelength, p_t, nr, nt)
+    """Recompute channel gains from fields for a given power/array context,
+    checked as a :class:`GainCalibration`."""
+    scale = _gain_scale(wavelength, GainCalibration(p_t, nr, nt))
     out = [
         Path(
             alpha=p.field * scale,

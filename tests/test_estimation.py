@@ -111,6 +111,31 @@ class TestPilotConfigChecks:
             omp_estimate(obs, cfg, dictionary, k_max=1)
 
 
+class TestObservationChecks:
+    @pytest.mark.parametrize(
+        "shape", [(5, 2, 2), (3, 2, 2), (4, 2), (4, 2, 2, 1)],
+        ids=["extra-row", "missing-row", "2-d", "4-d"],
+    )
+    def test_observation_rejects_shape(self, shape):
+        with pytest.raises(ValueError, match="observation"):
+            PilotObservation(y=np.ones(shape, dtype=complex), placement=(0, 4, 8, 12))
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (4, 2, 1)], ids=["nr", "nt"])
+    def test_omp_rejects_other_array_sizes(self, shape):
+        cfg = PilotConfig(n_sc=16, n_pilot=4, nt=shape[2])
+        dictionary = OmpDictionary.build(4, ArrayGeometry(2, 1), ArrayGeometry(2, 1))
+        obs = PilotObservation(y=np.ones(shape, dtype=complex), placement=cfg.placement)
+        with pytest.raises(ValueError, match="array"):
+            omp_estimate(obs, cfg, dictionary, k_max=1)
+
+    def test_omp_rejects_pilot_config_for_other_tx_array(self):
+        cfg = PilotConfig(n_sc=16, n_pilot=4, nt=4)
+        dictionary = OmpDictionary.build(4, ArrayGeometry(2, 1), ArrayGeometry(2, 1))
+        obs = PilotObservation(y=np.ones((4, 2, 2), dtype=complex), placement=cfg.placement)
+        with pytest.raises(ValueError, match="Nt"):
+            omp_estimate(obs, cfg, dictionary, k_max=1)
+
+
 class TestLsEstimate:
     def test_noiseless_recovers_subcarrier_response(self):
         rng = np.random.default_rng(4)
@@ -329,6 +354,18 @@ class TestOmp:
         res = omp_estimate(obs, self.cfg, self.dict, k_max=4, resid_tol=1.0, return_info=True)
         assert res.selected == []
         assert res.estimate.energy() == 0.0
+
+    def test_rank_deficient_refit_drops_newest_atom_and_stops(self):
+        # Comb pilots 0 and 4 of 8 subcarriers see taps d and d + 2 alike, so
+        # once taps 0 and 1 are fitted every other atom repeats a selected one.
+        cfg = PilotConfig(n_sc=8, n_pilot=2, nt=1)
+        dc = OmpDictionary.build(4, ArrayGeometry(1, 1), ArrayGeometry(1, 1), oversample=1)
+        y = np.random.default_rng(0).normal(size=(2, 1, 1)) + 1j
+        obs = PilotObservation(y=y, placement=cfg.placement)
+        res = omp_estimate(obs, cfg, dc, k_max=4, return_info=True)
+        assert res.selected == [0, 1]
+        assert len(res.gains) == 2
+        assert len(res.residual_norms) == 3
 
     def test_residual_norms_non_increasing(self):
         rng = np.random.default_rng(30)

@@ -88,6 +88,31 @@ class TestInputChecks:
             generate_rss_map(free_space(), **{**good, name: bad})
 
 
+class TestGainCalibrationChecks:
+    @pytest.mark.parametrize(
+        "kw,match",
+        [
+            (dict(p_t=0.0), "p_t"),
+            (dict(p_t=-1.0), "p_t"),
+            (dict(p_t=np.nan), "p_t"),
+            (dict(p_t=np.inf), "p_t"),
+            (dict(nr=0), "nr"),
+            (dict(nt=0), "nt"),
+            (dict(nr=-2, nt=-2), "nr"),
+        ],
+        ids=["power-zero", "power-negative", "power-nan", "power-inf", "nr-zero", "nt-zero",
+             "both-negative"],
+    )
+    def test_rejects(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            GainCalibration(**kw)
+
+    def test_calibrate_alphas_rejects_zero_power(self):
+        ps = PathSet([Path(1.0, 1e-8, 0.0, 0.0, 0.0, 0.0, field=0.01)])
+        with pytest.raises(ValueError, match="p_t"):
+            calibrate_alphas(ps, 0.02, 0.0, 4, 16)
+
+
 class TestTracePaths:
     def test_free_space_yields_los_and_ground_bounce(self):
         scene = free_space()

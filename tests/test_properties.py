@@ -23,7 +23,12 @@ from mbce.channel_model import (
     synth_channel,
     ura_response,
 )
-from mbce.estimation import OmpDictionary, PilotConfig, transmit_pilots
+from mbce.estimation import (
+    OmpDictionary,
+    PilotConfig,
+    omp_estimate,
+    transmit_pilots,
+)
 from mbce.propagation import RssMap, load_rss_map, save_rss_map
 
 PROPS = settings(max_examples=40, deadline=None)
@@ -78,6 +83,85 @@ def test_omp_adjoint_identity_on_any_placement(grid, dims, oversample, seed):
     lhs = np.vdot(dc.forward(picks, x, cfg), r)
     rhs = np.vdot(x, dc.adjoint(r, cfg).ravel()[picks])
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+
+def random_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@PROPS
+@given(
+    grid=pilot_grids(max_sc=24),
+    dims=st.tuples(*[st.integers(1, 3)] * 4),
+    oversample=st.integers(1, 2),
+    p_t=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32),
+)
+def test_gram_factors_give_adjoint_of_forward(grid, dims, oversample, p_t, seed):
+    n_sc, d, placement = grid
+    rx, tx = ArrayGeometry(*dims[:2]), ArrayGeometry(*dims[2:])
+    comb = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=tx.size).placement
+    assume(placement != comb)
+    rng = np.random.default_rng(seed)
+    cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=tx.size, p_t=p_t,
+                      placement=placement, pilot_matrix=random_unitary(rng, tx.size))
+    dc = OmpDictionary.build(d, rx, tx, oversample=oversample)
+    kd, kr, kt = dc.gram_factors(cfg)
+    for j in rng.choice(dc.n_atoms, size=min(4, dc.n_atoms), replace=False):
+        dj, rj, tj = np.unravel_index(j, dc.shape)
+        expect = dc.adjoint(dc.forward([j], [1.0], cfg), cfg)
+        got = kd[:, dj, None, None] * kr[None, :, rj, None] * kt[None, None, :, tj]
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+
+
+def reference_omp(obs, cfg, dc, k_max):
+    """Textbook OMP: correlate the residual with every atom, refit by lstsq."""
+    y = obs.y.ravel()
+    selected, cols, r = [], [], y
+    while len(selected) < k_max:
+        corr = np.abs(dc.adjoint(r.reshape(obs.y.shape), cfg)).ravel()
+        corr[selected] = 0.0
+        pick = int(np.argmax(corr))
+        phi = np.stack(cols + [dc.forward([pick], [1.0], cfg).ravel()], axis=1)
+        gains, _, rank, _ = np.linalg.lstsq(phi, y, rcond=None)
+        if rank < phi.shape[1]:
+            break
+        selected.append(pick)
+        cols.append(phi[:, -1])
+        r = y - phi @ gains
+    return selected
+
+
+@PROPS
+@given(
+    n_sc=st.integers(8, 32),
+    data=st.data(),
+    dims=st.tuples(*[st.integers(1, 2)] * 4),
+    oversample=st.integers(1, 2),
+    sparsity=st.integers(1, 3),
+    k_max=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_omp_picks_the_atoms_of_reference_omp(n_sc, data, dims, oversample, sparsity, k_max,
+                                              seed):
+    # on an axis of one element every oversampled direction is the same atom
+    assume(oversample == 1 or min(dims) > 1)
+    d = data.draw(st.integers(1, 6))
+    # at least d pilots: the pilot DFT rows then tell every delay apart
+    placement = tuple(sorted(data.draw(st.sets(st.integers(0, n_sc - 1), min_size=d))))
+    rx, tx = ArrayGeometry(*dims[:2]), ArrayGeometry(*dims[2:])
+    assume(k_max < len(placement) * rx.size * tx.size)
+    cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=tx.size, snr_db=15.0,
+                      placement=placement)
+    dc = OmpDictionary.build(d, rx, tx, oversample=oversample)
+    rng = np.random.default_rng(seed)
+    picks = rng.choice(dc.n_atoms, size=min(sparsity, dc.n_atoms), replace=False)
+    h = dc.synthesize(picks, rng.normal(size=picks.size) + 1j * rng.normal(size=picks.size))
+    obs = transmit_pilots(h, cfg, seed)
+    res = omp_estimate(obs, cfg, dc, k_max, return_info=True)
+    assert res.selected == reference_omp(obs, cfg, dc, k_max)
 
 
 angles = st.tuples(
