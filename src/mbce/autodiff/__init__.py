@@ -1,8 +1,9 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-Storage is float32 by default with float64 reduction accumulators; gradient
-checks run entirely in float64. A :class:`Tape` records executed ops in
-execution order; ``backward`` replays it once in reverse. Tapes are confined
+A :class:`Tensor` keeps float32 or float64 data as given and stores any
+other input as float32; reductions accumulate in float64, and gradient checks
+run entirely in float64. A :class:`Tape` records executed ops in execution
+order; :meth:`Tape.backward` replays it once in reverse. Tapes are confined
 to a single thread; independent tapes may run concurrently.
 """
 
@@ -11,7 +12,6 @@ from .engine import (
     Tape,
     Tensor,
     add,
-    backward,
     concat,
     grad_check,
     layer_norm,
@@ -46,7 +46,6 @@ __all__ = [
     "mean",
     "softmax",
     "layer_norm",
-    "backward",
     "grad_check",
     "conv2d",
     "conv_transpose2d",

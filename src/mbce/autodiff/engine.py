@@ -10,7 +10,19 @@ __all__ = [
     "NumericFault",
     "Tensor",
     "Tape",
-    "backward",
+    "add",
+    "sub",
+    "mul",
+    "scale",
+    "relu",
+    "matmul",
+    "reshape",
+    "permute",
+    "concat",
+    "tensor_sum",
+    "mean",
+    "softmax",
+    "layer_norm",
     "grad_check",
 ]
 
@@ -22,15 +34,16 @@ class NumericFault(FloatingPointError):
 
 
 class Tensor:
-    """Dense real n-d array with optional participation in a gradient tape."""
+    """Dense real n-d array with optional participation in a gradient tape.
+
+    float32 and float64 data keep their dtype; anything else is stored as
+    float32. Tensors have no operators: ops are the module's functions."""
 
     __slots__ = ("data", "grad", "requires_grad", "_tape")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(dtype, copy=False)
-        elif arr.dtype not in _FLOAT_TYPES:
+        if arr.dtype not in _FLOAT_TYPES:
             arr = arr.astype(np.float32)
         if not np.all(np.isfinite(arr)):
             raise NumericFault("tensor holds non-finite values")
@@ -60,48 +73,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
-
-    # operator sugar; all routed through the module-level ops
-    def __add__(self, other):
-        return add(self, _coerce(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_coerce(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self.dtype), self)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-
-def _coerce(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 class _Node:
@@ -177,13 +148,6 @@ class Tape:
                 else:
                     parent.grad = parent.grad + pg
             node.out.grad = None  # free intermediate storage
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation for the tape that recorded ``loss``."""
-    if loss._tape is None:
-        raise RuntimeError("loss is not attached to a tape (nothing recorded)")
-    loss._tape.backward(loss)
 
 
 def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:

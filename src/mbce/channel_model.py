@@ -108,9 +108,6 @@ class PathSet:
     def toas(self) -> np.ndarray:
         return np.array([p.toa for p in self.paths], dtype=np.float64)
 
-    def concat(self, other: "PathSet") -> "PathSet":
-        return PathSet(self.paths + other.paths)
-
 
 @dataclass(frozen=True)
 class PulseConfig:

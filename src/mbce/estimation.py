@@ -1,8 +1,9 @@
 """OFDM pilot transmission, coarse LS channel estimation, and an OMP baseline.
 
 Pilot structure: at each pilot subcarrier the transmitter sends Nt successive
-pilot symbols forming a scaled unitary DFT matrix across transmit antennas,
-so per-subcarrier least squares is a well-conditioned right inverse. The
+pilot symbols forming the unitary DFT matrix across transmit antennas, so
+per-subcarrier least squares is its conjugate transpose. Noise is set by the
+SNR alone, so the transmit power cancels and is not a parameter. The
 coarse estimate interpolates magnitude and unwrapped phase across the band
 and transforms back to the tap domain with an inverse DFT.
 
@@ -12,7 +13,9 @@ parallelized across seeds.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,58 +46,48 @@ def _comb_indices(n_sc: int, n_pilot: int) -> tuple[int, ...]:
 class PilotConfig:
     """Pilot allocation and noise level for one OFDM sounding round.
 
-    ``placement`` defaults to an equispaced comb. ``pilot_matrix`` is the
-    Nt x Nt unitary matrix transmitted (column per symbol slot) at every
-    pilot subcarrier. Noise: if ``snr_db`` is set, the noise variance is
-    derived per call as mean received pilot power over 10^(snr/10) per
-    receive antenna; otherwise ``noise_var`` is used directly (0/None means
-    noiseless). At most one of the two may be set; ``snr_db`` must be finite,
-    ``noise_var`` finite and >= 0, ``p_t`` finite and > 0.
+    ``placement`` is a strictly increasing sequence of subcarrier indices,
+    stored as a tuple of ints; empty means an equispaced comb. ``snr_db`` is
+    the one noise level: the noise variance is derived per call as the mean
+    received pilot power over 10^(snr/10) per receive antenna; ``None``
+    means noiseless. ``nt`` must be at least 1 and ``snr_db`` finite.
+
+    :attr:`pilot_matrix` is derived, not set: the Nt x Nt unitary DFT
+    ``fft(eye(Nt)) / sqrt(Nt)``, transmitted (column per symbol slot) at every
+    pilot subcarrier. It is read-only and takes no part in ``==`` or ``hash``.
     """
 
     n_sc: int
     n_pilot: int
     nt: int
     snr_db: float | None = None
-    noise_var: float | None = None
-    p_t: float = 1.0
     placement: tuple[int, ...] = ()
-    pilot_matrix: np.ndarray | None = None
 
     def __post_init__(self):
         if not 1 <= self.n_pilot <= self.n_sc:
             raise ValueError(f"need 1 <= n_pilot <= n_sc, got {self.n_pilot}/{self.n_sc}")
-        if not (math.isfinite(self.p_t) and self.p_t > 0):
-            raise ValueError(f"transmit power must be finite and > 0, got {self.p_t}")
-        if self.snr_db is not None and self.noise_var is not None:
-            raise ValueError("set at most one of snr_db and noise_var")
+        if self.nt < 1:
+            raise ValueError(f"need nt >= 1 transmit antennas, got {self.nt}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        if self.noise_var is not None and not (
-            math.isfinite(self.noise_var) and self.noise_var >= 0
-        ):
-            raise ValueError(f"noise_var must be finite and >= 0, got {self.noise_var}")
-        if not self.placement:
-            object.__setattr__(self, "placement", _comb_indices(self.n_sc, self.n_pilot))
+        try:
+            placement = tuple(operator.index(k) for k in self.placement)
+        except TypeError:
+            raise ValueError(f"pilot placement must be integers, got {self.placement!r}") from None
+        object.__setattr__(self, "placement", placement or _comb_indices(self.n_sc, self.n_pilot))
         if len(self.placement) != self.n_pilot or any(
             b <= a for a, b in zip(self.placement, self.placement[1:])
         ):
             raise ValueError("pilot placement must be strictly increasing, one per pilot")
         if self.placement[0] < 0 or self.placement[-1] >= self.n_sc:
             raise ValueError("pilot placement outside subcarrier range")
-        if self.pilot_matrix is None:
-            dft = np.fft.fft(np.eye(self.nt)) / np.sqrt(self.nt)
-            object.__setattr__(self, "pilot_matrix", dft)
-        u = self.pilot_matrix
-        if u.shape != (self.nt, self.nt):
-            raise ValueError("pilot matrix must be Nt x Nt")
-        if np.max(np.abs(u.conj().T @ u - np.eye(self.nt))) > 1e-10:
-            raise ValueError("pilot matrix must be unitary within 1e-10")
 
-    @property
-    def scaled_matrix(self) -> np.ndarray:
-        """Pilot matrix scaled to transmit power."""
-        return np.sqrt(self.p_t) * self.pilot_matrix
+    @functools.cached_property
+    def pilot_matrix(self) -> np.ndarray:
+        """Unitary ``[Nt, Nt]`` DFT pilot matrix, one column per symbol slot."""
+        dft = np.fft.fft(np.eye(self.nt)) / np.sqrt(self.nt)
+        dft.flags.writeable = False
+        return dft
 
 
 @dataclass
@@ -129,7 +122,7 @@ def _pilot_response(h: ChannelTensor, cfg: PilotConfig) -> np.ndarray:
     # einsum, not one [P, D] x [D, Nr*Nt] matmul: at benchmark sizes that gemm
     # goes multithreaded in OpenBLAS, and waking its threads costs more than it saves.
     h_k = np.einsum("pd,drt->prt", _pilot_dft(cfg, np.arange(h.d)), h.taps)
-    return h_k @ cfg.scaled_matrix
+    return h_k @ cfg.pilot_matrix
 
 
 def transmit_pilots(h: ChannelTensor, cfg: PilotConfig, rng_seed) -> PilotObservation:
@@ -139,11 +132,10 @@ def transmit_pilots(h: ChannelTensor, cfg: PilotConfig, rng_seed) -> PilotObserv
     """
     y = _pilot_response(h, cfg)
 
+    sigma2 = 0.0
     if cfg.snr_db is not None:
         p_sig = float(np.mean(np.abs(y) ** 2))
         sigma2 = p_sig / 10.0 ** (cfg.snr_db / 10.0)
-    else:
-        sigma2 = float(cfg.noise_var or 0.0)
     if sigma2 > 0:
         rng = np.random.default_rng(rng_seed)
         scale = np.sqrt(sigma2 / 2.0)
@@ -165,8 +157,7 @@ def ls_estimate(obs: PilotObservation, cfg: PilotConfig) -> np.ndarray:
     The observation must come from ``cfg``'s pilot placement.
     """
     _check_placement(obs, cfg)
-    s_inv = cfg.pilot_matrix.conj().T / np.sqrt(cfg.p_t)
-    return obs.y @ s_inv
+    return obs.y @ cfg.pilot_matrix.conj().T
 
 
 def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.ndarray:
@@ -198,10 +189,11 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
 
 
 def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
-    """Inverse DFT over subcarriers, truncated to the first ``d`` taps."""
+    """Inverse DFT over subcarriers, truncated to the first ``d`` taps,
+    ``1 <= d <= n_sc``."""
     n_sc = h_freq.shape[0]
-    if d > n_sc:
-        raise ValueError(f"tap count {d} exceeds subcarrier count {n_sc}")
+    if not 1 <= d <= n_sc:
+        raise ValueError(f"need 1 <= tap count <= {n_sc} subcarriers, got {d}")
     taps = np.fft.ifft(h_freq, axis=0)[:d]
     return ChannelTensor(taps)
 
@@ -240,8 +232,9 @@ class OmpDictionary:
     Atom ``(d, r, t)`` of the grid :attr:`shape` ``(Nd, Gr, Gt)`` has flat
     index ``(d*Gr + r)*Gt + t`` and is the tap tensor ``delta(tap=delays[d])
     x outer(a_r[r], a_t[t]) / sqrt(Nr*Nt)``, of unit Frobenius norm.
-    Direction grids are direction-cosine pairs, one row per atom direction,
-    steered by :func:`~mbce.channel_model.ura_from_cosines`.
+    Delays are taps ``>= 0``. Direction grids are finite direction-cosine
+    pairs, one row per atom direction, steered by
+    :func:`~mbce.channel_model.ura_from_cosines`.
 
     :meth:`synthesize` maps atom indices and gains to taps (one-hot delay
     weights in :func:`~mbce.channel_model.rank_one_taps`), :meth:`forward`
@@ -266,6 +259,10 @@ class OmpDictionary:
         self.tx_dirs = np.atleast_2d(np.asarray(self.tx_dirs, dtype=np.float64))
         if self.delays.size == 0 or self.rx_dirs.size == 0 or self.tx_dirs.size == 0:
             raise ValueError("empty dictionary")
+        if np.any(self.delays < 0):
+            raise ValueError(f"dictionary delays must be >= 0, got {self.delays.min()}")
+        if not (np.all(np.isfinite(self.rx_dirs)) and np.all(np.isfinite(self.tx_dirs))):
+            raise ValueError("dictionary direction cosines must be finite")
         self._a_r = ura_from_cosines(*self.rx_dirs.T, self.rx_geom)  # [Gr, Nr]
         self._a_t = ura_from_cosines(*self.tx_dirs.T, self.tx_geom)  # [Gt, Nt]
         self._norm = np.sqrt(self.rx_geom.size * self.tx_geom.size)
@@ -307,12 +304,12 @@ class OmpDictionary:
         )
 
     def _pilot_matrix(self, cfg: PilotConfig) -> np.ndarray:
-        """``cfg.scaled_matrix``, once ``cfg`` is known to be for this tx array."""
+        """``cfg.pilot_matrix``, once ``cfg`` is known to be for this tx array."""
         if cfg.nt != self.tx_geom.size:
             raise ValueError(
                 f"pilot config is for Nt={cfg.nt}, dictionary has Nt={self.tx_geom.size}"
             )
-        return cfg.scaled_matrix
+        return cfg.pilot_matrix
 
     def synthesize(self, atoms, gains) -> ChannelTensor:
         """Taps ``sum_j gains[j] * atom[atoms[j]]``, ``max(delays) + 1`` of them."""
@@ -350,9 +347,10 @@ class OmpDictionary:
         ``adjoint(forward([j], [1]))[d, r, t] == kd[d, d_j] * kr[r, r_j] * kt[t, t_j]``.
 
         ``kd = F^H F / (Nr*Nt)`` with ``F`` the pilot DFT rows at :attr:`delays`,
-        ``kr = conj(A_r) A_r^T`` and ``kt = conj(A_t) (S S^H)^T A_t^T``. ``S S^H``
-        is kept rather than taken as ``p_t * I``, so the identity holds to
-        rounding for a pilot matrix that is unitary only to 1e-10.
+        ``kr = conj(A_r) A_r^T`` and ``kt = conj(A_t) (S S^H)^T A_t^T``. The DFT
+        pilot matrix is unitary, but ``S S^H`` is computed rather than taken as
+        ``I``: it differs from ``I`` by rounding, and dropping it would move
+        Batch-OMP's picks by that rounding.
         """
         s = self._pilot_matrix(cfg)
         f = _pilot_dft(cfg, self.delays)

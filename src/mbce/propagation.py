@@ -42,6 +42,7 @@ __all__ = [
     "generate_rss_map",
     "rss_patch_at",
     "import_paths",
+    "PathImportError",
     "save_rss_map",
     "load_rss_map",
     "RSS_MAP_MAGIC",
@@ -158,8 +159,12 @@ class RssMap:
             raise ValueError("RSS values must be non-negative")
 
     def nearest_cell(self, xy) -> tuple[int, int]:
-        col = int(round((xy[0] - self.origin[0]) / self.spacing))
-        row = int(round((xy[1] - self.origin[1]) / self.spacing))
+        """``(row, col)`` of the cell nearest the finite point ``xy[:2]``."""
+        x, y = float(xy[0]), float(xy[1])
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"position must be finite, got {(x, y)}")
+        col = int(round((x - self.origin[0]) / self.spacing))
+        row = int(round((y - self.origin[1]) / self.spacing))
         return row, col
 
 
@@ -366,12 +371,10 @@ def trace_paths(
     return PathSet(paths)
 
 
-def calibrate_alphas(
-    paths: PathSet, wavelength: float, p_t: float, nr: int, nt: int
-) -> PathSet:
-    """Recompute channel gains from fields for a given power/array context,
-    checked as a :class:`GainCalibration`."""
-    scale = _gain_scale(wavelength, GainCalibration(p_t, nr, nt))
+def calibrate_alphas(paths: PathSet, wavelength: float, calib: GainCalibration) -> PathSet:
+    """Recompute channel gains from fields for the transmit power and array
+    sizes of ``calib``, as :func:`trace_paths` computes them."""
+    scale = _gain_scale(wavelength, calib)
     out = [
         Path(
             alpha=p.field * scale,
@@ -394,8 +397,8 @@ def calibrate_alphas(
 
 def rss_from_fields(fields, wavelength: float) -> float:
     """Coherent-sum received power: ``lambda^2/(8*pi*eta0) * |sum E_l|^2``."""
-    if wavelength <= 0:
-        raise ValueError("wavelength must be > 0")
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
     fields = np.asarray(fields, dtype=np.complex128)
     if fields.size == 0:
         return 0.0
@@ -405,8 +408,8 @@ def rss_from_fields(fields, wavelength: float) -> float:
 
 def rss_from_channel(h, p_t: float) -> float:
     """Channel-side received power: ``P_T * sum_d ||H_d||_F^2``."""
-    if p_t <= 0:
-        raise ValueError("transmit power must be > 0")
+    if not (math.isfinite(p_t) and p_t > 0):
+        raise ValueError(f"transmit power must be finite and > 0, got {p_t}")
     taps = h.taps if hasattr(h, "taps") else np.asarray(h)
     return float(p_t * np.sum(np.abs(taps) ** 2))
 
@@ -444,8 +447,8 @@ def generate_rss_map(
 def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
     """Extract a p x p window centered at the grid cell nearest ``ue_estimate``.
 
-    Cells outside the map are zero-padded. The estimate itself must fall
-    within map bounds.
+    Cells outside the map are zero-padded. The estimate itself must be
+    finite and fall within map bounds.
     """
     if p % 2 != 1:
         raise ValueError(f"patch side must be odd, got {p}")

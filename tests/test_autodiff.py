@@ -11,7 +11,6 @@ from mbce.autodiff import (
     Tensor,
     adaptive_avg_pool,
     add,
-    backward,
     concat,
     conv2d,
     conv_transpose2d,
@@ -40,7 +39,7 @@ def t64(*shape, margin=0.0):
     data = RNG.normal(size=shape)
     if margin:
         data = data + margin * np.sign(data)
-    return Tensor(data, dtype=np.float64)
+    return Tensor(data)
 
 
 class TestElementwise:
@@ -195,7 +194,7 @@ class TestPooling:
         assert grad_check(lambda a: tensor_sum(max_pool2d(a)), x) < 1e-6
 
     def test_tie_break_first_in_scan_order(self):
-        x = Tensor(np.full((1, 1, 2, 2), 7.0), requires_grad=True, dtype=np.float64)
+        x = Tensor(np.full((1, 1, 2, 2), 7.0), requires_grad=True)
         with Tape() as tape:
             out = tensor_sum(max_pool2d(x))
         tape.backward(out)
@@ -234,7 +233,7 @@ class TestSoftmaxLayerNorm:
     @pytest.mark.parametrize("trial", range(10))
     def test_softmax_gradient(self, trial):
         x = t64(3, 6)
-        w = Tensor(RNG.normal(size=(3, 6)), dtype=np.float64)  # fixed probe
+        w = Tensor(RNG.normal(size=(3, 6)))  # fixed probe
         err = grad_check(lambda a: tensor_sum(mul(softmax(a, -1), w)), x)
         assert err < 1e-4
 
@@ -366,15 +365,15 @@ class TestBackward:
                 outer.__exit__(None, None, None)
             inner.__exit__(None, None, None)
 
-    def test_backward_free_function(self):
+    def test_scale_gradient(self):
         x = Tensor(np.ones((2,)), requires_grad=True)
-        with Tape():
+        with Tape() as tape:
             loss = tensor_sum(scale(x, 3.0))
-        backward(loss)
+        tape.backward(loss)
         np.testing.assert_allclose(x.grad, [3.0, 3.0])
 
     def test_gradient_accumulates_across_uses(self):
-        x = Tensor(np.array([2.0]), requires_grad=True, dtype=np.float64)
+        x = Tensor(np.array([2.0]), requires_grad=True)
         with Tape() as tape:
             loss = tensor_sum(add(mul(x, x), x))
         tape.backward(loss)
@@ -399,6 +398,17 @@ class TestNumericFault:
     def test_constructor_rejects_nan(self):
         with pytest.raises(NumericFault):
             Tensor(np.array([np.nan]))
+
+
+class TestTensor:
+    @pytest.mark.parametrize(
+        "data,dtype",
+        [(np.ones(2, np.float64), np.float64), (np.ones(2, np.float32), np.float32),
+         ([1.0, 2.0], np.float64), (np.arange(2), np.float32), ([True], np.float32)],
+        ids=["float64", "float32", "list", "int", "bool"],
+    )
+    def test_storage_dtype(self, data, dtype):
+        assert Tensor(data).dtype == dtype
 
 
 class TestGradCheck:

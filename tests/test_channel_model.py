@@ -211,7 +211,7 @@ class TestSynthChannel:
             aod_el=float(rng.uniform(-1.5, 1.5)),
         )
         a, b = PathSet([mk(), mk()]), PathSet([mk()])
-        h_ab = synth_channel(a.concat(b), 8, self.cfg, self.rx, self.tx)
+        h_ab = synth_channel(PathSet(a.paths + b.paths), 8, self.cfg, self.rx, self.tx)
         h_a = synth_channel(a, 8, self.cfg, self.rx, self.tx)
         h_b = synth_channel(b, 8, self.cfg, self.rx, self.tx)
         np.testing.assert_allclose(h_ab.taps, h_a.taps + h_b.taps, rtol=1e-13)

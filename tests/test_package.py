@@ -1,11 +1,29 @@
 import importlib
+import inspect
 import pkgutil
 
 import mbce
 
+MODULES = [m.name for m in pkgutil.walk_packages(mbce.__path__, prefix="mbce.")]
+
 
 def test_every_module_imports():
-    names = [m.name for m in pkgutil.walk_packages(mbce.__path__, prefix="mbce.")]
-    assert "mbce.estimation" in names and "mbce.autodiff.engine" in names
-    for name in names:
+    assert "mbce.estimation" in MODULES and "mbce.autodiff.engine" in MODULES
+    for name in MODULES:
         importlib.import_module(name)
+
+
+def test_every_all_resolves_and_lists_the_public_definitions():
+    for name in ["mbce", *MODULES]:
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", [])
+        for attr in exported:
+            assert hasattr(module, attr), f"{name}.__all__ lists missing {attr}"
+        defined = {
+            attr
+            for attr, obj in vars(module).items()
+            if not attr.startswith("_")
+            and (inspect.isclass(obj) or inspect.isfunction(obj))
+            and obj.__module__ == name
+        }
+        assert defined <= set(exported), f"{name}.__all__ lacks {sorted(defined - set(exported))}"

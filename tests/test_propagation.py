@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbce import propagation
 from mbce.channel_model import ArrayGeometry, Path, PathSet, PulseConfig, synth_channel
@@ -87,6 +89,25 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="origin|spacing|rx_height"):
             generate_rss_map(free_space(), **{**good, name: bad})
 
+    @pytest.mark.parametrize(
+        "call,match",
+        [
+            (lambda m: rss_patch_at(m, (np.inf, 0.0), 3), "position"),
+            (lambda m: rss_patch_at(m, (0.0, -np.inf, 1.5), 3), "position"),
+            (lambda m: rss_patch_at(m, (np.nan, 0.0), 3), "position"),
+            (lambda m: rss_from_fields([1e-3], np.nan), "wavelength"),
+            (lambda m: rss_from_fields([1e-3], np.inf), "wavelength"),
+            (lambda m: rss_from_channel(np.ones((1, 1, 1)), np.nan), "power"),
+            (lambda m: rss_from_channel(np.ones((1, 1, 1)), np.inf), "power"),
+        ],
+        ids=["patch-inf", "patch-minus-inf", "patch-nan", "fields-nan", "fields-inf",
+             "channel-nan", "channel-inf"],
+    )
+    def test_non_finite_scalar_rejected(self, call, match):
+        m = RssMap(origin=(0.0, 0.0), spacing=1.0, values=np.ones((4, 4)), rx_height=1.5)
+        with pytest.raises(ValueError, match=match):
+            call(m)
+
 
 class TestGainCalibrationChecks:
     @pytest.mark.parametrize(
@@ -110,7 +131,7 @@ class TestGainCalibrationChecks:
     def test_calibrate_alphas_rejects_zero_power(self):
         ps = PathSet([Path(1.0, 1e-8, 0.0, 0.0, 0.0, 0.0, field=0.01)])
         with pytest.raises(ValueError, match="p_t"):
-            calibrate_alphas(ps, 0.02, 0.0, 4, 16)
+            calibrate_alphas(ps, 0.02, GainCalibration(p_t=0.0, nr=4, nt=16))
 
 
 class TestTracePaths:
@@ -240,19 +261,27 @@ class TestRss:
 
 
 class TestCalibrationIdentity:
-    def test_single_on_grid_path_field_channel_identity(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p_t=st.floats(1e-3, 1e3),
+        dims=st.tuples(*[st.integers(1, 4)] * 4),
+        rx=st.tuples(st.floats(1.0, 300.0), st.floats(-300.0, 300.0), st.floats(0.5, 40.0)),
+    )
+    def test_single_on_grid_path_field_channel_identity(self, p_t, dims, rx):
+        # One line-of-sight path, put on the tap grid by the clock offset: the
+        # channel-side RSS equals the field-side RSS for any transmit power,
+        # array sizes and receiver, and calibrating the fields afterwards gives
+        # the gains the tracer gives.
         scene = free_space(max_bounces=0)
-        rx_geom, tx_geom = ArrayGeometry(2, 2), ArrayGeometry(4, 2)
-        p_t = 2.5
+        rx_geom, tx_geom = ArrayGeometry(*dims[:2]), ArrayGeometry(*dims[2:])
         calib = GainCalibration(p_t=p_t, nr=rx_geom.size, nt=tx_geom.size)
-        ps = trace_paths(scene, (80.0, 10.0, 1.5), calib)
+        ps = trace_paths(scene, rx, calib)
         assert len(ps) == 1
-        path = ps[0]
-        # Put the path on the tap grid via the clock offset.
-        cfg = PulseConfig(ts=1e-8, beta=0.3, t_off=path.toa)
+        assert calibrate_alphas(trace_paths(scene, rx), scene.wavelength, calib)[0] == ps[0]
+        cfg = PulseConfig(ts=1e-8, beta=0.3, t_off=ps[0].toa)
         h = synth_channel(ps, 4, cfg, rx_geom, tx_geom)
         lhs = rss_from_channel(h, p_t)
-        rhs = rss_from_fields([path.field], scene.wavelength)
+        rhs = rss_from_fields(ps.fields, scene.wavelength)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_phase_averaged_multipath_identity(self):
@@ -261,6 +290,7 @@ class TestCalibrationIdentity:
         rng = np.random.default_rng(42)
         rx_geom, tx_geom = ArrayGeometry(2, 1), ArrayGeometry(2, 2)
         p_t = 1.0
+        calib = GainCalibration(p_t=p_t, nr=rx_geom.size, nt=tx_geom.size)
         lam = C0 / CARRIER
         ts = 1e-8
         n_paths, n_draws = 4, 2000
@@ -283,7 +313,7 @@ class TestCalibrationIdentity:
                         field=e,
                     )
                 )
-            return calibrate_alphas(PathSet(paths), lam, p_t, rx_geom.size, tx_geom.size)
+            return calibrate_alphas(PathSet(paths), lam, calib)
 
         # Channel side: expectation over phases, estimated from the same draws.
         draws = rng.uniform(0, 2 * np.pi, size=(n_draws, n_paths))
@@ -463,7 +493,7 @@ class TestImportPaths:
         text = HEADER + "\n0,0,0.01,0.0,1e-8,0,0,0,0\n"
         (_, ps), = import_paths(io.StringIO(text))
         lam, p_t, nr, nt = 0.02, 2.0, 4, 16
-        cal = calibrate_alphas(ps, lam, p_t, nr, nt)
+        cal = calibrate_alphas(ps, lam, GainCalibration(p_t, nr, nt))
         expect = lam * 0.01 / math.sqrt(8 * math.pi * ETA0 * p_t * nr * nt)
         assert cal[0].alpha == pytest.approx(expect, rel=1e-12)
 
