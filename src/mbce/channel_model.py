@@ -10,15 +10,14 @@ All functions are pure; no shared mutable state.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ArrayGeometry",
-    "Path",
     "PathSet",
     "PulseConfig",
     "ChannelTensor",
@@ -35,14 +34,26 @@ __all__ = [
 PULSE_SUPPORT = 8.0  # pulse half-width in samples; beyond it, below 1e-4 for beta >= 0.1
 
 
+def _index_fields(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as the int that
+    ``operator.index`` gives; ``ValueError`` if it is not an integer."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Uniform rectangular array; elements are half a wavelength apart."""
+    """Uniform rectangular array of ``nx`` x ``ny`` elements, half a wavelength apart."""
 
     nx: int
     ny: int
 
     def __post_init__(self):
+        _index_fields(self, "nx", "ny")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"element counts must be >= 1, got {self.nx}x{self.ny}")
 
@@ -51,62 +62,60 @@ class ArrayGeometry:
         return self.nx * self.ny
 
 
-@dataclass(frozen=True)
-class Path:
-    """One multipath component.
+_EL, _AZ = math.pi / 2 + 1e-12, math.pi + 1e-12
+# column: (dtype, mask of valid entries, the rule a valid entry keeps)
+_PATH_COLUMNS = {
+    "alphas": (np.complex128, np.isfinite, "finite"),
+    "toas": (np.float64, lambda v: (v >= 0) & (v < np.inf), "finite and >= 0"),
+    "aoa_az": (np.float64, lambda v: (v > -_AZ) & (v <= _AZ), "in (-pi, pi]"),
+    "aoa_el": (np.float64, lambda v: np.abs(v) <= _EL, "in [-pi/2, pi/2]"),
+    "aod_az": (np.float64, lambda v: (v > -_AZ) & (v <= _AZ), "in (-pi, pi]"),
+    "aod_el": (np.float64, lambda v: np.abs(v) <= _EL, "in [-pi/2, pi/2]"),
+    "fields": (np.complex128, np.isfinite, "finite"),
+}
 
-    ``alpha`` is the dimensionless complex channel gain, ``field`` the complex
-    electric-field amplitude in V/m at the receiver; both and ``toa`` must
-    be finite. Angles are radians; elevations lie in [-pi/2, pi/2], azimuths
-    in (-pi, pi].
+
+@dataclass(eq=False)
+class PathSet:
+    """The multipath components of one link, one entry per path in every column.
+
+    Seven equal-length 1-D columns: ``alphas``, the dimensionless complex
+    channel gains; ``toas``, times of arrival in seconds; ``aoa_az``,
+    ``aoa_el``, ``aod_az`` and ``aod_el``, arrival and departure angles in
+    radians; ``fields``, the complex electric-field amplitudes in V/m at the
+    receiver, zeros when not given. Columns are stored as float64 or
+    complex128 arrays. ``alphas``, ``toas`` and ``fields`` must be finite,
+    ``toas`` >= 0, elevations in [-pi/2, pi/2] and azimuths in (-pi, pi]
+    (each with 1e-12 slack); a violation raises ``ValueError`` naming the
+    column and the index of the first bad path.
     """
 
-    alpha: complex
-    toa: float
-    aoa_az: float
-    aoa_el: float
-    aod_az: float
-    aod_el: float
-    field: complex = 0j
+    alphas: np.ndarray
+    toas: np.ndarray
+    aoa_az: np.ndarray
+    aoa_el: np.ndarray
+    aod_az: np.ndarray
+    aod_el: np.ndarray
+    fields: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "toa", "field"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}={getattr(self, name)} is not finite")
-        if self.toa < 0:
-            raise ValueError(f"time of arrival must be >= 0, got {self.toa}")
-        for name in ("aoa_el", "aod_el"):
-            v = getattr(self, name)
-            if not -math.pi / 2 - 1e-12 <= v <= math.pi / 2 + 1e-12:
-                raise ValueError(f"{name}={v} outside [-pi/2, pi/2]")
-        for name in ("aoa_az", "aod_az"):
-            v = getattr(self, name)
-            if not -math.pi - 1e-12 < v <= math.pi + 1e-12:
-                raise ValueError(f"{name}={v} outside (-pi, pi]")
-
-
-@dataclass
-class PathSet:
-    """Ordered collection of multipath components for one link."""
-
-    paths: list[Path] = field(default_factory=list)
+        shape = np.shape(self.alphas)
+        if len(shape) != 1:
+            raise ValueError(f"path columns must be 1-D, got alphas of shape {shape}")
+        if self.fields is None:
+            self.fields = np.zeros(shape, dtype=np.complex128)
+        for name, (dtype, valid, rule) in _PATH_COLUMNS.items():
+            col = np.asarray(getattr(self, name), dtype=dtype)
+            if col.shape != shape:
+                raise ValueError(f"{name} has shape {col.shape}, not alphas' {shape}")
+            ok = valid(col)
+            if not ok.all():
+                i = int(ok.argmin())
+                raise ValueError(f"{name}[{i}]={col[i]} is not {rule}")
+            setattr(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return iter(self.paths)
-
-    def __getitem__(self, i) -> Path:
-        return self.paths[i]
-
-    @property
-    def fields(self) -> np.ndarray:
-        return np.array([p.field for p in self.paths], dtype=np.complex128)
-
-    @property
-    def toas(self) -> np.ndarray:
-        return np.array([p.toa for p in self.paths], dtype=np.float64)
+        return len(self.alphas)
 
 
 @dataclass(frozen=True)
@@ -241,13 +250,10 @@ def synth_channel(
     if len(paths) == 0:
         raise ValueError("no paths: cannot synthesize a channel from an empty PathSet")
 
-    ang = np.array([(p.aoa_az, p.aoa_el, p.aod_az, p.aod_el) for p in paths.paths]).T
-    alpha = np.array([p.alpha for p in paths.paths], dtype=np.complex128)
     arg = np.arange(d)[:, None] * cfg.ts - (paths.toas - cfg.t_off)  # [D, L]
     pulse = np.where(np.abs(arg) <= PULSE_SUPPORT * cfg.ts, raised_cosine(arg, cfg), 0.0)
-    return rank_one_taps(
-        pulse * alpha, ura_response(ang[0], ang[1], rx), ura_response(ang[2], ang[3], tx)
-    )
+    a_r = ura_response(paths.aoa_az, paths.aoa_el, rx)
+    return rank_one_taps(pulse * paths.alphas, a_r, ura_response(paths.aod_az, paths.aod_el, tx))
 
 
 def channel_frequency_response(h: ChannelTensor, n_sc: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_model import ArrayGeometry, ChannelTensor, rank_one_taps, ura_from_cosines
+from .channel_model import _index_fields
 
 __all__ = [
     "PilotConfig",
@@ -50,7 +51,7 @@ class PilotConfig:
     stored as a tuple of ints; empty means an equispaced comb. ``snr_db`` is
     the one noise level: the noise variance is derived per call as the mean
     received pilot power over 10^(snr/10) per receive antenna; ``None``
-    means noiseless. ``nt`` must be at least 1 and ``snr_db`` finite.
+    means noiseless. Counts are integers, ``nt`` at least 1, and ``snr_db`` finite.
 
     :attr:`pilot_matrix` is derived, not set: the Nt x Nt unitary DFT
     ``fft(eye(Nt)) / sqrt(Nt)``, transmitted (column per symbol slot) at every
@@ -64,6 +65,7 @@ class PilotConfig:
     placement: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _index_fields(self, "n_sc", "n_pilot", "nt")
         if not 1 <= self.n_pilot <= self.n_sc:
             raise ValueError(f"need 1 <= n_pilot <= n_sc, got {self.n_pilot}/{self.n_sc}")
         if self.nt < 1:

@@ -21,11 +21,11 @@ import cmath
 import csv
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel_model import Path, PathSet
+from .channel_model import ChannelTensor, PathSet, _index_fields
 
 __all__ = [
     "ETA0",
@@ -189,7 +189,7 @@ class GainCalibration:
     ``alpha = lambda * E / sqrt(8*pi*eta0 * p_t * nr * nt)`` makes the
     field-side and channel-side RSS agree exactly for a single on-grid path
     (``||outer(a_r, a_t)||_F^2 = nr*nt`` and unit pulse energy on-grid).
-    ``p_t`` must be finite and > 0, ``nr`` and ``nt`` at least 1.
+    ``p_t`` must be finite and > 0, ``nr`` and ``nt`` integers >= 1.
     """
 
     p_t: float = 1.0
@@ -197,6 +197,7 @@ class GainCalibration:
     nt: int = 1
 
     def __post_init__(self):
+        _index_fields(self, "nr", "nt")
         if not (math.isfinite(self.p_t) and self.p_t > 0):
             raise ValueError(f"transmit power p_t must be finite and > 0, got {self.p_t}")
         if self.nr < 1 or self.nt < 1:
@@ -347,11 +348,12 @@ def trace_paths(
     """Image-method ray trace from the scene transmitter to ``rx_position``.
 
     Returns the unobstructed line-of-sight path plus specular reflections off
-    the ground and vertical building facets up to ``scene.max_bounces``. An
-    occluded receiver with no reflected path yields an empty PathSet. Each
-    path carries ``E = E0 * Gamma^b * exp(-2j*pi*d/lambda) / d`` and a channel
-    gain calibrated against ``calib`` (transmit power and array sizes).
-    ``rx_position`` must be 3 finite values.
+    the ground and vertical building facets up to ``scene.max_bounces``, as
+    one :class:`PathSet` whose columns list the paths by bounce order, then
+    facet chain. An occluded receiver with no reflected path yields an empty
+    PathSet. ``fields`` holds ``E = E0 * Gamma^b * exp(-2j*pi*d/lambda) / d``
+    and ``alphas`` the channel gains calibrated against ``calib`` (transmit
+    power and array sizes). ``rx_position`` must be 3 finite values.
     """
     calib = calib or GainCalibration()
     rx = _point3(rx_position, "rx_position")
@@ -359,35 +361,22 @@ def trace_paths(
         raise ValueError("receiver position lies inside a building")
     g = _geometry(scene)
     scale = _gain_scale(scene.wavelength, calib)
-    paths: list[Path] = []
+    orders = []
     for verts in _trace(g, rx):
         segs, lengths, dist, efield = _unfold(verts, scene)
         # u[0]: direction the wave arrives from, seen at rx; u[1]: departure from tx
         u = np.stack([-segs[:, -1] / lengths[:, -1:], segs[:, 0] / lengths[:, :1]])
-        az = np.arctan2(u[..., 1], u[..., 0]).tolist()
-        el = np.arcsin(np.clip(u[..., 2], -1.0, 1.0)).tolist()
-        rows = zip(efield.tolist(), (dist / C0).tolist(), az[0], el[0], az[1], el[1])
-        paths += [Path(e * scale, toa, *angles, field=e) for e, toa, *angles in rows]
-    return PathSet(paths)
+        az = np.arctan2(u[..., 1], u[..., 0])
+        el = np.arcsin(np.clip(u[..., 2], -1.0, 1.0))
+        orders.append((efield, dist / C0, az[0], el[0], az[1], el[1]))
+    efield, toas, *angles = map(np.concatenate, zip(*orders))
+    return PathSet(efield * scale, toas, *angles, fields=efield)
 
 
 def calibrate_alphas(paths: PathSet, wavelength: float, calib: GainCalibration) -> PathSet:
-    """Recompute channel gains from fields for the transmit power and array
-    sizes of ``calib``, as :func:`trace_paths` computes them."""
-    scale = _gain_scale(wavelength, calib)
-    out = [
-        Path(
-            alpha=p.field * scale,
-            toa=p.toa,
-            aoa_az=p.aoa_az,
-            aoa_el=p.aoa_el,
-            aod_az=p.aod_az,
-            aod_el=p.aod_el,
-            field=p.field,
-        )
-        for p in paths
-    ]
-    return PathSet(out)
+    """``paths`` with ``alphas`` recomputed from ``fields`` for the transmit power and
+    array sizes of ``calib``, as :func:`trace_paths` computes them; other columns shared."""
+    return replace(paths, alphas=paths.fields * _gain_scale(wavelength, calib))
 
 
 # ---------------------------------------------------------------------------
@@ -396,22 +385,23 @@ def calibrate_alphas(paths: PathSet, wavelength: float, calib: GainCalibration) 
 
 
 def rss_from_fields(fields, wavelength: float) -> float:
-    """Coherent-sum received power: ``lambda^2/(8*pi*eta0) * |sum E_l|^2``."""
+    """Coherent-sum received power ``lambda^2/(8*pi*eta0) * |sum E_l|^2`` of finite fields."""
     if not (math.isfinite(wavelength) and wavelength > 0):
         raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
     fields = np.asarray(fields, dtype=np.complex128)
-    if fields.size == 0:
-        return 0.0
+    if not np.all(np.isfinite(fields)):
+        raise ValueError("fields must be finite")
     total = np.sum(fields)
     return float(wavelength**2 / (8.0 * math.pi * ETA0) * np.abs(total) ** 2)
 
 
-def rss_from_channel(h, p_t: float) -> float:
-    """Channel-side received power: ``P_T * sum_d ||H_d||_F^2``."""
+def rss_from_channel(h: ChannelTensor, p_t: float) -> float:
+    """Channel-side received power ``P_T * sum_d ||H_d||_F^2`` of a :class:`ChannelTensor`."""
+    if not isinstance(h, ChannelTensor):
+        raise TypeError(f"h must be a ChannelTensor, got {type(h).__name__}")
     if not (math.isfinite(p_t) and p_t > 0):
         raise ValueError(f"transmit power must be finite and > 0, got {p_t}")
-    taps = h.taps if hasattr(h, "taps") else np.asarray(h)
-    return float(p_t * np.sum(np.abs(taps) ** 2))
+    return float(p_t * np.sum(np.abs(h.taps) ** 2))
 
 
 def generate_rss_map(
@@ -477,20 +467,30 @@ class PathImportError(ValueError):
     """Malformed ray-tracer export."""
 
 
+def _csv_rows(stream):
+    """The rows of a CSV stream; a CSV syntax error becomes a :class:`PathImportError`."""
+    reader = csv.reader(stream)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise PathImportError(f"line {reader.line_num}: {exc}") from None
+
+
 def import_paths(stream) -> list[tuple[int, PathSet]]:
     """Parse a ray-tracer CSV export into per-sample PathSets.
 
     ``stream`` is a text-mode file object or a path. The header must be
     exactly ``sample_id,path_id,e_real,e_imag,toa_s,aoa_az_rad,aoa_el_rad,
     aod_az_rad,aod_el_rad``; decimal and exponential notation are both
-    accepted. Rows are grouped by sample_id preserving row order; imported
-    paths carry zero channel gain until :func:`calibrate_alphas` is applied.
+    accepted. Rows are grouped by sample_id into one :class:`PathSet` each, in
+    row order; errors name the line. ``alphas`` is zero until
+    :func:`calibrate_alphas` is applied.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "r", encoding="utf-8", newline="") as fh:
             return import_paths(fh)
 
-    reader = csv.reader(stream)
+    reader = _csv_rows(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -504,8 +504,7 @@ def import_paths(stream) -> list[tuple[int, PathSet]]:
             f"bad header: expected {','.join(_PATH_CSV_COLUMNS)}, got {','.join(header)}"
         )
 
-    groups: dict[int, list[Path]] = {}
-    order: list[int] = []
+    groups: dict[int, list[tuple]] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -521,24 +520,14 @@ def import_paths(stream) -> list[tuple[int, PathSet]]:
                 raise PathImportError(
                     f"line {lineno}: field '{name}' is not numeric: {raw!r}"
                 ) from None
+        path = (0j, vals["toa_s"], vals["aoa_az_rad"], vals["aoa_el_rad"], vals["aod_az_rad"],
+                vals["aod_el_rad"], complex(vals["e_real"], vals["e_imag"]))
         try:
-            path = Path(
-                alpha=0j,
-                toa=vals["toa_s"],
-                aoa_az=vals["aoa_az_rad"],
-                aoa_el=vals["aoa_el_rad"],
-                aod_az=vals["aod_az_rad"],
-                aod_el=vals["aod_el_rad"],
-                field=complex(vals["e_real"], vals["e_imag"]),
-            )
+            PathSet(*([v] for v in path))
         except ValueError as exc:
             raise PathImportError(f"line {lineno}: {exc}") from None
-        sid = vals["sample_id"]
-        if sid not in groups:
-            groups[sid] = []
-            order.append(sid)
-        groups[sid].append(path)
-    return [(sid, PathSet(groups[sid])) for sid in order]
+        groups.setdefault(vals["sample_id"], []).append(path)
+    return [(sid, PathSet(*zip(*rows))) for sid, rows in groups.items()]
 
 
 def save_rss_map(rss_map: RssMap, path) -> None:

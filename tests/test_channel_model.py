@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from mbce.channel_model import (
     ArrayGeometry,
     ChannelTensor,
-    Path,
     PathSet,
     PulseConfig,
     channel_frequency_response,
@@ -18,7 +18,7 @@ from mbce.channel_model import (
 
 
 def broadside_path(alpha=1.0 + 0j, toa=0.0):
-    return Path(alpha=alpha, toa=toa, aoa_az=0.0, aoa_el=0.0, aod_az=0.0, aod_el=0.0)
+    return PathSet([alpha], [toa], [0.0], [0.0], [0.0], [0.0])
 
 
 class TestSteeringVector:
@@ -100,9 +100,56 @@ class TestPathAndPulseChecks:
         ],
     )
     def test_path_rejects_non_finite(self, name, bad):
-        good = dict(alpha=1.0, toa=0.0, aoa_az=0.0, aoa_el=0.0, aod_az=0.0, aod_el=0.0)
-        with pytest.raises(ValueError, match=f"{name}=.*not finite"):
-            Path(**{**good, name: bad})
+        # ``name`` is the singular of the column it corrupts: alpha -> alphas
+        good = dict(alphas=[1.0, 2.0], toas=[0.0, 1e-9], aoa_az=[0.0, 0.0], aoa_el=[0.0, 0.0],
+                    aod_az=[0.0, 0.0], aod_el=[0.0, 0.0])
+        with pytest.raises(ValueError, match=rf"{name}s\[1\]=.*not finite"):
+            PathSet(**{**good, name + "s": [1.0, bad]})
+
+    @pytest.mark.parametrize(
+        "name,bad,match",
+        [
+            ("toas", [0.0, -1e-12], r"toas\[1\]=.* >= 0"),
+            ("aoa_el", [0.0, math.pi / 2 + 1e-9], r"aoa_el\[1\]=.*\[-pi/2, pi/2\]"),
+            ("aod_el", [-math.pi / 2 - 1e-9, 0.0], r"aod_el\[0\]=.*\[-pi/2, pi/2\]"),
+            ("aoa_az", [0.0, math.pi + 1e-9], r"aoa_az\[1\]=.*\(-pi, pi\]"),
+            ("aod_az", [0.0, -math.pi - 1e-9], r"aod_az\[1\]=.*\(-pi, pi\]"),
+            ("aoa_el", [np.nan, 0.0], r"aoa_el\[0\]=nan"),
+            ("aod_az", [0.0, np.nan], r"aod_az\[1\]=nan"),
+            ("aoa_az", [0.0], r"aoa_az has shape \(1,\)"),
+            ("fields", [0j, 0j, 0j], r"fields has shape \(3,\)"),
+            ("alphas", [[1.0, 2.0]], "1-D"),
+        ],
+        ids=["toa-negative", "aoa-el-above", "aod-el-below", "aoa-az-above", "aod-az-below",
+             "aoa-el-nan", "aod-az-nan", "short-column", "long-fields", "2-d"],
+    )
+    def test_path_set_rejects_out_of_range(self, name, bad, match):
+        good = dict(alphas=[1.0, 2.0], toas=[0.0, 1e-9], aoa_az=[math.pi, 0.0],
+                    aoa_el=[0.0, -math.pi / 2], aod_az=[0.0, 0.0], aod_el=[math.pi / 2, 0.0])
+        PathSet(**good)
+        with pytest.raises(ValueError, match=match):
+            PathSet(**{**good, name: bad})
+
+    def test_path_set_columns_and_default_fields(self):
+        ps = PathSet([1, 2j], [0, 1e-9], [0, 0], [0, 0], [0, 0], [0, 0])
+        assert len(ps) == 2
+        assert ps.alphas.dtype == ps.fields.dtype == np.complex128
+        assert all(getattr(ps, c).dtype == np.float64
+                   for c in ("toas", "aoa_az", "aoa_el", "aod_az", "aod_el"))
+        np.testing.assert_array_equal(ps.fields, [0j, 0j])
+
+    @pytest.mark.parametrize(
+        "dims,match",
+        [((0, 2), "element counts"), ((2, -1), "element counts"), ((2.5, 2), "nx"),
+         ((2, "2"), "ny"), ((2, None), "ny")],
+    )
+    def test_array_geometry_rejects(self, dims, match):
+        with pytest.raises(ValueError, match=match):
+            ArrayGeometry(*dims)
+
+    def test_array_geometry_counts_are_ints(self):
+        geom = ArrayGeometry(np.int64(3), np.int32(2))
+        assert (type(geom.nx), type(geom.ny), geom.size) == (int, int, 6)
 
     @pytest.mark.parametrize(
         "kw", [dict(ts=np.nan), dict(ts=np.inf), dict(ts=1e-9, t_off=np.nan)]
@@ -158,7 +205,7 @@ class TestSynthChannel:
         self.cfg = PulseConfig(ts=1e-9, beta=0.3)
 
     def test_single_on_grid_path_isolated_tap(self):
-        ps = PathSet([broadside_path(toa=3e-9)])
+        ps = broadside_path(toa=3e-9)
         h = synth_channel(ps, 8, self.cfg, self.rx, self.tx)
         np.testing.assert_array_equal(h.taps[3], np.ones((2, 2)))
         mask = np.ones(8, dtype=bool)
@@ -166,68 +213,68 @@ class TestSynthChannel:
         assert np.all(h.taps[mask] == 0)
 
     def test_linear_in_gain(self):
-        ps = PathSet([broadside_path(alpha=2j, toa=3e-9)])
+        ps = broadside_path(alpha=2j, toa=3e-9)
         h = synth_channel(ps, 8, self.cfg, self.rx, self.tx)
         np.testing.assert_array_equal(h.taps[3], 2j * np.ones((2, 2)))
 
     def test_matches_triple_loop_oracle_off_grid(self):
         rng = np.random.default_rng(3)
-        paths = []
-        for _ in range(2):
-            paths.append(
-                Path(
-                    alpha=complex(rng.normal(), rng.normal()),
-                    toa=float(rng.uniform(0, 5e-9)),
-                    aoa_az=float(rng.uniform(-math.pi, math.pi)),
-                    aoa_el=float(rng.uniform(-math.pi / 2, math.pi / 2)),
-                    aod_az=float(rng.uniform(-math.pi, math.pi)),
-                    aod_el=float(rng.uniform(-math.pi / 2, math.pi / 2)),
-                )
+        rows = [
+            (
+                complex(rng.normal(), rng.normal()),
+                float(rng.uniform(0, 5e-9)),
+                float(rng.uniform(-math.pi, math.pi)),
+                float(rng.uniform(-math.pi / 2, math.pi / 2)),
+                float(rng.uniform(-math.pi, math.pi)),
+                float(rng.uniform(-math.pi / 2, math.pi / 2)),
             )
-        ps = PathSet(paths)
+            for _ in range(2)
+        ]
+        ps = PathSet(*zip(*rows))
         d = 8
         h = synth_channel(ps, d, self.cfg, self.rx, self.tx)
 
         # Brute-force per-element accumulation.
         expect = np.zeros((d, 2, 2), dtype=np.complex128)
-        for p in ps:
-            a_r = ura_response(p.aoa_az, p.aoa_el, self.rx)
-            a_t = ura_response(p.aod_az, p.aod_el, self.tx)
+        for p in range(len(ps)):
+            a_r = ura_response(ps.aoa_az[p], ps.aoa_el[p], self.rx)
+            a_t = ura_response(ps.aod_az[p], ps.aod_el[p], self.tx)
             for di in range(d):
-                w = raised_cosine(di * self.cfg.ts - p.toa, self.cfg)
+                w = raised_cosine(di * self.cfg.ts - ps.toas[p], self.cfg)
                 for i in range(2):
                     for j in range(2):
-                        expect[di, i, j] += p.alpha * w * a_r[i] * a_t[j]
+                        expect[di, i, j] += ps.alphas[p] * w * a_r[i] * a_t[j]
         np.testing.assert_allclose(h.taps, expect, rtol=1e-12, atol=1e-15)
 
     def test_linearity_over_pathset_concat(self):
         rng = np.random.default_rng(11)
-        mk = lambda: Path(
-            alpha=complex(rng.normal(), rng.normal()),
-            toa=float(rng.uniform(0, 6e-9)),
-            aoa_az=float(rng.uniform(-3, 3)),
-            aoa_el=float(rng.uniform(-1.5, 1.5)),
-            aod_az=float(rng.uniform(-3, 3)),
-            aod_el=float(rng.uniform(-1.5, 1.5)),
+        mk = lambda: (
+            complex(rng.normal(), rng.normal()),
+            float(rng.uniform(0, 6e-9)),
+            float(rng.uniform(-3, 3)),
+            float(rng.uniform(-1.5, 1.5)),
+            float(rng.uniform(-3, 3)),
+            float(rng.uniform(-1.5, 1.5)),
         )
-        a, b = PathSet([mk(), mk()]), PathSet([mk()])
-        h_ab = synth_channel(PathSet(a.paths + b.paths), 8, self.cfg, self.rx, self.tx)
+        a, b = PathSet(*zip(mk(), mk())), PathSet(*zip(mk()))
+        ab = PathSet(*map(np.concatenate, zip(astuple(a), astuple(b))))
+        h_ab = synth_channel(ab, 8, self.cfg, self.rx, self.tx)
         h_a = synth_channel(a, 8, self.cfg, self.rx, self.tx)
         h_b = synth_channel(b, 8, self.cfg, self.rx, self.tx)
         np.testing.assert_allclose(h_ab.taps, h_a.taps + h_b.taps, rtol=1e-13)
 
     def test_clock_offset_shifts_taps(self):
         cfg = PulseConfig(ts=1e-9, beta=0.3, t_off=2e-9)
-        ps = PathSet([broadside_path(toa=5e-9)])
+        ps = broadside_path(toa=5e-9)
         h = synth_channel(ps, 8, cfg, self.rx, self.tx)
         assert np.all(h.taps[3] == 1.0)
 
     def test_rejects_bad_inputs(self):
-        ps = PathSet([broadside_path()])
+        ps = broadside_path()
         with pytest.raises(ValueError):
             synth_channel(ps, 0, self.cfg, self.rx, self.tx)
         with pytest.raises(ValueError, match="no paths"):
-            synth_channel(PathSet([]), 4, self.cfg, self.rx, self.tx)
+            synth_channel(PathSet(*[[]] * 6), 4, self.cfg, self.rx, self.tx)
 
 
 class TestFrequencyResponse:

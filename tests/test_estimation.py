@@ -7,7 +7,6 @@ import pytest
 from mbce.channel_model import (
     ArrayGeometry,
     ChannelTensor,
-    Path,
     PathSet,
     PulseConfig,
     steering_vector,
@@ -78,8 +77,13 @@ class TestPilotConfigChecks:
             (dict(snr_db=np.inf), "snr_db"),
             (dict(nt=0), "nt"),
             (dict(nt=-1), "nt"),
+            (dict(n_sc=16.5), "n_sc"),
+            (dict(n_pilot=4.0), "n_pilot"),
+            (dict(nt=2.5), "nt"),
+            (dict(nt="2"), "nt"),
         ],
-        ids=["snr-nan", "snr-inf", "nt-zero", "nt-negative"],
+        ids=["snr-nan", "snr-inf", "nt-zero", "nt-negative", "n_sc-float", "n_pilot-float",
+             "nt-float", "nt-string"],
     )
     def test_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -218,9 +222,7 @@ class TestInterpolation:
         # held band edge, 4 * sum_j sin^2(pi*3*j/512) / 512 ~ -44 dB.
         rx, tx = ArrayGeometry(1, 1), ArrayGeometry(2, 1)
         pulse = PulseConfig(ts=1e-9, beta=0.3)
-        ps = PathSet(
-            [Path(alpha=1.0, toa=3e-9, aoa_az=0, aoa_el=0, aod_az=0.4, aod_el=0.1)]
-        )
+        ps = PathSet(alphas=[1.0], toas=[3e-9], aoa_az=[0], aoa_el=[0], aod_az=[0.4], aod_el=[0.1])
         h = synth_channel(ps, 8, pulse, rx, tx)
         cfg = PilotConfig(n_sc=512, n_pilot=128, nt=2)
         est = coarse_estimate(h, cfg, 0)

@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from mbce.channel_model import ArrayGeometry, Path, PathSet, PulseConfig, synth_channel
+from mbce.channel_model import ArrayGeometry, PathSet, PulseConfig, synth_channel
 from mbce.estimation import OmpDictionary, PilotConfig, omp_estimate, transmit_pilots
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "omp_selected.json"
@@ -28,13 +28,13 @@ DICTIONARY = OmpDictionary.build(TAPS, RX, TX)
 def link(seed: int):
     """2-8 paths with gains over a 20 dB range, delays inside the tap window."""
     rng = np.random.default_rng(seed)
-    paths = []
+    rows = []
     for _ in range(int(rng.integers(2, 9))):
         gain = complex(rng.normal(), rng.normal()) * 10.0 ** -rng.uniform(0.0, 1.0)
         az = rng.uniform(-math.pi, math.pi, 2)
         el = rng.uniform(-math.pi / 4, math.pi / 4, 2)
-        paths.append(Path(gain, rng.uniform(2.0, 20.0) * TS, az[0], el[0], az[1], el[1]))
-    h = synth_channel(PathSet(paths), TAPS, PulseConfig(ts=TS), RX, TX)
+        rows.append((gain, rng.uniform(2.0, 20.0) * TS, az[0], el[0], az[1], el[1]))
+    h = synth_channel(PathSet(*zip(*rows)), TAPS, PulseConfig(ts=TS), RX, TX)
     return transmit_pilots(h, CFG, seed)
 
 

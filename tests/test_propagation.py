@@ -1,14 +1,16 @@
+import csv
 import io
 import math
 import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mbce import propagation
-from mbce.channel_model import ArrayGeometry, Path, PathSet, PulseConfig, synth_channel
+from mbce.channel_model import ArrayGeometry, ChannelTensor, PathSet, PulseConfig, synth_channel
 from mbce.propagation import (
     C0,
     ETA0,
@@ -39,6 +41,21 @@ def free_space(max_bounces=1, **kw):
         max_bounces=max_bounces,
         **kw,
     )
+
+
+def unit_vectors(az, el):
+    return np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1)
+
+
+BOXES = st.builds(
+    lambda x0, y0, w, d, h: Box(x0, x0 + w, y0, y0 + d, 0.0, h),
+    st.floats(-40.0, 30.0),
+    st.floats(-40.0, 30.0),
+    st.floats(2.0, 15.0),
+    st.floats(2.0, 15.0),
+    st.floats(3.0, 40.0),
+)
+ENDPOINTS = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(0.5, 40.0))
 
 
 class TestInputChecks:
@@ -97,16 +114,21 @@ class TestInputChecks:
             (lambda m: rss_patch_at(m, (np.nan, 0.0), 3), "position"),
             (lambda m: rss_from_fields([1e-3], np.nan), "wavelength"),
             (lambda m: rss_from_fields([1e-3], np.inf), "wavelength"),
-            (lambda m: rss_from_channel(np.ones((1, 1, 1)), np.nan), "power"),
-            (lambda m: rss_from_channel(np.ones((1, 1, 1)), np.inf), "power"),
+            (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), np.nan), "power"),
+            (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), np.inf), "power"),
+            (lambda m: rss_from_fields([1e-3, np.nan], 0.02), "fields"),
         ],
         ids=["patch-inf", "patch-minus-inf", "patch-nan", "fields-nan", "fields-inf",
-             "channel-nan", "channel-inf"],
+             "channel-nan", "channel-inf", "field-value-nan"],
     )
     def test_non_finite_scalar_rejected(self, call, match):
         m = RssMap(origin=(0.0, 0.0), spacing=1.0, values=np.ones((4, 4)), rx_height=1.5)
         with pytest.raises(ValueError, match=match):
             call(m)
+
+    def test_rss_from_channel_takes_only_a_channel_tensor(self):
+        with pytest.raises(TypeError, match="ChannelTensor"):
+            rss_from_channel(np.full((1, 1, 1), np.inf), 1.0)
 
 
 class TestGainCalibrationChecks:
@@ -120,16 +142,18 @@ class TestGainCalibrationChecks:
             (dict(nr=0), "nr"),
             (dict(nt=0), "nt"),
             (dict(nr=-2, nt=-2), "nr"),
+            (dict(nr=2.5), "nr"),
+            (dict(nt="16"), "nt"),
         ],
         ids=["power-zero", "power-negative", "power-nan", "power-inf", "nr-zero", "nt-zero",
-             "both-negative"],
+             "both-negative", "nr-float", "nt-string"],
     )
     def test_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
             GainCalibration(**kw)
 
     def test_calibrate_alphas_rejects_zero_power(self):
-        ps = PathSet([Path(1.0, 1e-8, 0.0, 0.0, 0.0, 0.0, field=0.01)])
+        ps = PathSet([1.0], [1e-8], [0.0], [0.0], [0.0], [0.0], fields=[0.01])
         with pytest.raises(ValueError, match="p_t"):
             calibrate_alphas(ps, 0.02, GainCalibration(p_t=0.0, nr=4, nt=16))
 
@@ -140,12 +164,10 @@ class TestTracePaths:
         rx = (100.0, 0.0, 20.0)
         ps = trace_paths(scene, rx)
         assert len(ps) == 2
-        los = min(ps, key=lambda p: p.toa)
-        assert los.toa == pytest.approx(100.0 / C0, rel=1e-12)
+        assert ps.toas.min() == pytest.approx(100.0 / C0, rel=1e-12)  # line of sight
         # ground bounce unfolds to the image-source distance
-        ground = max(ps, key=lambda p: p.toa)
         d_img = math.hypot(100.0, 40.0)
-        assert ground.toa == pytest.approx(d_img / C0, rel=1e-12)
+        assert ps.toas.max() == pytest.approx(d_img / C0, rel=1e-12)
 
     def test_occluded_receiver_gives_empty_pathset(self):
         wall = Box(45.0, 55.0, -50.0, 50.0, 0.0, 60.0)
@@ -175,24 +197,34 @@ class TestTracePaths:
         # Mirror-geometry oracle: image of tx across the x=30 plane.
         img = np.array([60.0, -20.0, 10.0])
         d_expect = float(np.linalg.norm(img - np.asarray(rx)))
-        dists = sorted(p.toa * C0 for p in ps)
+        dists = ps.toas * C0
         assert any(abs(d - d_expect) < 1e-9 for d in dists)
 
-    def test_reciprocity_of_geometry(self):
-        wall = Box(30.0, 40.0, -60.0, 60.0, 0.0, 50.0)
-        kwargs = dict(buildings=(wall,), carrier_freq=CARRIER, max_bounces=2)
-        a, b = (0.0, -20.0, 10.0), (5.0, 25.0, 3.0)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        buildings=st.lists(BOXES, min_size=1, max_size=2),
+        a=ENDPOINTS,
+        b=ENDPOINTS,
+    )
+    @example(buildings=[Box(30.0, 40.0, -60.0, 60.0, 0.0, 50.0)], a=(0.0, -20.0, 10.0),
+             b=(5.0, 25.0, 3.0))
+    def test_reciprocity_of_geometry(self, buildings, a, b):
+        assume(math.dist(a[:2], b[:2]) > 1.0)
+        assume(not any(box.contains(p) for box in buildings for p in (a, b)))
+        kwargs = dict(buildings=tuple(buildings), carrier_freq=CARRIER, max_bounces=2)
         fwd = trace_paths(Scene(tx_position=a, **kwargs), b)
         rev = trace_paths(Scene(tx_position=b, **kwargs), a)
         assert len(fwd) == len(rev)
-        np.testing.assert_allclose(
-            sorted(p.toa for p in fwd), sorted(p.toa for p in rev), rtol=1e-12
-        )
-        for pf in fwd:
-            pr = min(rev, key=lambda p: abs(p.toa - pf.toa))
-            # departure/arrival roles swap when endpoints swap
-            assert pf.aod_az == pytest.approx(pr.aoa_az, abs=1e-9)
-            assert pf.aod_el == pytest.approx(pr.aoa_el, abs=1e-9)
+        np.testing.assert_allclose(np.sort(fwd.toas), np.sort(rev.toas), rtol=1e-12)
+        # Departure and arrival swap when the endpoints swap. Angles are
+        # compared as unit vectors, which have no azimuth wrap at +-pi.
+        f_dep, f_arr = unit_vectors(fwd.aod_az, fwd.aod_el), unit_vectors(fwd.aoa_az, fwd.aoa_el)
+        r_dep, r_arr = unit_vectors(rev.aod_az, rev.aod_el), unit_vectors(rev.aoa_az, rev.aoa_el)
+        for i in range(len(fwd)):
+            same_length = np.isclose(rev.toas, fwd.toas[i], rtol=1e-12, atol=0.0)
+            swapped = np.all(np.abs(r_arr - f_dep[i]) < 1e-9, axis=1)
+            swapped &= np.all(np.abs(r_dep - f_arr[i]) < 1e-9, axis=1)
+            assert np.any(same_length & swapped)
 
     def test_rejects_receiver_inside_building(self):
         wall = Box(30.0, 40.0, -60.0, 60.0, 0.0, 50.0)
@@ -277,8 +309,9 @@ class TestCalibrationIdentity:
         calib = GainCalibration(p_t=p_t, nr=rx_geom.size, nt=tx_geom.size)
         ps = trace_paths(scene, rx, calib)
         assert len(ps) == 1
-        assert calibrate_alphas(trace_paths(scene, rx), scene.wavelength, calib)[0] == ps[0]
-        cfg = PulseConfig(ts=1e-8, beta=0.3, t_off=ps[0].toa)
+        cal = calibrate_alphas(trace_paths(scene, rx), scene.wavelength, calib)
+        assert all(map(np.array_equal, astuple(cal), astuple(ps)))
+        cfg = PulseConfig(ts=1e-8, beta=0.3, t_off=ps.toas[0])
         h = synth_channel(ps, 4, cfg, rx_geom, tx_geom)
         lhs = rss_from_channel(h, p_t)
         rhs = rss_from_fields(ps.fields, scene.wavelength)
@@ -299,21 +332,9 @@ class TestCalibrationIdentity:
         angs = rng.uniform(-1.2, 1.2, size=(n_paths, 4))
 
         def build(phases):
-            paths = []
-            for m, tap, a, ph in zip(mags, taps, angs, phases):
-                e = m * np.exp(1j * ph)
-                paths.append(
-                    Path(
-                        alpha=0j,
-                        toa=tap * ts,
-                        aoa_az=a[0],
-                        aoa_el=a[1] / 2,
-                        aod_az=a[2],
-                        aod_el=a[3] / 2,
-                        field=e,
-                    )
-                )
-            return calibrate_alphas(PathSet(paths), lam, calib)
+            ps = PathSet(np.zeros(n_paths), taps * ts, angs[:, 0], angs[:, 1] / 2, angs[:, 2],
+                         angs[:, 3] / 2, fields=mags * np.exp(1j * phases))
+            return calibrate_alphas(ps, lam, calib)
 
         # Channel side: expectation over phases, estimated from the same draws.
         draws = rng.uniform(0, 2 * np.pi, size=(n_draws, n_paths))
@@ -436,6 +457,63 @@ class TestRssPatch:
 
 
 HEADER = "sample_id,path_id,e_real,e_imag,toa_s,aoa_az_rad,aoa_el_rad,aod_az_rad,aod_el_rad"
+AZIMUTHS, ELEVATIONS = st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2)
+# (sample_id, path_id, field, toa, aoa_az, aoa_el, aod_az, aod_el) of a valid row
+VALID_PATHS = st.tuples(
+    st.integers(0, 3),
+    st.integers(0, 99),
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, allow_infinity=False),
+    AZIMUTHS,
+    ELEVATIONS,
+    AZIMUTHS,
+    ELEVATIONS,
+)
+
+
+def csv_row(path):
+    sid, pid, e, *reals = path
+    return [str(sid), str(pid), repr(e.real), repr(e.imag), *map(repr, reals)]
+
+
+def csv_text(rows):
+    return "".join(",".join(row) + "\n" for row in [HEADER.split(",")] + rows)
+
+
+VALID_ROWS = VALID_PATHS.map(csv_row)
+# no decimal digit, comma, quote or line break: never a number and still one field
+NON_NUMERIC = st.text(
+    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters=',"\r\n'), max_size=6
+)
+
+
+@st.composite
+def malformed_rows(draw):
+    """A valid row with one defect: a non-numeric field, a field past the csv
+    module's size limit, a non-finite value, a non-integer id, a value outside
+    its column's range, or a wrong field count."""
+    row = draw(VALID_ROWS)
+    kind = draw(st.sampled_from(["text", "oversized", "non-finite", "id", "range", "count"]))
+    if kind == "text":
+        row[draw(st.integers(0, 8))] = draw(NON_NUMERIC)
+    elif kind == "oversized":
+        row[draw(st.integers(0, 8))] = "1" * (csv.field_size_limit() + 1)
+    elif kind == "non-finite":
+        row[draw(st.integers(2, 8))] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+    elif kind == "id":
+        row[draw(st.integers(0, 1))] = repr(draw(st.floats()))
+    elif kind == "range":
+        # toa_s below 0; angles beyond their bound plus the 1e-12 slack
+        column, bound = draw(st.sampled_from(
+            [(4, 0.0), (5, math.pi), (6, math.pi / 2), (7, math.pi), (8, math.pi / 2)]
+        ))
+        excess = draw(st.floats(1e-9, 1e300))
+        sign = -1.0 if column == 4 else draw(st.sampled_from([-1.0, 1.0]))
+        row[column] = repr(sign * (bound + excess))
+    else:
+        n = draw(st.integers(1, 12).filter(lambda n: n != 9))
+        row = (row + row)[:n]
+    return row
 
 
 class TestImportPaths:
@@ -448,18 +526,17 @@ class TestImportPaths:
         assert len(out) == 1
         sid, ps = out[0]
         assert sid == 1 and len(ps) == 1
-        p = ps[0]
-        assert p.field == 0.5 - 0.25j
-        assert p.toa == 3.3e-7
-        assert (p.aoa_az, p.aoa_el, p.aod_az, p.aod_el) == (0.1, -0.2, 1.0, 0.05)
-        assert p.alpha == 0j
+        assert ps.fields[0] == 0.5 - 0.25j
+        assert ps.toas[0] == 3.3e-7
+        assert (ps.aoa_az[0], ps.aoa_el[0], ps.aod_az[0], ps.aod_el[0]) == (0.1, -0.2, 1.0, 0.05)
+        assert ps.alphas[0] == 0j
 
     def test_exponential_and_fixed_notation_agree(self):
         row_exp = "2,0,1.5e-1,0.0,2.5e-8,0.0,0.0,0.0,0.0"
         row_fix = "2,0,0.15,0.0,0.000000025,0.0,0.0,0.0,0.0"
         a = import_paths(io.StringIO(HEADER + "\n" + row_exp + "\n"))
         b = import_paths(io.StringIO(HEADER + "\n" + row_fix + "\n"))
-        assert a[0][1][0] == b[0][1][0]
+        assert all(map(np.array_equal, astuple(a[0][1]), astuple(b[0][1])))
 
     def test_groups_preserve_row_order(self):
         text = HEADER + "\n"
@@ -468,7 +545,7 @@ class TestImportPaths:
         text += "7,1,3,0,2e-8,0,0,0,0\n"
         out = import_paths(io.StringIO(text))
         assert [sid for sid, _ in out] == [7, 3]
-        assert [p.field.real for p in out[0][1]] == [1.0, 3.0]
+        assert out[0][1].fields.real.tolist() == [1.0, 3.0]
 
     def test_malformed_row_names_line_and_field(self):
         text = HEADER + "\n1,0,abc,0,1e-8,0,0,0,0\n"
@@ -495,7 +572,27 @@ class TestImportPaths:
         lam, p_t, nr, nt = 0.02, 2.0, 4, 16
         cal = calibrate_alphas(ps, lam, GainCalibration(p_t, nr, nt))
         expect = lam * 0.01 / math.sqrt(8 * math.pi * ETA0 * p_t * nr * nt)
-        assert cal[0].alpha == pytest.approx(expect, rel=1e-12)
+        assert cal.alphas[0] == pytest.approx(expect, rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(paths=st.lists(VALID_PATHS, max_size=12))
+    def test_repr_written_columns_parse_back_exactly(self, paths):
+        out = import_paths(io.StringIO(csv_text([csv_row(p) for p in paths])))
+        expect = {}
+        for sid, _, e, *reals in paths:
+            expect.setdefault(sid, []).append((0j, *reals, e))
+        assert [sid for sid, _ in out] == list(expect)
+        for (_, ps), want in zip(out, expect.values()):
+            assert [c.tobytes() for c in astuple(ps)] == [
+                c.tobytes() for c in astuple(PathSet(*zip(*want)))
+            ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(before=st.lists(VALID_ROWS, max_size=3), bad=malformed_rows(),
+           after=st.lists(VALID_ROWS, max_size=2))
+    def test_malformed_row_raises_only_path_import_error(self, before, bad, after):
+        with pytest.raises(PathImportError, match=rf"^line {len(before) + 2}: "):
+            import_paths(io.StringIO(csv_text(before + [bad] + after)))
 
 
 class TestRssMapIO:

@@ -15,7 +15,6 @@ from mbce.channel_model import (
     PULSE_SUPPORT,
     ArrayGeometry,
     ChannelTensor,
-    Path,
     PathSet,
     PulseConfig,
     channel_frequency_response,
@@ -180,17 +179,17 @@ def test_synth_channel_matches_per_path_oracle(d, rays, beta):
     ts = 1e-9
     cfg = PulseConfig(ts=ts, beta=beta, t_off=12 * ts)
     rx, tx = ArrayGeometry(2, 1), ArrayGeometry(1, 3)
-    paths = PathSet([Path(a, (delay + 12) * ts, *ang) for delay, a, ang in rays])
-    h = synth_channel(paths, d, cfg, rx, tx)
+    ps = PathSet(*zip(*[(a, (delay + 12) * ts, *ang) for delay, a, ang in rays]))
+    h = synth_channel(ps, d, cfg, rx, tx)
 
     expect = np.zeros((d, rx.size, tx.size), dtype=np.complex128)
-    for p in paths:
-        a_r, a_t = ura_response(p.aoa_az, p.aoa_el, rx), ura_response(p.aod_az, p.aod_el, tx)
-        spatial = np.outer(a_r, a_t)
+    for p in range(len(ps)):
+        a_r = ura_response(ps.aoa_az[p], ps.aoa_el[p], rx)
+        spatial = np.outer(a_r, ura_response(ps.aod_az[p], ps.aod_el[p], tx))
         for di in range(d):
-            arg = di * ts - (p.toa - cfg.t_off)
+            arg = di * ts - (ps.toas[p] - cfg.t_off)
             if abs(arg) <= PULSE_SUPPORT * ts:
-                expect[di] += p.alpha * raised_cosine(arg, cfg) * spatial
+                expect[di] += ps.alphas[p] * raised_cosine(arg, cfg) * spatial
     np.testing.assert_allclose(h.taps, expect, rtol=1e-12, atol=1e-13)
 
 
