@@ -8,11 +8,14 @@ calibrated as ``alpha_l = lambda * E_l / sqrt(8*pi*eta0*P_T*Nr*Nt)``.
 The ray model returns the line-of-sight path plus specular reflections
 (image method) off the ground and off vertical building facets, up to two
 bounces. Facets are arrays (normal axis, plane value, outward sign, 3-D
-bounds, unbounded along the normal and for the ground), and the tx images
-of every facet and ordered facet pair are built once per scene; per
-receiver, the hit-point, facing and occlusion tests are masks over all
-candidates of a bounce order. Scenes are immutable; every function here is
-pure and safe to call concurrently.
+bounds, unbounded along the normal and for the ground). Once per scene, the
+tx images of every facet and ordered facet pair are built, and the chains
+that no receiver can use are dropped: a first facet that does not face tx,
+or a pair with one facet wholly behind the other's plane. The hit-point,
+facing and occlusion tests are then masks over a batch of receivers times
+the live chains of a bounce order: one receiver for :func:`trace_paths`,
+chunks of grid cells for :func:`generate_rss_map`. Scenes are immutable;
+every function here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -209,6 +212,10 @@ class GainCalibration:
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-9
+# Lanes (receivers times live chains) that generate_rss_map traces at once. A lane's
+# temporaries take ~150 B, so 2**13 lanes cost ~1 MB of peak memory; each doubling
+# beyond saves under 5% of a map's time and adds as much memory again.
+_LANE_BUDGET = 2**13
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,9 @@ class _Geometry:
     x-max, y-min and y-max walls. ``chains[b]`` holds the ``b``-bounce
     candidates: facets ``[n, b]`` and images ``[n, b, 3]``, image ``j`` being
     tx mirrored in facets ``0..j`` in turn. Chain 0 is the line of sight,
-    chain 1 every facet, chain 2 every ordered pair of distinct facets.
+    chain 1 the facets, chain 2 ordered pairs of distinct facets, in facet
+    order: all of them from :func:`_candidates`, the live ones from
+    :func:`_geometry`.
     """
 
     tx: np.ndarray
@@ -235,7 +244,9 @@ class _Geometry:
     chains: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _geometry(scene: Scene) -> _Geometry:
+def _candidates(scene: Scene) -> _Geometry:
+    """The scene's facets and every chain up to ``scene.max_bounces``: each
+    facet, and each ordered pair of distinct facets in ``(f1, f2)`` C order."""
     bounds = np.array([b.bounds for b in scene.buildings]).reshape(-1, 2, 3)
     n = len(bounds)
     axis = np.concatenate([[2], np.tile([0, 0, 1, 1], n)])
@@ -261,12 +272,43 @@ def _geometry(scene: Scene) -> _Geometry:
                      chains[: scene.max_bounces + 1])
 
 
+def _geometry(scene: Scene) -> _Geometry:
+    """:func:`_candidates` without the chains that no receiver can use, the
+    survivors in their order. A chain is dead if its first facet does not face
+    tx, or if, in a pair, either facet lies wholly on the inner side of the
+    other's plane, so that :func:`_trace` always rejects the pair's
+    reflection points. A facet's extent there is its bounds widened by
+    ``_hit``'s ``_EPS`` slack, and its plane value by ``_EPS`` for the hit
+    point's rounding. The ground faces every point, so only its partner can
+    make a pair with it dead."""
+    g = _candidates(scene)
+    facets = np.arange(len(g.axis))
+    faces_tx = _outside(g, facets, np.broadcast_to(g.tx, (len(facets), 3)))
+    ext = np.stack([g.lo - _EPS, g.hi + _EPS])
+    ext[:, facets, g.axis] = [g.value - _EPS, g.value + _EPS]
+    # reach[i, j]: the largest outward offset from facet i's plane of facet j's extent
+    reach = np.max(g.sign[:, None] * (ext[:, :, g.axis].transpose(0, 2, 1) - g.value[:, None]),
+                   axis=0)
+    inner = (g.axis[:, None] != 2) & (reach <= _EPS)
+    live = [np.ones(1, dtype=bool), faces_tx]
+    if len(g.chains) > 2:
+        f1, f2 = g.chains[2][0].T
+        live.append(faces_tx[f1] & ~inner[f1, f2] & ~inner[f2, f1])
+    return replace(g, chains=[(f[k], im[k]) for (f, im), k in zip(g.chains, live)])
+
+
 def _outside(g: _Geometry, f: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Whether points ``p`` lie on the outer side of facets ``f``; the ground
     counts every point as outside."""
     ax = g.axis[f]
     off = g.sign[f] * (p[np.arange(len(f)), ax] - g.value[f])
     return (ax == 2) | (off > _EPS)
+
+
+def _inside(g: _Geometry, p: np.ndarray) -> np.ndarray:
+    """Whether points ``p [m, 3]`` lie strictly inside a building, as :meth:`Box.contains`."""
+    p = p[:, None]
+    return np.any(np.all((p > g.boxes_lo) & (p < g.boxes_hi), axis=2), axis=1)
 
 
 def _hit(g: _Geometry, f: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -302,25 +344,30 @@ def _blocked(g: _Geometry, verts: np.ndarray) -> np.ndarray:
     return np.any((enter < leave) & (leave > _EPS) & (enter < 1.0 - _EPS), axis=(1, 2))
 
 
-def _trace(g: _Geometry, rx: np.ndarray) -> list[np.ndarray]:
-    """Vertices ``[n, b+2, 3]`` (tx, reflection points, rx) of the unblocked
-    paths, one array per bounce order ``b``, in chain order. Reflection points
-    are found from rx backwards, each where the ray from its image to the next
-    point crosses its facet; each facet must face both neighbouring vertices."""
+def _trace(g: _Geometry, rx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """For receivers ``rx [m, 3]``, one ``(verts, idx)`` pair per bounce order
+    ``b``: the vertices ``[n, b+2, 3]`` (tx, reflection points, rx) of the
+    unblocked paths and the index into ``rx`` of each path's receiver, listed
+    receiver-major, then in chain order. Reflection points are found from rx
+    backwards, each where the ray from its image to the next point crosses its
+    facet; each facet must face both neighbouring vertices."""
     orders = []
     for facets, images in g.chains:
         n, bounces = facets.shape
-        points = [np.broadcast_to(rx, (n, 3))]
-        ok = np.ones(n, dtype=bool)
+        idx = np.repeat(np.arange(len(rx)), n)
+        chain = np.tile(np.arange(n), len(rx))
+        points = [rx[idx]]
         for j in reversed(range(bounces)):
-            r, hit = _hit(g, facets[:, j], images[:, j], points[0])
-            ok &= hit
-            points.insert(0, r)
-        verts = np.stack([np.broadcast_to(g.tx, (n, 3)), *points], axis=1)
+            r, hit = _hit(g, facets[chain, j], images[chain, j], points[0])
+            idx, chain = idx[hit], chain[hit]
+            points = [r[hit]] + [p[hit] for p in points]
+        verts = np.stack([np.broadcast_to(g.tx, (len(idx), 3)), *points], axis=1)
+        ok = np.ones(len(idx), dtype=bool)
         for j in range(bounces):
-            ok &= _outside(g, facets[:, j], verts[:, j]) & _outside(g, facets[:, j], verts[:, j + 2])
-        verts = verts[ok]
-        orders.append(verts[~_blocked(g, verts)])
+            f = facets[chain, j]
+            ok &= _outside(g, f, verts[:, j]) & _outside(g, f, verts[:, j + 2])
+        ok[ok] = ~_blocked(g, verts[ok])
+        orders.append((verts[ok], idx[ok]))
     return orders
 
 
@@ -356,13 +403,13 @@ def trace_paths(
     power and array sizes). ``rx_position`` must be 3 finite values.
     """
     calib = calib or GainCalibration()
-    rx = _point3(rx_position, "rx_position")
-    if any(b.contains(rx) for b in scene.buildings):
-        raise ValueError("receiver position lies inside a building")
+    rx = _point3(rx_position, "rx_position")[None]
     g = _geometry(scene)
+    if _inside(g, rx)[0]:
+        raise ValueError("receiver position lies inside a building")
     scale = _gain_scale(scene.wavelength, calib)
     orders = []
-    for verts in _trace(g, rx):
+    for verts, _ in _trace(g, rx):
         segs, lengths, dist, efield = _unfold(verts, scene)
         # u[0]: direction the wave arrives from, seen at rx; u[1]: departure from tx
         u = np.stack([-segs[:, -1] / lengths[:, -1:], segs[:, 0] / lengths[:, :1]])
@@ -384,6 +431,11 @@ def calibrate_alphas(paths: PathSet, wavelength: float, calib: GainCalibration) 
 # ---------------------------------------------------------------------------
 
 
+def _coherent_power(total, wavelength: float):
+    """``lambda^2/(8*pi*eta0) * |total|^2`` of summed fields ``total``."""
+    return wavelength**2 / (8.0 * math.pi * ETA0) * np.abs(total) ** 2
+
+
 def rss_from_fields(fields, wavelength: float) -> float:
     """Coherent-sum received power ``lambda^2/(8*pi*eta0) * |sum E_l|^2`` of finite fields."""
     if not (math.isfinite(wavelength) and wavelength > 0):
@@ -391,8 +443,7 @@ def rss_from_fields(fields, wavelength: float) -> float:
     fields = np.asarray(fields, dtype=np.complex128)
     if not np.all(np.isfinite(fields)):
         raise ValueError("fields must be finite")
-    total = np.sum(fields)
-    return float(wavelength**2 / (8.0 * math.pi * ETA0) * np.abs(total) ** 2)
+    return float(_coherent_power(np.sum(fields), wavelength))
 
 
 def rss_from_channel(h: ChannelTensor, p_t: float) -> float:
@@ -413,9 +464,11 @@ def generate_rss_map(
 ) -> RssMap:
     """Evaluate the coherent RSS at every grid cell center.
 
-    Cells whose receiver point is occluded (or inside a building) hold 0.
-    The grid geometry is checked as :class:`RssMap` checks it, before any
-    cell is traced.
+    Cells whose receiver point is occluded (or strictly inside a building, as
+    :meth:`Box.contains` has it) hold 0. The grid geometry is checked as
+    :class:`RssMap` checks it, before any cell is traced. The outdoor cells
+    are traced in chunks of about ``_LANE_BUDGET`` chain lanes, and each
+    cell's fields are summed in path order, as :func:`trace_paths` lists them.
     """
     rows, cols = shape
     if rows < 1 or cols < 1:
@@ -423,14 +476,18 @@ def generate_rss_map(
     values = np.zeros((rows, cols), dtype=np.float64)
     origin = RssMap(origin=origin, spacing=spacing, values=values, rx_height=rx_height).origin
     g = _geometry(scene)
-    xs = origin[0] + np.arange(cols) * spacing
-    ys = origin[1] + np.arange(rows) * spacing
-    for r, c in np.ndindex(rows, cols):
-        rx = np.array([xs[c], ys[r], rx_height])
-        if any(b.contains(rx) for b in scene.buildings):
-            continue
-        fields = [_unfold(v, scene)[3] for v in _trace(g, rx)]
-        values[r, c] = rss_from_fields(np.concatenate(fields), scene.wavelength)
+    r, c = np.indices((rows, cols)).reshape(2, -1)
+    cells = np.stack([origin[0] + c * spacing, origin[1] + r * spacing,
+                      np.full(r.size, float(rx_height))], axis=1)
+    outdoor = np.flatnonzero(~_inside(g, cells))
+    per_chunk = max(1, _LANE_BUDGET // sum(len(facets) for facets, _ in g.chains))
+    for start in range(0, len(outdoor), per_chunk):
+        chunk = outdoor[start : start + per_chunk]
+        orders = [(_unfold(verts, scene)[3], idx) for verts, idx in _trace(g, cells[chunk])]
+        efield, idx = map(np.concatenate, zip(*orders))
+        total = (np.bincount(idx, efield.real, len(chunk))
+                 + 1j * np.bincount(idx, efield.imag, len(chunk)))
+        values.flat[chunk] = _coherent_power(total, scene.wavelength)
     return RssMap(origin=origin, spacing=spacing, values=values, rx_height=rx_height)
 
 
@@ -483,8 +540,9 @@ def import_paths(stream) -> list[tuple[int, PathSet]]:
     exactly ``sample_id,path_id,e_real,e_imag,toa_s,aoa_az_rad,aoa_el_rad,
     aod_az_rad,aod_el_rad``; decimal and exponential notation are both
     accepted. Rows are grouped by sample_id into one :class:`PathSet` each, in
-    row order; errors name the line. ``alphas`` is zero until
-    :func:`calibrate_alphas` is applied.
+    row order; errors name the line, and a repeated ``(sample_id, path_id)``
+    names both lines. ``alphas`` is zero until :func:`calibrate_alphas` is
+    applied.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "r", encoding="utf-8", newline="") as fh:
@@ -505,6 +563,7 @@ def import_paths(stream) -> list[tuple[int, PathSet]]:
         )
 
     groups: dict[int, list[tuple]] = {}
+    first_line: dict[tuple[int, int], int] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -526,6 +585,11 @@ def import_paths(stream) -> list[tuple[int, PathSet]]:
             PathSet(*([v] for v in path))
         except ValueError as exc:
             raise PathImportError(f"line {lineno}: {exc}") from None
+        key = (vals["sample_id"], vals["path_id"])
+        if key in first_line:
+            raise PathImportError(f"line {lineno}: sample_id {key[0]}, path_id {key[1]} "
+                                  f"repeats line {first_line[key]}")
+        first_line[key] = lineno
         groups.setdefault(vals["sample_id"], []).append(path)
     return [(sid, PathSet(*zip(*rows))) for sid, rows in groups.items()]
 

@@ -4,13 +4,15 @@
 channels over 4x4 rx and 8x4 tx arrays, 32 taps, 32 comb pilots of 256
 subcarriers, SNR 10 dB), the atoms that ``omp_estimate`` selected with
 ``k_max=16`` over the 262,144-atom default dictionary, and the residual
-norms it reported, when the file was recorded. Re-record it only on purpose,
-with ``PYTHONPATH=src python tests/test_omp.py``.
+norms it reported, when the file was recorded. ``PYTHONPATH=src python
+tests/test_omp.py`` records it if it is missing and refuses to overwrite it:
+delete it on purpose to re-record it.
 """
 
 import json
 import math
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -65,5 +67,7 @@ def test_selected_atoms_match_recorded(case):
 
 
 if __name__ == "__main__":
+    if GOLDEN.exists():
+        sys.exit(f"{GOLDEN} exists; delete it to re-record it")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("[\n" + ",\n".join(json.dumps(c) for c in record()) + "\n]\n")

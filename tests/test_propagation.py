@@ -481,6 +481,12 @@ def csv_text(rows):
 
 
 VALID_ROWS = VALID_PATHS.map(csv_row)
+# valid rows of one file: no (sample_id, path_id) twice
+UNIQUE_PATHS = st.lists(VALID_PATHS, max_size=12, unique_by=lambda p: (p[0], p[1]))
+
+
+def unique_rows(max_size):
+    return st.lists(VALID_ROWS, max_size=max_size, unique_by=lambda r: (r[0], r[1]))
 # no decimal digit, comma, quote or line break: never a number and still one field
 NON_NUMERIC = st.text(
     st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters=',"\r\n'), max_size=6
@@ -561,6 +567,11 @@ class TestImportPaths:
         with pytest.raises(PathImportError, match="line 3.*not finite"):
             import_paths(io.StringIO(text))
 
+    def test_repeated_path_id_names_both_lines(self):
+        text = HEADER + "\n4,1,1,0,1e-8,0,0,0,0\n5,1,1,0,1e-8,0,0,0,0\n4,1,2,0,2e-8,0,0,0,0\n"
+        with pytest.raises(PathImportError, match="^line 4: .*path_id 1 repeats line 2$"):
+            import_paths(io.StringIO(text))
+
     def test_unknown_column_rejected(self):
         text = HEADER + ",extra\n"
         with pytest.raises(PathImportError, match="unknown column"):
@@ -575,7 +586,7 @@ class TestImportPaths:
         assert cal.alphas[0] == pytest.approx(expect, rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
-    @given(paths=st.lists(VALID_PATHS, max_size=12))
+    @given(paths=UNIQUE_PATHS)
     def test_repr_written_columns_parse_back_exactly(self, paths):
         out = import_paths(io.StringIO(csv_text([csv_row(p) for p in paths])))
         expect = {}
@@ -588,8 +599,7 @@ class TestImportPaths:
             ]
 
     @settings(max_examples=300, deadline=None)
-    @given(before=st.lists(VALID_ROWS, max_size=3), bad=malformed_rows(),
-           after=st.lists(VALID_ROWS, max_size=2))
+    @given(before=unique_rows(3), bad=malformed_rows(), after=unique_rows(2))
     def test_malformed_row_raises_only_path_import_error(self, before, bad, after):
         with pytest.raises(PathImportError, match=rf"^line {len(before) + 2}: "):
             import_paths(io.StringIO(csv_text(before + [bad] + after)))
