@@ -1,20 +1,39 @@
 """Convolution, transposed convolution, and pooling.
 
-conv2d uses the cross-correlation convention. Forward/backward are built on
-an im2col/col2im pair that are exact adjoints of each other, so
-``<conv2d(x), y> == <x, conv_transpose2d(y)>`` holds for a shared kernel and
-mirrored geometry. The flattened GEMM is the single performance-sensitive
-routine in the engine.
+conv2d uses the cross-correlation convention. Both convolutions run on one
+im2col/col2im pair over zero-padded NHWC arrays:
+
+- ``_im2col(xp, ...)`` turns a padded ``[n, hp, wp, c]`` block into the
+  ``[n*ho*wo, kh*kw*c]`` column matrix with ``kh*kw`` shifted-slice copies,
+  so each row holds its window in ``(kh, kw, c)`` order with ``c`` fastest.
+  Kernel matrices are flattened in the same order: ``k.transpose(0, 2, 3, 1)``
+  reshaped to ``(c_out, -1)`` for conv2d and to ``(c_in, -1)`` for
+  conv_transpose2d; the kernel gradient is transposed back.
+- ``_col2im`` is its exact adjoint: ``kh*kw`` shifted-slice adds into a padded
+  NHWC buffer, which is cropped and transposed back to NCHW once per call.
+
+Hence ``<conv2d(x), y> == <x, conv_transpose2d(y)>`` holds for a shared kernel
+and mirrored geometry. Both ops walk the batch in blocks of samples whose
+columns fit ``_COL_BUDGET`` elements (one sample when a single one does not
+fit); each block's GEMM writes into its slice of the output. No column matrix
+outlives its block: backward holds the padded NHWC input (for
+conv_transpose2d, the input itself), recomputes each block's columns from it
+(for conv_transpose2d, from the padded upstream gradient) and accumulates the
+kernel gradient over the blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .engine import Tensor, _record
 
 __all__ = ["conv2d", "conv_transpose2d", "max_pool2d", "adaptive_avg_pool"]
+
+# Column-matrix elements per block; 2**18 float32 is 1 MB, inside L2. Timed over
+# forward plus backward of the four refine_step convs (float32, 2 cores), 2**18
+# and 2**19 tie at ~38 ms, while 2**14 to 2**17 and 2**20 or more take 41-44 ms.
+_COL_BUDGET = 2**18
 
 
 def _pair(v):
@@ -28,31 +47,55 @@ def _conv_out(size, k, s, p):
     return (size + 2 * p - k) // s + 1
 
 
-def _im2col(x, kh, kw, sh, sw, ph, pw):
+def _pad_nhwc(x, ph, pw):
+    """Zero-padded NHWC copy of the NCHW array ``x``."""
     b, c, h, w = x.shape
-    hp, wp = h + 2 * ph, w + 2 * pw
-    ho, wo = _conv_out(h, kh, sh, ph), _conv_out(w, kw, sw, pw)
-    if ph or pw:
-        xp = np.zeros((b, c, hp, wp), dtype=x.dtype)
-        xp[:, :, ph : ph + h, pw : pw + w] = x
-    else:
-        xp = x
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), (ho, wo)
+    xp = np.zeros((b, h + 2 * ph, w + 2 * pw, c), dtype=x.dtype)
+    xp[:, ph : ph + h, pw : pw + w] = x.transpose(0, 2, 3, 1)
+    return xp
 
 
-def _col2im(cols, out_shape, kh, kw, sh, sw, ph, pw):
-    """Exact adjoint of :func:`_im2col` (scatter-add of window columns)."""
-    b, c, h, w = out_shape
-    hp, wp = h + 2 * ph, w + 2 * pw
-    ho, wo = _conv_out(h, kh, sh, ph), _conv_out(w, kw, sw, pw)
-    cols6 = cols.reshape(b, ho, wo, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    xp = np.zeros((b, c, hp, wp), dtype=cols.dtype)
+def _crop_nchw(xp, ph, pw):
+    """NCHW array of the interior of the padded NHWC array ``xp``."""
+    _, hp, wp, _ = xp.shape
+    return np.ascontiguousarray(xp[:, ph : hp - ph, pw : wp - pw].transpose(0, 3, 1, 2))
+
+
+def _rows(x):
+    """NCHW array as ``[b*h*w, c]`` rows, one per pixel."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, x.shape[1])
+
+
+def _blocks(n, per_sample):
+    """Slices of ``range(n)`` whose columns (``per_sample`` each) fit the budget."""
+    step = max(1, _COL_BUDGET // per_sample)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _window_slices(kh, kw, sh, sw, ho, wo):
+    """Each kernel offset ``(i, j)`` with its strided slice of a padded NHWC array."""
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += cols6[:, :, :, :, i, j]
-    return xp[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else xp
+            yield i, j, (slice(None), slice(i, i + sh * ho, sh), slice(j, j + sw * wo, sw))
+
+
+def _im2col(xp, kh, kw, sh, sw):
+    """Column matrix ``[n*ho*wo, kh*kw*c]`` of the padded NHWC block ``xp``."""
+    n, hp, wp, c = xp.shape
+    ho, wo = _conv_out(hp, kh, sh, 0), _conv_out(wp, kw, sw, 0)
+    cols = np.empty((n, ho, wo, kh, kw, c), dtype=xp.dtype)
+    for i, j, win in _window_slices(kh, kw, sh, sw, ho, wo):
+        cols[:, :, :, i, j] = xp[win]
+    return cols.reshape(n * ho * wo, kh * kw * c)
+
+
+def _col2im(cols, xp, kh, kw, sh, sw):
+    """Exact adjoint of :func:`_im2col`: add ``cols`` into the padded NHWC ``xp``."""
+    n, hp, wp, c = xp.shape
+    ho, wo = _conv_out(hp, kh, sh, 0), _conv_out(wp, kw, sw, 0)
+    cols6 = cols.reshape(n, ho, wo, kh, kw, c)
+    for i, j, win in _window_slices(kh, kw, sh, sw, ho, wo):
+        xp[win] += cols6[:, :, :, i, j]
 
 
 def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
@@ -71,21 +114,28 @@ def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
     if ho < 1 or wo < 1:
         raise ValueError(f"empty output for input {h}x{w}, kernel {kh}x{kw}")
 
-    cols, _ = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-    w2 = k.data.reshape(co, ci * kh * kw)
-    out = (cols @ w2.T).reshape(b, ho, wo, co).transpose(0, 3, 1, 2)
-    out = np.ascontiguousarray(out)
+    xp = _pad_nhwc(x.data, ph, pw)
+    w2 = k.data.transpose(0, 2, 3, 1).reshape(co, -1)
+    blocks = _blocks(b, ho * wo * w2.shape[1])
+    out = np.empty((b, ho, wo, co), dtype=np.result_type(x.data, k.data))
+    for s in blocks:
+        np.matmul(_im2col(xp[s], kh, kw, sh, sw), w2.T, out=out[s].reshape(-1, co))
 
     def bwd(g, needs):
-        gf = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(b * ho * wo, co)
-        gx = gk = None
-        if needs[0]:
-            gx = _col2im(gf @ w2, x.shape, kh, kw, sh, sw, ph, pw)
-        if needs[1]:
-            gk = (gf.T @ cols).reshape(k.shape)
-        return gx, gk
+        gxp = np.zeros(xp.shape, dtype=g.dtype) if needs[0] else None
+        gk = np.zeros(w2.shape, dtype=g.dtype) if needs[1] else None
+        for s in blocks:
+            gf = _rows(g[s])
+            if needs[0]:
+                _col2im(gf @ w2, gxp[s], kh, kw, sh, sw)
+            if needs[1]:
+                gk += gf.T @ _im2col(xp[s], kh, kw, sh, sw)
+        return (
+            _crop_nchw(gxp, ph, pw) if needs[0] else None,
+            gk.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2) if needs[1] else None,
+        )
 
-    return _record(out, (x, k), bwd)
+    return _record(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, k), bwd)
 
 
 def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, out_hw=None) -> Tensor:
@@ -114,22 +164,28 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, out_hw=None) -> Tens
             f"output {ho}x{wo} is inconsistent with input {h}x{w} under the adjoint shape map"
         )
 
-    xf = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(b * h * w, ci)
-    w2 = k.data.reshape(ci, co * kh * kw)
-    cols = xf @ w2
-    out = _col2im(cols, (b, co, ho, wo), kh, kw, sh, sw, ph, pw)
+    w2 = k.data.transpose(0, 2, 3, 1).reshape(ci, -1)
+    blocks = _blocks(b, h * w * w2.shape[1])
+    outp = np.zeros((b, ho + 2 * ph, wo + 2 * pw, co), dtype=np.result_type(x.data, k.data))
+    for s in blocks:
+        _col2im(_rows(x.data[s]) @ w2, outp[s], kh, kw, sh, sw)
 
     def bwd(g, needs):
-        gcols, _ = _im2col(g, kh, kw, sh, sw, ph, pw)
-        gx = gk = None
-        if needs[0]:
-            gx = (gcols @ w2.T).reshape(b, h, w, ci).transpose(0, 3, 1, 2)
-            gx = np.ascontiguousarray(gx)
-        if needs[1]:
-            gk = (xf.T @ gcols).reshape(k.shape)
-        return gx, gk
+        gp = _pad_nhwc(g, ph, pw)
+        gx = np.empty((b, h, w, ci), dtype=g.dtype) if needs[0] else None
+        gk = np.zeros(w2.shape, dtype=g.dtype) if needs[1] else None
+        for s in blocks:
+            gcols = _im2col(gp[s], kh, kw, sh, sw)
+            if needs[0]:
+                np.matmul(gcols, w2.T, out=gx[s].reshape(-1, ci))
+            if needs[1]:
+                gk += _rows(x.data[s]).T @ gcols
+        return (
+            np.ascontiguousarray(gx.transpose(0, 3, 1, 2)) if needs[0] else None,
+            gk.reshape(ci, kh, kw, co).transpose(0, 3, 1, 2) if needs[1] else None,
+        )
 
-    return _record(out, (x, k), bwd)
+    return _record(_crop_nchw(outp, ph, pw), (x, k), bwd)
 
 
 def max_pool2d(x: Tensor) -> Tensor:
@@ -140,28 +196,25 @@ def max_pool2d(x: Tensor) -> Tensor:
     """
     if x.ndim != 4:
         raise ValueError("max_pool2d expects a 4-D tensor")
-    b, c, h, w = x.shape
+    _, _, h, w = x.shape
     if h < 2 or w < 2:
         raise ValueError(f"spatial dims {h}x{w} smaller than the 2x2 window")
     ho, wo = h // 2, w // 2
-    crop = x.data[:, :, : 2 * ho, : 2 * wo]
-    blocks = crop.reshape(b, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5)
-    flat = blocks.reshape(b, c, ho, wo, 4)
-    idx = np.argmax(flat, axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    quads = [(slice(None), slice(None), slice(i, 2 * ho, 2), slice(j, 2 * wo, 2))
+             for i in (0, 1) for j in (0, 1)]
+    q = [x.data[idx] for idx in quads]
+    out = np.maximum(np.maximum(q[0], q[1]), np.maximum(q[2], q[3]))
 
     def bwd(g, needs):
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
-        gcrop = gflat.reshape(b, c, ho, wo, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-        gcrop = gcrop.reshape(b, c, 2 * ho, 2 * wo)
-        if (2 * ho, 2 * wo) == (h, w):
-            return (gcrop,)
-        gx = np.zeros_like(x.data)
-        gx[:, :, : 2 * ho, : 2 * wo] = gcrop
+        gx = np.zeros_like(x.data, dtype=g.dtype)
+        free = np.ones(out.shape, dtype=bool)
+        for idx, qi in zip(quads, q):
+            hit = free & (qi == out)
+            np.multiply(g, hit, out=gx[idx])
+            free &= ~hit
         return (gx,)
 
-    return _record(np.ascontiguousarray(out), (x,), bwd)
+    return _record(out, (x,), bwd)
 
 
 def adaptive_avg_pool(x: Tensor, out_hw) -> Tensor:

@@ -332,13 +332,16 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / np.sum(e, axis=axis, keepdims=True)
+    out = a.data - np.max(a.data, axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
 
     def bwd(g, needs):
-        inner = np.sum(g * out, axis=axis, keepdims=True)
-        return ((g - inner) * out,)
+        gx = g * out
+        inner = np.sum(gx, axis=axis, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx *= out
+        return (gx,)
 
     return _record(out, (a,), bwd)
 

@@ -1,9 +1,11 @@
 import gc
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mbce.autodiff import (
     NumericFault,
@@ -30,6 +32,7 @@ from mbce.autodiff import (
     sub,
     tensor_sum,
 )
+from mbce.autodiff.convops import _COL_BUDGET
 
 RNG = np.random.default_rng(2024)
 
@@ -180,6 +183,110 @@ class TestConvTranspose2d:
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+def conv_reference(x, k, y, stride, pad):
+    """``conv2d(x, k)`` and the gradients of ``<y, conv2d(x, k)>`` with respect
+    to ``x`` and ``k``, in float64 by einsum over sliding windows."""
+    (sh, sw), (ph, pw) = stride, pad
+    kh, kw = k.shape[2:]
+    h, w = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
+    ho, wo = win.shape[2:4]
+    out = np.einsum("bchwij,ocij->bohw", win, k)
+    gk = np.einsum("bohw,bchwij->ocij", y, win)
+    gwin = np.einsum("bohw,ocij->bchwij", y, k)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + sh * ho : sh, j : j + sw * wo : sw] += gwin[..., i, j]
+    return out, gxp[:, :, ph : ph + h, pw : pw + w], gk
+
+
+def value_and_grads(op, x, k, y):
+    """``op(x, k)`` and the gradients of ``<y, op(x, k)>`` from the tape."""
+    xt, kt = Tensor(x, requires_grad=True), Tensor(k, requires_grad=True)
+    with Tape() as tape:
+        out = op(xt, kt)
+        loss = tensor_sum(mul(out, Tensor(y)))
+    tape.backward(loss)
+    return out.data, xt.grad, kt.grad
+
+
+class TestConvBlocks:
+    """Shapes whose columns span several ``_COL_BUDGET`` blocks, or whose one
+    sample alone exceeds a block, against the einsum reference."""
+
+    CASES = [
+        # (input shape, c_out, stride, pad)
+        ((1, 8, 72, 72), 3, (1, 1), (1, 1)),
+        ((4, 16, 32, 32), 4, (1, 1), (1, 1)),
+        ((4, 16, 34, 34), 4, (1, 1), (0, 0)),
+        ((3, 8, 96, 96), 3, (2, 2), (1, 1)),
+        ((3, 8, 96, 96), 3, (1, 2), (0, 0)),
+    ]
+
+    @staticmethod
+    def crosses_blocks(per_sample, b):
+        """One sample's columns exceed a block, or the batch spans >= 3 blocks."""
+        per_block = max(1, _COL_BUDGET // per_sample)
+        return per_sample > _COL_BUDGET or -(-b // per_block) >= 3
+
+    @staticmethod
+    def grid(shape, stride, pad):
+        """conv2d output grid of a 3x3 kernel over the input ``shape``."""
+        return tuple((n + 2 * p - 3) // s + 1 for n, s, p in zip(shape[2:], stride, pad))
+
+    @pytest.mark.parametrize("shape,co,stride,pad", CASES)
+    def test_conv2d(self, shape, co, stride, pad):
+        b, ci = shape[:2]
+        ho, wo = self.grid(shape, stride, pad)
+        x, k = RNG.normal(size=shape), RNG.normal(size=(co, ci, 3, 3))
+        y = RNG.normal(size=(b, co, ho, wo))
+        ref_out, ref_gx, ref_gk = conv_reference(x, k, y, stride, pad)
+        assert self.crosses_blocks(ho * wo * ci * 9, b)
+
+        out, gx, gk = value_and_grads(lambda a, c: conv2d(a, c, stride, pad), x, k, y)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(gx, ref_gx, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(gk, ref_gk, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("shape,co,stride,pad", CASES)
+    def test_conv_transpose2d(self, shape, co, stride, pad):
+        # conv_transpose2d(x, k) maps the conv2d output grid back to ``shape``:
+        # it is the input gradient of <x, conv2d(z, k)>, and the gradients of
+        # <y, conv_transpose2d(x, k)> are conv2d(y, k) and d<x, conv2d(y, k)>/dk.
+        b, cz = shape[:2]
+        h, w = self.grid(shape, stride, pad)
+        k = RNG.normal(size=(co, cz, 3, 3))
+        x, y = RNG.normal(size=(b, co, h, w)), RNG.normal(size=shape)
+        ref_gx, ref_out, ref_gk = conv_reference(y, k, x, stride, pad)
+        assert self.crosses_blocks(h * w * cz * 9, b)
+
+        out, gx, gk = value_and_grads(
+            lambda a, c: conv_transpose2d(a, c, stride, pad, out_hw=shape[2:]), x, k, y
+        )
+        np.testing.assert_allclose(out, ref_out, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(gx, ref_gx, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(gk, ref_gk, rtol=1e-10, atol=1e-12)
+
+    def test_memory_peak_of_final_layer(self):
+        # The refine_step final conv: 32 -> 2 channels on [16, 32, 32, 32].
+        # Its full column matrix alone is 18.9 MB; one fwd+bwd stays well below.
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(16, 32, 32, 32)).astype(np.float32), requires_grad=True)
+        k = Tensor(rng.normal(size=(2, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = tensor_sum(conv2d(x, k, pad=1))
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and k.grad.shape == k.shape
+        assert peak <= 10e6
+
+
 class TestPooling:
     def test_constant_input(self):
         x = Tensor(np.full((1, 1, 4, 4), 5.0))
@@ -199,6 +306,28 @@ class TestPooling:
             out = tensor_sum(max_pool2d(x))
         tape.backward(out)
         np.testing.assert_array_equal(x.grad, [[[[1.0, 0.0], [0.0, 0.0]]]])
+
+    def test_odd_dims_match_reference_and_break_ties_in_scan_order(self):
+        # Small integers make ties common; row 4 and column 6 are cropped.
+        x = RNG.integers(0, 3, size=(2, 3, 5, 7)).astype(np.float64)
+        w = RNG.normal(size=(2, 3, 2, 3))
+        expect_out = np.zeros_like(w)
+        expect_gx = np.zeros_like(x)
+        for idx in np.ndindex(w.shape):
+            b, c, i, j = idx
+            window = x[b, c, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+            di, dj = divmod(int(np.argmax(window)), 2)
+            expect_out[idx] = window[di, dj]
+            expect_gx[b, c, 2 * i + di, 2 * j + dj] = w[idx]
+
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = max_pool2d(xt)
+            loss = tensor_sum(mul(out, Tensor(w)))
+        tape.backward(loss)
+        np.testing.assert_array_equal(out.data, expect_out)
+        np.testing.assert_array_equal(xt.grad, expect_gx)
+        assert not xt.grad[:, :, 4, :].any() and not xt.grad[:, :, :, 6].any()
 
     def test_adaptive_avg_pool_values(self):
         x = Tensor(np.arange(16.0).reshape(1, 1, 4, 4))

@@ -1,5 +1,5 @@
-"""Property tests of the pilot model, the OMP operator, channel synthesis and
-the two binary file formats."""
+"""Property tests of the pilot model, the OMP operator, channel synthesis, the
+convolution adjoint and the two binary file formats."""
 
 import math
 import tempfile
@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mbce.autodiff import Tensor, load_params, save_params
+from mbce.autodiff import Tensor, conv2d, conv_transpose2d, load_params, save_params
 from mbce.channel_model import (
     PULSE_SUPPORT,
     ArrayGeometry,
@@ -191,6 +191,30 @@ def test_synth_channel_matches_per_path_oracle(d, rays, beta):
             if abs(arg) <= PULSE_SUPPORT * ts:
                 expect[di] += ps.alphas[p] * raised_cosine(arg, cfg) * spatial
     np.testing.assert_allclose(h.taps, expect, rtol=1e-12, atol=1e-13)
+
+
+@PROPS
+@given(
+    dims=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4),
+                   st.integers(1, 12), st.integers(1, 12)),
+    kernel=st.tuples(st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5])),
+    stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    pad=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    seed=st.integers(0, 2**32),
+)
+def test_conv_transpose_is_adjoint_of_conv(dims, kernel, stride, pad, seed):
+    # <conv2d(x, k), y> == <x, conv_transpose2d(y, k)> for any geometry.
+    b, ci, co, h, w = dims
+    assume(all(n + 2 * p >= kn for n, p, kn in zip((h, w), pad, kernel)))
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(b, ci, h, w)))
+    k = Tensor(rng.normal(size=(co, ci, *kernel)))
+    fx = conv2d(x, k, stride, pad).data
+    y = Tensor(rng.normal(size=fx.shape))
+    back = conv_transpose2d(y, k, stride, pad, out_hw=(h, w)).data
+    scale = np.linalg.norm(fx) * np.linalg.norm(y.data)
+    np.testing.assert_allclose(np.sum(fx * y.data), np.sum(x.data * back),
+                               rtol=1e-10, atol=1e-12 * scale)
 
 
 finite32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
