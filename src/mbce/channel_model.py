@@ -201,7 +201,10 @@ def ura_response(az, el, geom: ArrayGeometry) -> np.ndarray:
 def rank_one_taps(w: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> ChannelTensor:
     """Taps ``H[d] = sum_l w[d, l] * outer(a_r[l], a_t[l])`` for weights
     ``w [D, L]`` and array responses ``a_r [L, Nr]``, ``a_t [L, Nt]``."""
-    return ChannelTensor(np.einsum("dl,lr,lt->drt", w, a_r, a_t))
+    # D small [Nr, L] @ [L, Nt] GEMMs, one per tap: each stays below OpenBLAS's
+    # threading threshold, unlike one big GEMM, and none runs einsum's naive
+    # D*L*Nr*Nt loop.
+    return ChannelTensor((w[:, None, :] * a_r.T) @ a_t)
 
 
 def raised_cosine(t, cfg: PulseConfig):

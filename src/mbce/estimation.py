@@ -187,7 +187,11 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     w = w.reshape((-1,) + (1,) * (est.ndim - 1))
     mag_q = mag[idx] * (1.0 - w) + mag[idx + 1] * w
     ph_q = phase[idx] * (1.0 - w) + phase[idx + 1] * w
-    return mag_q * np.exp(1j * ph_q)
+    out = np.empty(ph_q.shape, dtype=np.complex128)  # mag_q * exp(1j * ph_q)
+    np.cos(ph_q, out=out.real)
+    np.sin(ph_q, out=out.imag)
+    out *= mag_q
+    return out
 
 
 def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
@@ -334,14 +338,18 @@ class OmpDictionary:
     def adjoint(self, residual: np.ndarray, cfg: PilotConfig) -> np.ndarray:
         """Correlation ``[Nd, Gr, Gt]`` of a ``[P, Nr, Nt]`` residual with every atom.
 
-        Per pilot, ``conj(A_r) (R_k S^H) A_t^H`` correlates with every spatial
-        atom; the conjugate transpose of the pilot DFT rows at :attr:`delays`
-        then sums over pilots.
+        The pilot axis is contracted first, on the small residual:
+        ``F^H [Nd, P] @ (R S^H) [P, Nr*Nt]``, with ``F`` the pilot DFT rows at
+        :attr:`delays`. Per delay, ``conj(A_r) Z_d A_t^H`` then correlates with
+        every spatial atom, tx first. The returned array is the only one of
+        the full grid's size.
         """
         r_s = residual @ self._pilot_matrix(cfg).conj().T
-        spatial = np.conj(self._a_r) @ (r_s @ np.conj(self._a_t).T)  # [P, Gr, Gt]
-        corr = _pilot_dft(cfg, self.delays).conj().T @ spatial.reshape(len(spatial), -1)
-        return corr.reshape(self.shape) / self._norm
+        z = _pilot_dft(cfg, self.delays).conj().T @ r_s.reshape(len(r_s), -1)  # [Nd, Nr*Nt]
+        z = z.reshape(len(z), *r_s.shape[1:]) @ np.conj(self._a_t).T  # [Nd, Nr, Gt]
+        corr = np.conj(self._a_r) @ z  # [Nd, Gr, Gt]
+        corr /= self._norm
+        return corr
 
     def gram_factors(self, cfg: PilotConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Factors ``kd [Nd, Nd]``, ``kr [Gr, Gr]``, ``kt [Gt, Gt]`` of the Gram
@@ -390,16 +398,25 @@ def omp_estimate(
     pick and solves two triangular systems against ``alpha0[I]``. A pick whose
     new squared pivot is at most ``1e-10`` times its own Gram entry lies in
     the span of the atoms already selected: the refit is rank-deficient, so
-    that atom is dropped and the pursuit stops.
+    that atom is dropped and the pursuit stops. Each call allocates two
+    grid-sized buffers, the complex residual correlation and its magnitude,
+    and every iteration refills them in place.
 
     Stops after ``k_max`` atoms or once the residual norm, of
     ``y - forward(selected, gains)``, drops to ``resid_tol`` times the
-    observation norm. A residual that grows across an iteration raises
+    observation norm. ``k_max`` is an integer ``>= 1`` and ``resid_tol`` finite
+    and ``>= 0``. A residual that grows across an iteration raises
     ``FloatingPointError``. The observation must come from ``cfg``'s pilot
     placement and have the dictionary's ``(Nr, Nt)``.
     """
+    try:
+        k_max = operator.index(k_max)
+    except TypeError:
+        raise ValueError(f"k_max must be an integer, got {k_max!r}") from None
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    if not (math.isfinite(resid_tol) and resid_tol >= 0):
+        raise ValueError(f"resid_tol must be finite and >= 0, got {resid_tol}")
     _check_placement(obs, cfg)
     dc = dictionary
     arrays = (dc.rx_geom.size, dc.tx_geom.size)
@@ -409,7 +426,10 @@ def omp_estimate(
     resid_norms = [y_norm]
     alpha0 = dc.adjoint(obs.y, cfg)
     kd, kr, kt = dc.gram_factors(cfg)
-    nd, gr = dc.shape[:2]
+    nd, gr, gt = dc.shape
+    alpha0_2d = alpha0.reshape(nd * gr, gt)
+    resid_corr = np.empty_like(alpha0_2d)  # alpha0 - G[:, I] g, refilled each pick
+    corr = np.empty(dc.n_atoms)  # |resid_corr|, flat atom order
     chol = np.zeros((k_max, k_max), dtype=np.complex128)  # lower, G[I, I] = L L^H
     selected: list[int] = []
     gains = np.zeros(0, dtype=np.complex128)
@@ -417,8 +437,10 @@ def omp_estimate(
     while len(selected) < k_max and resid_norms[-1] > resid_tol * y_norm:
         k = len(selected)
         d, r, t = np.unravel_index(np.asarray(selected, dtype=np.int64), dc.shape)
-        fit = ((kd[:, d] * gains)[:, None, :] * kr[None, :, r]).reshape(nd * gr, k) @ kt[:, t].T
-        corr = np.abs(alpha0 - fit.reshape(dc.shape)).ravel()
+        left = ((kd[:, d] * gains)[:, None, :] * kr[None, :, r]).reshape(nd * gr, k)
+        np.matmul(left, kt[:, t].T, out=resid_corr)
+        np.subtract(alpha0_2d, resid_corr, out=resid_corr)
+        np.abs(resid_corr, out=corr.reshape(resid_corr.shape))
         corr[selected] = 0.0
         pick = int(np.argmax(corr))
 

@@ -11,6 +11,7 @@ from mbce.channel_model import (
     PulseConfig,
     channel_frequency_response,
     raised_cosine,
+    rank_one_taps,
     steering_vector,
     synth_channel,
     ura_response,
@@ -306,6 +307,21 @@ class TestFrequencyResponse:
         h = ChannelTensor(np.zeros((4, 2, 2)))
         with pytest.raises(ValueError):
             channel_frequency_response(h, 3)
+
+
+@pytest.mark.parametrize("n_terms", [0, 1, 7])
+def test_rank_one_taps_matches_per_term_sum(n_terms):
+    rng = np.random.default_rng(n_terms)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    w, a_r, a_t = cplx(5, n_terms), cplx(n_terms, 3), cplx(n_terms, 4)
+    expect = np.zeros((5, 3, 4), dtype=np.complex128)
+    for d in range(5):
+        for l in range(n_terms):
+            expect[d] += w[d, l] * np.outer(a_r[l], a_t[l])
+    np.testing.assert_allclose(rank_one_taps(w, a_r, a_t).taps, expect, rtol=1e-12, atol=1e-12)
 
 
 def test_channel_tensor_validates_finiteness():

@@ -383,6 +383,24 @@ class TestOmp:
             rhs = np.vdot(x, self.dict.adjoint(r, self.cfg).ravel()[picks])
             assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
+    def test_adjoint_is_the_dense_conjugate_transpose(self):
+        # Every atom's forward image is a column of the dense operator A;
+        # adjoint(r) must equal A^H r for a full residual, not only at a few picks.
+        rng = np.random.default_rng(41)
+        cfg = PilotConfig(n_sc=16, n_pilot=5, nt=4, placement=(0, 2, 3, 9, 14))
+        dc = OmpDictionary(
+            delays=[3, 0, 5],
+            rx_dirs=rng.uniform(-1, 1, size=(3, 2)),
+            tx_dirs=rng.uniform(-1, 1, size=(5, 2)),
+            rx_geom=self.rx,
+            tx_geom=self.tx,
+        )
+        a = np.stack([dc.forward([j], [1.0], cfg).ravel() for j in range(dc.n_atoms)], axis=1)
+        r = rng.normal(size=(5, 2, 4)) + 1j * rng.normal(size=(5, 2, 4))
+        expect = (a.conj().T @ r.ravel()).reshape(dc.shape)
+        got = dc.adjoint(r, cfg)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
+
     def test_synthesis_matches_atom_convention(self):
         # atom (d, r, t) = delta(tap=delays[d]) x outer(a_r[r], a_t[t]) / sqrt(Nr*Nt)
         def steer(dirs, geom):
@@ -396,6 +414,18 @@ class TestOmp:
             ) / np.sqrt(8.0)
             taps = self.dict.synthesize([flat], [1.0]).taps
             np.testing.assert_allclose(taps, expect, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k_max", [2.5, "3", None])
+    def test_rejects_non_integer_k_max(self, k_max):
+        obs = transmit_pilots(self.dict.synthesize([5], [1.0]), self.cfg, 0)
+        with pytest.raises(ValueError, match="k_max"):
+            omp_estimate(obs, self.cfg, self.dict, k_max=k_max)
+
+    @pytest.mark.parametrize("resid_tol", [np.nan, np.inf, -0.1])
+    def test_rejects_bad_resid_tol(self, resid_tol):
+        obs = transmit_pilots(self.dict.synthesize([5], [1.0]), self.cfg, 0)
+        with pytest.raises(ValueError, match="resid_tol"):
+            omp_estimate(obs, self.cfg, self.dict, k_max=2, resid_tol=resid_tol)
 
     def test_pure_noise_with_unit_tolerance_selects_nothing(self):
         y = np.random.default_rng(5).normal(size=(8, 2, 4)) + 0j

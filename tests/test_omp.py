@@ -13,6 +13,7 @@ import json
 import math
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,28 @@ def test_selected_atoms_match_recorded(case):
     res = omp_estimate(link(case["seed"]), CFG, DICTIONARY, K_MAX, return_info=True)
     assert res.selected == case["selected"]
     np.testing.assert_allclose(res.residual_norms, case["residual_norms"], rtol=1e-9, atol=0)
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes traced by ``tracemalloc`` during one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adjoint_makes_no_grid_sized_temporary():
+    # The 262,144-atom correlation itself is 4 MiB of complex128.
+    obs = link(0)
+    assert traced_peak(DICTIONARY.adjoint, obs.y, CFG) <= 6 * 2**20
+
+
+def test_omp_holds_two_grid_buffers_besides_the_correlation():
+    # alpha0 (4 MiB), the residual correlation (4 MiB) and its magnitude (2 MiB).
+    obs = link(0)
+    assert traced_peak(omp_estimate, obs, CFG, DICTIONARY, K_MAX) <= 12 * 2**20
 
 
 if __name__ == "__main__":

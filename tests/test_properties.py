@@ -25,6 +25,7 @@ from mbce.channel_model import (
 from mbce.estimation import (
     OmpDictionary,
     PilotConfig,
+    interpolate_full_band,
     omp_estimate,
     transmit_pilots,
 )
@@ -58,6 +59,26 @@ def test_noiseless_pilots_are_band_response_rows(grid, nr, nt, seed):
     cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=nt, placement=placement)
     expect = channel_frequency_response(h, n_sc)[list(placement)] @ cfg.pilot_matrix
     np.testing.assert_allclose(transmit_pilots(h, cfg, 0).y, expect, rtol=0, atol=1e-12 * d)
+
+
+@PROPS
+@given(
+    grid=pilot_grids(), dims=st.tuples(*[st.integers(1, 3)] * 2), seed=st.integers(0, 2**32)
+)
+def test_interpolation_is_per_entry_interp_of_magnitude_and_phase(grid, dims, seed):
+    n_sc, _, placement = grid
+    rng = np.random.default_rng(seed)
+    shape = (len(placement),) + dims
+    est = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=1, placement=placement)
+    expect = np.empty((n_sc,) + dims, dtype=np.complex128)
+    for i, j in np.ndindex(dims):
+        entry = est[:, i, j]
+        mag = np.interp(np.arange(n_sc), placement, np.abs(entry))
+        phase = np.interp(np.arange(n_sc), placement, np.unwrap(np.angle(entry)))
+        expect[:, i, j] = mag * np.exp(1j * phase)
+    got = interpolate_full_band(est, cfg)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(est).max())
 
 
 @PROPS
