@@ -410,9 +410,15 @@ def trace_paths(
     scale = _gain_scale(scene.wavelength, calib)
     orders = []
     for verts, _ in _trace(g, rx):
-        segs, lengths, dist, efield = _unfold(verts, scene)
+        segs, _, dist, efield = _unfold(verts, scene)
+        # Facets are axis-aligned, so each segment runs along the unfolded path up to
+        # the signs of its components. Their summed magnitudes give that direction
+        # without the rounding of a short first or last segment (an endpoint next to
+        # a wall); the end segments give only the signs.
+        span = np.abs(segs).sum(axis=1)
+        span /= np.linalg.norm(span, axis=1, keepdims=True)
         # u[0]: direction the wave arrives from, seen at rx; u[1]: departure from tx
-        u = np.stack([-segs[:, -1] / lengths[:, -1:], segs[:, 0] / lengths[:, :1]])
+        u = np.stack([np.copysign(span, -segs[:, -1]), np.copysign(span, segs[:, 0])])
         az = np.arctan2(u[..., 1], u[..., 0])
         el = np.arcsin(np.clip(u[..., 2], -1.0, 1.0))
         orders.append((efield, dist / C0, az[0], el[0], az[1], el[1]))

@@ -327,13 +327,18 @@ class TestOmpDictionaryChecks:
             dict(rx_dirs=[[0.0, np.nan]]),
             dict(tx_dirs=[[np.inf, 0.0]]),
             dict(tx_dirs=[[0.0, 0.0], [-np.inf, 0.0]]),
+            dict(delays=[0.5, 1.7]),
+            dict(delays=[[0, 1]]),
+            dict(rx_dirs=np.zeros((2, 3))),
+            dict(tx_dirs=np.zeros((2, 1))),
         ],
-        ids=["negative-delay", "rx-nan", "tx-inf", "tx-minus-inf"],
+        ids=["negative-delay", "rx-nan", "tx-inf", "tx-minus-inf", "float-delays",
+             "2d-delays", "rx-triples", "tx-singles"],
     )
     def test_rejects(self, kw):
         geom = ArrayGeometry(2, 1)
         good = dict(delays=[0, 1], rx_dirs=[[0.0, 0.0]], tx_dirs=[[0.0, 0.0]])
-        with pytest.raises(ValueError, match="delays|cosines"):
+        with pytest.raises(ValueError, match="delays|cosine"):
             OmpDictionary(**{**good, **kw}, rx_geom=geom, tx_geom=geom)
 
 
@@ -444,6 +449,19 @@ class TestOmp:
         res = omp_estimate(obs, cfg, dc, k_max=4, return_info=True)
         assert res.selected == [0, 1]
         assert len(res.gains) == 2
+        assert len(res.residual_norms) == 3
+
+    def test_repeated_delay_ties_go_to_the_lower_index(self):
+        # Delays [1, 1] make slab 1 a copy of slab 0, so every pick ties an atom
+        # with its twin; once both directions are fitted, only twins remain and
+        # the next pick is rank-deficient.
+        cfg = PilotConfig(n_sc=8, n_pilot=4, nt=1)
+        dc = OmpDictionary(delays=[1, 1], rx_dirs=[[-1.0, 0.0], [0.0, 0.0]],
+                           tx_dirs=[[0.0, 0.0]], rx_geom=ArrayGeometry(2, 1),
+                           tx_geom=ArrayGeometry(1, 1))
+        obs = PilotObservation(y=dc.forward([0, 1], [2.0, 1.0], cfg), placement=cfg.placement)
+        res = omp_estimate(obs, cfg, dc, k_max=4, return_info=True)
+        assert res.selected == [0, 1]
         assert len(res.residual_norms) == 3
 
     def test_residual_norms_non_increasing(self):

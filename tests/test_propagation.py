@@ -208,6 +208,9 @@ class TestTracePaths:
     )
     @example(buildings=[Box(30.0, 40.0, -60.0, 60.0, 0.0, 50.0)], a=(0.0, -20.0, 10.0),
              b=(5.0, 25.0, 3.0))
+    # An endpoint a hair off a wall: its reflected paths' end segments are ~1e-7 m long.
+    @example(buildings=[Box(0.0, 2.0, 0.0, 2.0, 0.0, 3.0)], a=(-3.0, 0.0, 1.0),
+             b=(-5.960464477539063e-08, 0.0, 2.0))
     def test_reciprocity_of_geometry(self, buildings, a, b):
         assume(math.dist(a[:2], b[:2]) > 1.0)
         assume(not any(box.contains(p) for box in buildings for p in (a, b)))
