@@ -1,8 +1,8 @@
 """Flat binary parameter checkpoints: magic MBWT, version 1.
 
-Layout: magic, u32 version, u32 tensor count, then per tensor (sorted by
-name): u16 name length, name bytes (utf-8), u8 rank, u32 dims, f32 data
-little-endian.
+Layout, little-endian: magic, u32 version, u32 tensor count, then per tensor
+(sorted by name, each name once): u16 name length, name bytes (utf-8), u8
+rank, u32 dims, f32 data in C order.
 """
 
 from __future__ import annotations
@@ -20,9 +20,17 @@ CHECKPOINT_MAGIC = b"MBWT"
 
 
 def save_params(params: dict[str, Tensor], path) -> None:
+    """Write ``params`` in the module's layout, as float32.
+
+    A value beyond the float32 range, a name longer than 65535 utf-8 bytes or
+    a rank above 255 raises ``ValueError`` and writes nothing.
+    """
     chunks = [struct.pack("<4sII", CHECKPOINT_MAGIC, 1, len(params))]
     for name in sorted(params):
-        data = params[name].data.astype("<f4", copy=False)
+        data = params[name].data
+        if np.any(np.abs(data) > np.finfo(np.float32).max):
+            raise ValueError(f"parameter {name!r} has values beyond the float32 range")
+        data = data.astype("<f4", copy=False)
         raw_name = name.encode("utf-8")
         if len(raw_name) > 0xFFFF:
             raise ValueError(f"parameter name too long: {name[:32]}...")
@@ -38,7 +46,11 @@ def save_params(params: dict[str, Tensor], path) -> None:
 
 
 def load_params(path) -> dict[str, Tensor]:
-    """Read a checkpoint; a malformed or truncated file raises ``ValueError``."""
+    """Read a checkpoint that :func:`save_params` wrote.
+
+    A malformed or truncated file, trailing bytes, a repeated name and
+    non-finite values raise ``ValueError``.
+    """
     with open(path, "rb") as fh:
         raw = memoryview(fh.read())
     off = 0
@@ -65,6 +77,10 @@ def load_params(path) -> dict[str, Tensor]:
         (rank,) = unpack("<B")
         dims = unpack(f"<{rank}I")
         data = np.frombuffer(take(4 * math.prod(dims)), dtype="<f4").reshape(dims)
+        if name in params:
+            raise ValueError(f"parameter {name!r} appears twice")
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"parameter {name!r} holds non-finite values")
         params[name] = Tensor(data.astype(np.float32), requires_grad=True)
     if off != len(raw):
         raise ValueError("trailing bytes after last tensor record")

@@ -24,6 +24,8 @@ kernel gradient over the blocks.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .engine import Tensor, _record
@@ -36,11 +38,22 @@ __all__ = ["conv2d", "conv_transpose2d", "max_pool2d", "adaptive_avg_pool"]
 _COL_BUDGET = 2**18
 
 
-def _pair(v):
-    if np.isscalar(v):
-        return int(v), int(v)
-    a, b = v
-    return int(a), int(b)
+def _pair(v, name):
+    """``(v, v)`` for an integer ``v``, else the integer pair ``v``; ``ValueError``
+    for anything else."""
+    try:
+        a, b = (v, v) if np.isscalar(v) else v
+        return operator.index(a), operator.index(b)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer or a pair of integers, got {v!r}") from None
+
+
+def _stride_pad(stride, pad):
+    """Integer ``(sh, sw)`` and ``(ph, pw)``, each stride >= 1 and each pad >= 0."""
+    (sh, sw), (ph, pw) = _pair(stride, "stride"), _pair(pad, "pad")
+    if sh < 1 or sw < 1 or ph < 0 or pw < 0:
+        raise ValueError(f"need stride >= 1 and pad >= 0, got stride {stride!r}, pad {pad!r}")
+    return (sh, sw), (ph, pw)
 
 
 def _conv_out(size, k, s, p):
@@ -99,9 +112,11 @@ def _col2im(cols, xp, kh, kw, sh, sw):
 
 
 def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
-    """Batched NCHW cross-correlation with kernel ``[c_out, c_in, kh, kw]``."""
-    sh, sw = _pair(stride)
-    ph, pw = _pair(pad)
+    """Batched NCHW cross-correlation with kernel ``[c_out, c_in, kh, kw]``.
+
+    ``stride`` (>= 1) and ``pad`` (>= 0) are integers or ``(h, w)`` pairs of them.
+    """
+    (sh, sw), (ph, pw) = _stride_pad(stride, pad)
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
     co, ci, kh, kw = k.shape
@@ -138,25 +153,21 @@ def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
     return _record(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, k), bwd)
 
 
-def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, out_hw=None) -> Tensor:
+def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, *, out_hw) -> Tensor:
     """Adjoint geometry of conv2d, kernel ``[c_in, c_out, kh, kw]``.
 
-    Output spatial dims default to ``(in - 1)*stride - 2*pad + k``; pass
-    ``out_hw`` to select any size whose conv2d shape map returns the input
-    dims (stride > 1 leaves that ambiguous).
+    ``stride`` and ``pad`` are as in :func:`conv2d`. The output spatial dims
+    ``out_hw`` must be a size that conv2d's shape map, with the same kernel,
+    stride and pad, takes back to the input dims (stride > 1 leaves several).
     """
-    sh, sw = _pair(stride)
-    ph, pw = _pair(pad)
+    (sh, sw), (ph, pw) = _stride_pad(stride, pad)
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError("conv_transpose2d expects 4-D input and kernel")
     ci, co, kh, kw = k.shape
     b, c, h, w = x.shape
     if c != ci:
         raise ValueError(f"input channels {c} != kernel channels {ci}")
-    if out_hw is None:
-        ho, wo = (h - 1) * sh - 2 * ph + kh, (w - 1) * sw - 2 * pw + kw
-    else:
-        ho, wo = _pair(out_hw)
+    ho, wo = _pair(out_hw, "out_hw")
     if ho < 1 or wo < 1:
         raise ValueError("empty transposed-convolution output")
     if _conv_out(ho, kh, sh, ph) != h or _conv_out(wo, kw, sw, pw) != w:
@@ -221,7 +232,7 @@ def adaptive_avg_pool(x: Tensor, out_hw) -> Tensor:
     """Average pooling onto a fixed output grid (same cell split as torch)."""
     if x.ndim != 4:
         raise ValueError("adaptive_avg_pool expects a 4-D tensor")
-    oh, ow = _pair(out_hw)
+    oh, ow = _pair(out_hw, "out_hw")
     b, c, h, w = x.shape
     if oh < 1 or ow < 1 or oh > h or ow > w:
         raise ValueError(f"bad adaptive pool target {oh}x{ow} for input {h}x{w}")

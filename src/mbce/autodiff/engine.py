@@ -302,28 +302,20 @@ def concat(tensors, axis: int) -> Tensor:
     return _record(out, tensors, bwd)
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor of ``a``'s dtype."""
     # float64 accumulator regardless of storage dtype
-    out = np.sum(a.data, axis=axis, keepdims=keepdims, dtype=np.float64).astype(a.dtype)
-    out = np.asarray(out)
+    out = np.asarray(np.sum(a.data, dtype=np.float64).astype(a.dtype))
 
     def bwd(g, needs):
-        gg = np.asarray(g)
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, a.shape).astype(a.dtype, copy=True),)
+        return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
 
     return _record(out, (a,), bwd)
 
 
-def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        m = a.size
-    else:
-        axes = (axis,) if np.isscalar(axis) else tuple(axis)
-        m = int(np.prod([a.shape[i] for i in axes]))
-    s = tensor_sum(a, axis=axis, keepdims=keepdims)
-    return scale(s, 1.0 / m)
+def mean(a: Tensor) -> Tensor:
+    """Mean of every element, as a 0-d tensor of ``a``'s dtype."""
+    return scale(tensor_sum(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +338,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean/unit-variance over ``axes`` per remaining slice, then affine.
+    The variance is offset by ``1e-5`` before its square root is taken.
 
     ``gain``/``bias`` must broadcast against the input (e.g. per-channel
     ``[C, 1, 1]`` for NCHW feature maps, ``[D]`` for token embeddings).
@@ -359,7 +352,7 @@ def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor, eps: float = 1e-5) -
     var = np.mean(
         (x.astype(np.float64) - mu) ** 2, axis=axes, keepdims=True, dtype=np.float64
     )
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(var + 1e-5)).astype(x.dtype)
     mu = mu.astype(x.dtype)
     xhat = (x - mu) * inv_std
     out = xhat * gain.data + bias.data
@@ -386,8 +379,9 @@ def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor, eps: float = 1e-5) -
 # ---------------------------------------------------------------------------
 
 
-def grad_check(f, inputs, eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
+def grad_check(f, inputs) -> float:
+    """Max relative error between tape gradients and central differences of
+    step ``1e-5 * max(1, |x|)``.
 
     ``f`` maps the given tensors to a scalar Tensor. Inputs should be float64
     for tight comparisons. Returns ``max |g_ad - g_fd| / max(|g_ad|, |g_fd|,
@@ -410,7 +404,7 @@ def grad_check(f, inputs, eps: float = 1e-5) -> float:
         gflat = ga.ravel()
         for i in range(flat.size):
             orig = flat[i]
-            h = eps * max(1.0, abs(orig))
+            h = 1e-5 * max(1.0, abs(orig))
             flat[i] = orig + h
             f_plus = float(f(*xs).data)
             flat[i] = orig - h

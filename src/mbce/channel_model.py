@@ -34,15 +34,19 @@ __all__ = [
 PULSE_SUPPORT = 8.0  # pulse half-width in samples; beyond it, below 1e-4 for beta >= 0.1
 
 
+def _index(value, name: str) -> int:
+    """``value`` as the int that ``operator.index`` gives; ``ValueError`` naming
+    ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _index_fields(obj, *names: str) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as the int that
-    ``operator.index`` gives; ``ValueError`` if it is not an integer."""
+    """Store each named field of the frozen dataclass ``obj`` as :func:`_index` gives it."""
     for name in names:
-        value = getattr(obj, name)
-        try:
-            object.__setattr__(obj, name, operator.index(value))
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        object.__setattr__(obj, name, _index(getattr(obj, name), name))
 
 
 @dataclass(frozen=True)
@@ -176,8 +180,9 @@ def steering_vector(theta, n: int) -> np.ndarray:
 
     Element ``k`` (0-based) is ``exp(-1j * pi * k * theta)``; all entries have
     unit magnitude. ``theta`` is a scalar or an array; the result has shape
-    ``shape(theta) + (n,)``.
+    ``shape(theta) + (n,)``. The element count ``n`` is an integer ``>= 1``.
     """
+    n = _index(n, "element count")
     if n < 1:
         raise ValueError(f"element count must be >= 1, got {n}")
     k = np.arange(n, dtype=np.float64)
@@ -247,7 +252,9 @@ def synth_channel(
     Tap ``d`` receives ``alpha_l * f_p(d*ts - (toa_l - t_off))`` times the
     outer product of the receive and transmit array responses. Pulse
     contributions farther than ``PULSE_SUPPORT * ts`` from a tap are dropped.
+    The tap count ``d`` is an integer ``>= 1``.
     """
+    d = _index(d, "tap count")
     if d <= 0:
         raise ValueError(f"tap count must be >= 1, got {d}")
     if len(paths) == 0:
@@ -264,7 +271,9 @@ def channel_frequency_response(h: ChannelTensor, n_sc: int) -> np.ndarray:
 
     Returns an ``n_sc x Nr x Nt`` complex array. Inverse of
     :func:`mbce.estimation.to_time_domain` on noise-free full-band data.
+    ``n_sc`` is an integer no smaller than the tap count.
     """
+    n_sc = _index(n_sc, "subcarrier count")
     if n_sc < h.d:
         raise ValueError(f"subcarrier count {n_sc} must be >= tap count {h.d}")
     return np.fft.fft(h.taps, n=n_sc, axis=0)

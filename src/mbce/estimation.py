@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_model import ArrayGeometry, ChannelTensor, rank_one_taps, ura_from_cosines
-from .channel_model import _index_fields
+from .channel_model import _index, _index_fields
 
 __all__ = [
     "PilotConfig",
@@ -198,6 +198,7 @@ def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
     """Inverse DFT over subcarriers, truncated to the first ``d`` taps,
     ``1 <= d <= n_sc``."""
     n_sc = h_freq.shape[0]
+    d = _index(d, "tap count")
     if not 1 <= d <= n_sc:
         raise ValueError(f"need 1 <= tap count <= {n_sc} subcarriers, got {d}")
     taps = np.fft.ifft(h_freq, axis=0)[:d]
@@ -213,7 +214,10 @@ def coarse_estimate(h: ChannelTensor, cfg: PilotConfig, seed) -> ChannelTensor:
 
 
 def nmse(h_hat: ChannelTensor, h: ChannelTensor) -> float:
-    """Normalized mean-squared error ``||H - H_hat||^2 / ||H||^2``."""
+    """Normalized mean-squared error ``||H - H_hat||^2 / ||H||^2`` of two
+    channels of the same shape."""
+    if h_hat.taps.shape != h.taps.shape:
+        raise ValueError(f"estimate shape {h_hat.taps.shape} differs from reference {h.taps.shape}")
     num = float(np.sum(np.abs(h.taps - h_hat.taps) ** 2))
     den = h.energy()
     if den == 0:
@@ -417,7 +421,6 @@ def omp_estimate(
     cfg: PilotConfig,
     dictionary: OmpDictionary,
     k_max: int,
-    resid_tol: float = 0.0,
     return_info: bool = False,
 ):
     """Greedy matching pursuit over the angle/delay dictionary (Batch-OMP).
@@ -448,10 +451,9 @@ def omp_estimate(
     index wins, so the picks are those of a full-grid search. ``alpha0`` is
     the only grid-sized array a call holds.
 
-    Stops after ``k_max`` atoms or once the residual norm, of
-    ``y - forward(selected, gains)``, drops to ``resid_tol`` times the
-    observation norm. ``k_max`` is an integer ``>= 1`` and ``resid_tol`` finite
-    and ``>= 0``. A residual that grows across an iteration raises
+    Stops after ``k_max`` atoms, an integer ``>= 1``, once the residual
+    ``y - forward(selected, gains)`` is zero, or at a rank-deficient refit. A
+    residual norm that grows across an iteration raises
     ``FloatingPointError``. The observation must come from ``cfg``'s pilot
     placement and have the dictionary's ``(Nr, Nt)``.
     """
@@ -461,8 +463,6 @@ def omp_estimate(
         raise ValueError(f"k_max must be an integer, got {k_max!r}") from None
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if not (math.isfinite(resid_tol) and resid_tol >= 0):
-        raise ValueError(f"resid_tol must be finite and >= 0, got {resid_tol}")
     _check_placement(obs, cfg)
     dc = dictionary
     arrays = (dc.rx_geom.size, dc.tx_geom.size)
@@ -484,7 +484,7 @@ def omp_estimate(
     selected: list[int] = []
     gains = np.zeros(0, dtype=np.complex128)
 
-    while len(selected) < k_max and resid_norms[-1] > resid_tol * y_norm:
+    while len(selected) < k_max and resid_norms[-1] > 0.0:
         k = len(selected)
         d, r, t = np.unravel_index(np.asarray(selected, dtype=np.int64), dc.shape)
         kd_g, kr_sel, kt_sel = kd[:, d] * gains, kr[None, :, r], kt[:, t].T

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel_model import ChannelTensor, PathSet, _index_fields
+from .channel_model import ChannelTensor, PathSet, _index, _index_fields
 
 __all__ = [
     "ETA0",
@@ -53,7 +53,6 @@ __all__ = [
 
 ETA0 = 376.730          # intrinsic impedance of free space, ohms
 C0 = 2.99792458e8       # speed of light, m/s
-E0_REF = 1.0            # reference field, 1 V/m at 1 m
 
 RSS_MAP_MAGIC = b"RSSM"
 _PATH_CSV_COLUMNS = (
@@ -377,14 +376,13 @@ def _gain_scale(wavelength: float, calib: GainCalibration) -> float:
 
 
 def _unfold(verts: np.ndarray, scene: Scene):
-    """Segments, segment lengths, total lengths and fields
-    ``E = E0 * Gamma^b * exp(-2j*pi*d/lambda) / d`` of same-order paths."""
+    """Segments, total lengths and fields ``E = Gamma^b * exp(-2j*pi*d/lambda) / d``
+    (V/m, for a 1 V/m reference field at 1 m) of same-order paths."""
     segs = np.diff(verts, axis=1)
-    lengths = np.linalg.norm(segs, axis=2)
-    dist = lengths.sum(axis=1)
-    gamma = E0_REF * scene.reflection_coeff ** (verts.shape[1] - 2)
+    dist = np.linalg.norm(segs, axis=2).sum(axis=1)
+    gamma = scene.reflection_coeff ** (verts.shape[1] - 2)
     efield = gamma * np.exp(-2j * np.pi * dist / scene.wavelength) / dist
-    return segs, lengths, dist, efield
+    return segs, dist, efield
 
 
 def trace_paths(
@@ -398,7 +396,7 @@ def trace_paths(
     the ground and vertical building facets up to ``scene.max_bounces``, as
     one :class:`PathSet` whose columns list the paths by bounce order, then
     facet chain. An occluded receiver with no reflected path yields an empty
-    PathSet. ``fields`` holds ``E = E0 * Gamma^b * exp(-2j*pi*d/lambda) / d``
+    PathSet. ``fields`` holds ``E = Gamma^b * exp(-2j*pi*d/lambda) / d``
     and ``alphas`` the channel gains calibrated against ``calib`` (transmit
     power and array sizes). ``rx_position`` must be 3 finite values.
     """
@@ -410,7 +408,7 @@ def trace_paths(
     scale = _gain_scale(scene.wavelength, calib)
     orders = []
     for verts, _ in _trace(g, rx):
-        segs, _, dist, efield = _unfold(verts, scene)
+        segs, dist, efield = _unfold(verts, scene)
         # Facets are axis-aligned, so each segment runs along the unfolded path up to
         # the signs of its components. Their summed magnitudes give that direction
         # without the rounding of a short first or last segment (an endpoint next to
@@ -475,8 +473,9 @@ def generate_rss_map(
     :class:`RssMap` checks it, before any cell is traced. The outdoor cells
     are traced in chunks of about ``_LANE_BUDGET`` chain lanes, and each
     cell's fields are summed in path order, as :func:`trace_paths` lists them.
+    ``shape`` is two integers ``(rows, cols)``, each ``>= 1``.
     """
-    rows, cols = shape
+    rows, cols = (_index(n, "grid shape") for n in shape)
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
     values = np.zeros((rows, cols), dtype=np.float64)
@@ -489,7 +488,7 @@ def generate_rss_map(
     per_chunk = max(1, _LANE_BUDGET // sum(len(facets) for facets, _ in g.chains))
     for start in range(0, len(outdoor), per_chunk):
         chunk = outdoor[start : start + per_chunk]
-        orders = [(_unfold(verts, scene)[3], idx) for verts, idx in _trace(g, cells[chunk])]
+        orders = [(_unfold(verts, scene)[2], idx) for verts, idx in _trace(g, cells[chunk])]
         efield, idx = map(np.concatenate, zip(*orders))
         total = (np.bincount(idx, efield.real, len(chunk))
                  + 1j * np.bincount(idx, efield.imag, len(chunk)))
@@ -500,11 +499,12 @@ def generate_rss_map(
 def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
     """Extract a p x p window centered at the grid cell nearest ``ue_estimate``.
 
-    Cells outside the map are zero-padded. The estimate itself must be
-    finite and fall within map bounds.
+    Cells outside the map are zero-padded. The side ``p`` is an odd integer
+    ``>= 1``. The estimate itself must be finite and fall within map bounds.
     """
-    if p % 2 != 1:
-        raise ValueError(f"patch side must be odd, got {p}")
+    p = _index(p, "patch side")
+    if p < 1 or p % 2 != 1:
+        raise ValueError(f"patch side must be odd and >= 1, got {p}")
     rows, cols = rss_map.values.shape
     row, col = rss_map.nearest_cell(ue_estimate)
     if not (0 <= row < rows and 0 <= col < cols):
@@ -603,7 +603,9 @@ def import_paths(stream) -> list[tuple[int, PathSet]]:
 def save_rss_map(rss_map: RssMap, path) -> None:
     """Write the flat binary map format (magic RSSM, version 1).
 
-    Values are stored as float32; a value beyond its range raises
+    Layout, little-endian: the magic, u32 version, u32 rows, u32 cols, f64
+    origin x, f64 origin y, f64 spacing, f64 rx height, then the values as
+    f32 in row-major order. A value beyond the float32 range raises
     ``ValueError`` and writes nothing.
     """
     if np.any(rss_map.values > np.finfo(np.float32).max):
@@ -627,6 +629,12 @@ def save_rss_map(rss_map: RssMap, path) -> None:
 
 
 def load_rss_map(path) -> RssMap:
+    """Read a map that :func:`save_rss_map` wrote, in the layout given there.
+
+    A malformed or truncated file, bytes after the values, and values or
+    geometry that :class:`RssMap` rejects (non-finite or negative values, a
+    non-finite origin, a spacing that is not > 0) raise ``ValueError``.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     head_size = struct.calcsize("<4sIIIdddd")

@@ -1,4 +1,5 @@
 import gc
+import struct
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -144,11 +145,28 @@ class TestConv2d:
             conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))))
 
 
+@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+@pytest.mark.parametrize(
+    "stride,pad",
+    [(1.5, 0), (0, 0), ((1, 0), 0), (-1, 1), (1, -1), (1, (0, -1)), (1, 0.5), ("1", 0),
+     ((1, 2, 3), 0)],
+    ids=["float-stride", "zero-stride", "zero-stride-w", "negative-stride", "negative-pad",
+         "negative-pad-w", "float-pad", "str-stride", "triple-stride"],
+)
+def test_conv_geometry_rejected(op, stride, pad):
+    x, k = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
+    with pytest.raises(ValueError, match="stride|pad"):
+        if op == "conv2d":
+            conv2d(x, k, stride, pad)
+        else:
+            conv_transpose2d(x, k, stride, pad, out_hw=(4, 4))
+
+
 class TestConvTranspose2d:
     def test_single_pixel_copies_kernel(self):
         x = Tensor(np.full((1, 1, 1, 1), 2.0))
         k = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
-        out = conv_transpose2d(x, k, stride=2)
+        out = conv_transpose2d(x, k, stride=2, out_hw=(2, 2))
         np.testing.assert_allclose(out.data[0, 0], 2.0 * k.data[0, 0])
 
     def test_table_shape_chain(self):
@@ -165,8 +183,10 @@ class TestConvTranspose2d:
     @pytest.mark.parametrize("stride", [1, 2, (1, 2)])
     def test_gradients(self, stride):
         x, k = t64(2, 3, 3, 4), t64(3, 2, 3, 3)
+        sh, sw = (stride, stride) if np.isscalar(stride) else stride
+        out_hw = (2 * sh + 1, 3 * sw + 1)  # (in - 1)*stride - 2*pad + k, the smallest size
         err = grad_check(
-            lambda a, b: tensor_sum(conv_transpose2d(a, b, stride, 1)), (x, k)
+            lambda a, b: tensor_sum(conv_transpose2d(a, b, stride, 1, out_hw=out_hw)), (x, k)
         )
         assert err < 1e-5
 
@@ -521,7 +541,7 @@ class TestBackward:
 class TestNumericFault:
     def test_overflow_trips_fault(self):
         x = Tensor(np.array([1e30], dtype=np.float32))
-        with pytest.raises(NumericFault):
+        with pytest.raises(NumericFault), pytest.warns(RuntimeWarning, match="overflow"):
             mul(mul(x, x), x)
 
     def test_constructor_rejects_nan(self):
@@ -604,3 +624,27 @@ class TestCheckpoint:
             p.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match="truncated"):
                 load_params(p)
+
+    def test_values_beyond_float32_rejected_and_nothing_written(self, tmp_path):
+        path = tmp_path / "big.mbwt"
+        params = {"a": Tensor(np.ones(2)), "b": Tensor(np.array([1.0, -1e39]))}
+        with pytest.raises(ValueError, match="float32"):
+            save_params(params, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_raises_value_error(self, tmp_path, bad):
+        path = tmp_path / "bad.mbwt"
+        save_params({"w": Tensor(np.zeros(3, dtype=np.float32))}, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, len(raw) - 4, bad)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_params(path)
+
+    def test_repeated_name_raises_value_error(self, tmp_path):
+        record = struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1) + struct.pack("<f", 1.0)
+        path = tmp_path / "twice.mbwt"
+        path.write_bytes(struct.pack("<4sII", b"MBWT", 1, 2) + record + record)
+        with pytest.raises(ValueError, match="twice"):
+            load_params(path)

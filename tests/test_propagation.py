@@ -10,7 +10,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mbce import propagation
-from mbce.channel_model import ArrayGeometry, ChannelTensor, PathSet, PulseConfig, synth_channel
+from mbce.channel_model import (
+    ArrayGeometry,
+    ChannelTensor,
+    PathSet,
+    PulseConfig,
+    channel_frequency_response,
+    steering_vector,
+    synth_channel,
+)
+from mbce.estimation import to_time_domain
 from mbce.propagation import (
     C0,
     ETA0,
@@ -122,6 +131,30 @@ class TestInputChecks:
              "channel-nan", "channel-inf", "field-value-nan"],
     )
     def test_non_finite_scalar_rejected(self, call, match):
+        m = RssMap(origin=(0.0, 0.0), spacing=1.0, values=np.ones((4, 4)), rx_height=1.5)
+        with pytest.raises(ValueError, match=match):
+            call(m)
+
+    @pytest.mark.parametrize(
+        "call,match",
+        [
+            (lambda m: synth_channel(PathSet([1.0], [0.0], [0.0], [0.0], [0.0], [0.0]), 2.5,
+                                     PulseConfig(ts=1e-8), ArrayGeometry(1, 1),
+                                     ArrayGeometry(1, 1)), "tap count"),
+            (lambda m: to_time_domain(np.ones((4, 1, 1), dtype=complex), 2.5), "tap count"),
+            (lambda m: to_time_domain(np.ones((4, 1, 1), dtype=complex), "2"), "tap count"),
+            (lambda m: generate_rss_map(free_space(), (10.0, 0.0), 1.0, (2.5, 2), 1.5),
+             "grid shape"),
+            (lambda m: rss_patch_at(m, (1.0, 1.0), -1), "patch side"),
+            (lambda m: rss_patch_at(m, (1.0, 1.0), 2.5), "patch side"),
+            (lambda m: steering_vector(0.0, 2.5), "element count"),
+            (lambda m: channel_frequency_response(ChannelTensor(np.ones((2, 1, 1))), 2.5),
+             "subcarrier count"),
+        ],
+        ids=["synth-float-taps", "idft-float-taps", "idft-str-taps", "map-float-shape",
+             "patch-negative", "patch-float", "steering-float", "dft-float"],
+    )
+    def test_counts_must_be_integers(self, call, match):
         m = RssMap(origin=(0.0, 0.0), spacing=1.0, values=np.ones((4, 4)), rx_height=1.5)
         with pytest.raises(ValueError, match=match):
             call(m)
@@ -637,6 +670,18 @@ class TestRssMapIO:
         with pytest.raises(ValueError, match="float32"):
             save_rss_map(RssMap(np.zeros(2), 1.0, np.full((2, 2), 1e39), 1.5), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "edit", [lambda raw: raw[:10], lambda raw: raw[:-1], lambda raw: raw + b"\x00",
+                 lambda raw: raw[:-4] + struct.pack("<f", -1.0)],
+        ids=["cut-header", "cut-values", "trailing-byte", "negative-value"],
+    )
+    def test_malformed_file_raises_value_error(self, tmp_path, edit):
+        path = tmp_path / "map.rssm"
+        save_rss_map(RssMap(np.zeros(2), 1.0, np.ones((2, 3)), 1.5), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError):
+            load_rss_map(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rssm"
