@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import threading
 
 import numpy as np
@@ -289,8 +290,18 @@ def permute(a: Tensor, axes) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def _axis(value, name: str = "axis") -> int:
+    """``value`` as the int that ``operator.index`` gives; ``ValueError`` naming
+    ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def concat(tensors, axis: int) -> Tensor:
     tensors = tuple(tensors)
+    axis = _axis(axis)
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -324,6 +335,7 @@ def mean(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    axis = _axis(axis)
     out = a.data - np.max(a.data, axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= np.sum(out, axis=axis, keepdims=True)
@@ -345,7 +357,7 @@ def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
     ``gain``/``bias`` must broadcast against the input (e.g. per-channel
     ``[C, 1, 1]`` for NCHW feature maps, ``[D]`` for token embeddings).
     """
-    axes = (axes,) if np.isscalar(axes) else tuple(axes)
+    axes = tuple(_axis(ax, "axes") for ax in ((axes,) if np.isscalar(axes) else axes))
     x = a.data
     m = int(np.prod([x.shape[i] for i in axes]))
     mu = np.mean(x, axis=axes, keepdims=True, dtype=np.float64)

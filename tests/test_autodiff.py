@@ -415,6 +415,14 @@ class TestSoftmaxLayerNorm:
         )
         assert err < 1e-4
 
+    def test_softmax_rejects_non_integer_axis(self):
+        with pytest.raises(ValueError, match="axis"):
+            softmax(t64(2, 3), 1.5)
+
+    def test_layer_norm_rejects_non_integer_axis(self):
+        with pytest.raises(ValueError, match="axes"):
+            layer_norm(t64(2, 3), 1.5, t64(3), t64(3))
+
 
 class TestShapeOps:
     def test_reshape_permute_concat_gradients(self):
@@ -426,6 +434,10 @@ class TestShapeOps:
             return tensor_sum(mul(reshape(xp, (8, 8)), reshape(xp, (8, 8))))
 
         assert grad_check(f, (a, b)) < 1e-5
+
+    def test_concat_rejects_non_integer_axis(self):
+        with pytest.raises(ValueError, match="axis"):
+            concat((t64(2, 3), t64(2, 3)), 1.5)
 
     def test_mean_gradient(self):
         x = t64(3, 4)

@@ -9,6 +9,7 @@ from mbce.channel_model import (
     ChannelTensor,
     PathSet,
     PulseConfig,
+    channel_frequency_response,
     steering_vector,
     synth_channel,
 )
@@ -30,6 +31,17 @@ from mbce.estimation import (
 def random_channel(rng, d=4, nr=2, nt=4):
     taps = rng.normal(size=(d, nr, nt)) + 1j * rng.normal(size=(d, nr, nt))
     return ChannelTensor(taps)
+
+
+def interp_reference(est, placement, n_sc):
+    """Per-entry ``np.interp`` of magnitude and unwrapped phase, one entry at a time."""
+    flat = est.reshape(len(placement), -1)
+    out = np.empty((n_sc, flat.shape[1]), dtype=np.complex128)
+    for j, entry in enumerate(flat.T):
+        mag = np.interp(np.arange(n_sc), placement, np.abs(entry))
+        phase = np.interp(np.arange(n_sc), placement, np.unwrap(np.angle(entry)))
+        out[:, j] = mag * np.exp(1j * phase)
+    return out.reshape((n_sc,) + est.shape[1:])
 
 
 class TestTransmitPilots:
@@ -238,11 +250,51 @@ class TestInterpolation:
         edge_err = 4 * sum(math.sin(math.pi * 3 * j / 512) ** 2 for j in (1, 2, 3))
         assert freq_nmse == pytest.approx(edge_err / 512, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "n_sc, placement, dims",
+        [
+            (4096, (0, 4095), (2, 3)),
+            (65536, (0, 65535), (2, 3)),
+            (256, tuple(np.sort(np.random.default_rng(21).choice(256, 8, replace=False))), (16, 32)),
+        ],
+        ids=["gap4095", "gap65535", "random8of256"],
+    )
+    def test_long_gaps_match_per_entry_reference(self, n_sc, placement, dims):
+        rng = np.random.default_rng(n_sc)
+        shape = (len(placement),) + dims
+        est = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=1, placement=placement)
+        np.testing.assert_allclose(
+            interpolate_full_band(est, cfg),
+            interp_reference(est, placement, n_sc),
+            rtol=0,
+            atol=1e-12 * np.abs(est).max(),
+        )
+
     def test_single_pilot_constant_extrapolation(self):
         cfg = PilotConfig(n_sc=8, n_pilot=1, nt=1)
         est = np.array([[[2.0 + 1j]]])
         out = interpolate_full_band(est, cfg)
         np.testing.assert_allclose(out, np.full((8, 1, 1), 2.0 + 1j))
+
+
+class TestBenchSizeChain:
+    """The coarse chain at the benchmark's sizes: 32 comb pilots over 256
+    subcarriers, 4x4 rx and 8x4 tx arrays, 32 taps."""
+
+    def test_pilots_are_band_response_rows(self):
+        h = random_channel(np.random.default_rng(5), d=32, nr=16, nt=32)
+        cfg = PilotConfig(n_sc=256, n_pilot=32, nt=32)
+        hk = channel_frequency_response(h, 256)[list(cfg.placement)]
+        np.testing.assert_allclose(transmit_pilots(h, cfg, 0).y, hk @ cfg.pilot_matrix, rtol=1e-12)
+
+    def test_interpolation_and_idft_match_reference(self):
+        h = random_channel(np.random.default_rng(6), d=32, nr=16, nt=32)
+        cfg = PilotConfig(n_sc=256, n_pilot=32, nt=32, snr_db=10.0)
+        est = ls_estimate(transmit_pilots(h, cfg, 0), cfg)
+        want = np.fft.ifft(interp_reference(est, cfg.placement, 256), axis=0)[:32]
+        got = to_time_domain(interpolate_full_band(est, cfg), 32).taps
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 class TestToTimeDomain:
@@ -251,6 +303,10 @@ class TestToTimeDomain:
         h = to_time_domain(flat, 4)
         np.testing.assert_allclose(h.taps[0], np.full((2, 2), 1.5 + 0.5j), rtol=1e-12)
         np.testing.assert_allclose(h.taps[1:], 0, atol=1e-12)
+
+    def test_taps_do_not_hold_the_full_transform(self):
+        h = to_time_domain(np.ones((256, 2, 2), dtype=np.complex128), 4)
+        assert h.taps.base is None
 
     def test_inverse_pair(self):
         rng = np.random.default_rng(10)
