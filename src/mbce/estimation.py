@@ -5,7 +5,8 @@ pilot symbols forming the unitary DFT matrix across transmit antennas, so
 per-subcarrier least squares is its conjugate transpose. Noise is set by the
 SNR alone, so the transmit power cancels and is not a parameter. The
 coarse estimate interpolates magnitude and unwrapped phase across the band
-and transforms back to the tap domain with an inverse DFT.
+and transforms back to the tap domain with an inverse DFT. OMP pursues the
+same LS estimate, so the pilot matrix appears only in the pilot model.
 
 Everything is a pure function of (inputs, seed); Monte-Carlo trials can be
 parallelized across seeds.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +72,9 @@ class PilotConfig:
             raise ValueError(f"need nt >= 1 transmit antennas, got {self.nt}")
         if self.snr_db is not None and not math.isfinite(self.snr_db):
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
-        try:
-            placement = tuple(operator.index(k) for k in self.placement)
-        except TypeError:
-            raise ValueError(f"pilot placement must be integers, got {self.placement!r}") from None
+        if np.ndim(self.placement) != 1:
+            raise ValueError(f"pilot placement must be a sequence, got {self.placement!r}")
+        placement = tuple(_index(k, "pilot placement") for k in self.placement)
         object.__setattr__(self, "placement", placement or _comb_indices(self.n_sc, self.n_pilot))
         if len(self.placement) != self.n_pilot or any(
             b <= a for a, b in zip(self.placement, self.placement[1:])
@@ -122,7 +121,7 @@ def _pilot_response(h: ChannelTensor, cfg: PilotConfig) -> np.ndarray:
     if cfg.nt != h.nt:
         raise ValueError(f"pilot config is for Nt={cfg.nt}, channel has Nt={h.nt}")
     h_k = _pilot_dft(cfg, np.arange(h.d)) @ h.taps.reshape(h.d, -1)  # [P, Nr*Nt]
-    return h_k.reshape((-1,) + h.taps.shape[1:]) @ cfg.pilot_matrix
+    return (h_k.reshape(-1, h.nt) @ cfg.pilot_matrix).reshape((-1,) + h.taps.shape[1:])
 
 
 def transmit_pilots(h: ChannelTensor, cfg: PilotConfig, rng_seed) -> PilotObservation:
@@ -150,12 +149,16 @@ def _check_placement(obs: PilotObservation, cfg: PilotConfig) -> None:
 
 
 def ls_estimate(obs: PilotObservation, cfg: PilotConfig) -> np.ndarray:
-    """Per-pilot-subcarrier least squares: ``H_hat_k = Y_k S^{-1}``.
+    """Per-pilot-subcarrier least squares: ``H_hat_k = Y_k S^{-1} = Y_k S^H``.
 
-    The observation must come from ``cfg``'s pilot placement.
+    The observation must come from ``cfg``'s pilot placement and have
+    ``cfg.nt`` transmit antennas.
     """
     _check_placement(obs, cfg)
-    return obs.y @ cfg.pilot_matrix.conj().T
+    nt = obs.y.shape[-1]
+    if cfg.nt != nt:
+        raise ValueError(f"pilot config is for Nt={cfg.nt}, observation has Nt={nt}")
+    return (obs.y.reshape(-1, nt) @ cfg.pilot_matrix.conj().T).reshape(obs.y.shape)
 
 
 # Longest run of subcarriers stepped by complex multiplication from one exact
@@ -301,9 +304,10 @@ class OmpDictionary:
 
     :meth:`synthesize` maps atom indices and gains to taps (one-hot delay
     weights in :func:`~mbce.channel_model.rank_one_taps`), :meth:`forward`
-    observes them at the pilots (pilot DFT weights in the same tap sum), and
-    :meth:`adjoint` correlates a pilot residual with every atom through the
-    pilot DFT rows, conjugate-transposed. The two are adjoint:
+    gives their channel at the pilots, the noise-free :func:`ls_estimate`
+    (pilot DFT weights in the same tap sum), and :meth:`adjoint` correlates
+    an LS-domain residual with every atom through the pilot DFT rows,
+    conjugate-transposed. The two are adjoint:
     ``vdot(forward(x), r) == vdot(x, adjoint(r))`` for every sparse ``x`` and
     residual ``r``. Their Gram matrix ``adjoint(forward(.))`` is separable in
     delay, rx direction and tx direction; :meth:`gram_factors` gives its three
@@ -354,7 +358,10 @@ class OmpDictionary:
         oversample: int = 2,
     ) -> "OmpDictionary":
         """Default grid: delays at tap resolution, cosine grids of
-        ``oversample`` points per array element per axis."""
+        ``oversample`` points per array element per axis, an integer ``>= 1``."""
+        oversample = _index(oversample, "oversample")
+        if oversample < 1:
+            raise ValueError(f"oversample must be >= 1, got {oversample}")
 
         def axis_grid(n):
             g = oversample * n
@@ -372,14 +379,6 @@ class OmpDictionary:
             tx_geom=tx_geom,
         )
 
-    def _pilot_matrix(self, cfg: PilotConfig) -> np.ndarray:
-        """``cfg.pilot_matrix``, once ``cfg`` is known to be for this tx array."""
-        if cfg.nt != self.tx_geom.size:
-            raise ValueError(
-                f"pilot config is for Nt={cfg.nt}, dictionary has Nt={self.tx_geom.size}"
-            )
-        return cfg.pilot_matrix
-
     def synthesize(self, atoms, gains) -> ChannelTensor:
         """Taps ``sum_j gains[j] * atom[atoms[j]]``, ``max(delays) + 1`` of them."""
         di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
@@ -388,28 +387,28 @@ class OmpDictionary:
         return rank_one_taps(w, self._a_r[ri], self._a_t[ti])
 
     def forward(self, atoms, gains, cfg: PilotConfig) -> np.ndarray:
-        """Noise-free ``[P, Nr, Nt]`` pilot observation of :meth:`synthesize`.
+        """``[P, Nr, Nt]`` channel of :meth:`synthesize` at ``cfg``'s pilot
+        subcarriers: the noise-free LS estimate.
 
         Each atom's pilot DFT row at its delay weighs its rank-one term, so the
-        tap tensor is never formed; then ``S`` is applied.
+        tap tensor is never formed.
         """
-        s = self._pilot_matrix(cfg)
         di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
         w = _pilot_dft(cfg, self.delays[di]) * (np.asarray(gains) / self._norm)
-        return rank_one_taps(w, self._a_r[ri], self._a_t[ti]).taps @ s
+        return rank_one_taps(w, self._a_r[ri], self._a_t[ti]).taps
 
     def adjoint(self, residual: np.ndarray, cfg: PilotConfig) -> np.ndarray:
-        """Correlation ``[Nd, Gr, Gt]`` of a ``[P, Nr, Nt]`` residual with every atom.
+        """Correlation ``[Nd, Gr, Gt]`` of a ``[P, Nr, Nt]`` LS-domain residual
+        with every atom.
 
         The pilot axis is contracted first, on the small residual:
-        ``F^H [Nd, P] @ (R S^H) [P, Nr*Nt]``, with ``F`` the pilot DFT rows at
+        ``F^H [Nd, P] @ R [P, Nr*Nt]``, with ``F`` the pilot DFT rows at
         :attr:`delays`. Per delay, ``conj(A_r) Z_d A_t^H`` then correlates with
         every spatial atom, tx first. The returned array is the only one of
         the full grid's size.
         """
-        r_s = residual @ self._pilot_matrix(cfg).conj().T
-        z = _pilot_dft(cfg, self.delays).conj().T @ r_s.reshape(len(r_s), -1)  # [Nd, Nr*Nt]
-        z = z.reshape(len(z), *r_s.shape[1:]) @ np.conj(self._a_t).T  # [Nd, Nr, Gt]
+        z = _pilot_dft(cfg, self.delays).conj().T @ residual.reshape(len(residual), -1)
+        z = z.reshape(len(z), *residual.shape[1:]) @ np.conj(self._a_t).T  # [Nd, Nr, Gt]
         corr = np.conj(self._a_r) @ z  # [Nd, Gr, Gt]
         corr /= self._norm
         return corr
@@ -420,16 +419,12 @@ class OmpDictionary:
         ``adjoint(forward([j], [1]))[d, r, t] == kd[d, d_j] * kr[r, r_j] * kt[t, t_j]``.
 
         ``kd = F^H F / (Nr*Nt)`` with ``F`` the pilot DFT rows at :attr:`delays`,
-        ``kr = conj(A_r) A_r^T`` and ``kt = conj(A_t) (S S^H)^T A_t^T``. The DFT
-        pilot matrix is unitary, but ``S S^H`` is computed rather than taken as
-        ``I``: it differs from ``I`` by rounding, and dropping it would move
-        Batch-OMP's picks by that rounding.
+        ``kr = conj(A_r) A_r^T`` and ``kt = conj(A_t) A_t^T``.
         """
-        s = self._pilot_matrix(cfg)
         f = _pilot_dft(cfg, self.delays)
         kd = f.conj().T @ f / self._norm**2
         kr = np.conj(self._a_r) @ self._a_r.T
-        kt = np.conj(self._a_t) @ (s @ s.conj().T).T @ self._a_t.T
+        kt = np.conj(self._a_t) @ self._a_t.T
         return kd, kr, kt
 
 
@@ -478,9 +473,10 @@ def omp_estimate(
 ):
     """Greedy matching pursuit over the angle/delay dictionary (Batch-OMP).
 
-    Each iteration selects the atom with maximal residual correlation, then
-    refits all selected gains by least squares. The observation is correlated
-    with every atom once, ``alpha0 = A^H y``; after that the residual's
+    The pursuit runs on the LS estimate ``y = ls_estimate(obs, cfg)``. Each
+    iteration selects the atom with maximal residual correlation, then refits
+    all selected gains by least squares. ``y`` is correlated with every atom
+    once, ``alpha0 = A^H y``; after that the residual's
     correlation is ``alpha0 - G[:, I] g`` for the selected atoms ``I`` and
     gains ``g``, with the Gram columns ``G[:, I]`` formed from
     :meth:`OmpDictionary.gram_factors` one factor at a time, never stored
@@ -508,22 +504,20 @@ def omp_estimate(
     ``y - forward(selected, gains)`` is zero, or at a rank-deficient refit. A
     residual norm that grows across an iteration raises
     ``FloatingPointError``. The observation must come from ``cfg``'s pilot
-    placement and have the dictionary's ``(Nr, Nt)``.
+    placement and have the dictionary's ``(Nr, Nt)``, and ``cfg.nt`` must be
+    that Nt.
     """
-    try:
-        k_max = operator.index(k_max)
-    except TypeError:
-        raise ValueError(f"k_max must be an integer, got {k_max!r}") from None
+    k_max = _index(k_max, "k_max")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    _check_placement(obs, cfg)
     dc = dictionary
     arrays = (dc.rx_geom.size, dc.tx_geom.size)
     if obs.y.shape[1:] != arrays:
         raise ValueError(f"observation is for {obs.y.shape[1:]} arrays, dictionary for {arrays}")
-    y_norm = float(np.linalg.norm(obs.y))
+    y = ls_estimate(obs, cfg)
+    y_norm = float(np.linalg.norm(y))
     resid_norms = [y_norm]
-    alpha0 = dc.adjoint(obs.y, cfg)
+    alpha0 = dc.adjoint(y, cfg)
     kd, kr, kt = dc.gram_factors(cfg)
     nd, gr, gt = dc.shape
     slab = gr * gt
@@ -579,7 +573,7 @@ def omp_estimate(
         low = chol[: k + 1, : k + 1]
         gains = np.linalg.solve(low.conj().T, np.linalg.solve(low, alpha0.ravel()[selected]))
 
-        r_norm = float(np.linalg.norm(obs.y - dc.forward(selected, gains, cfg)))
+        r_norm = float(np.linalg.norm(y - dc.forward(selected, gains, cfg)))
         if r_norm > resid_norms[-1] + 1e-9 * y_norm:
             raise FloatingPointError("OMP residual increased across an iteration")
         resid_norms.append(r_norm)

@@ -70,7 +70,7 @@ _PATH_CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned building footprint, meters."""
+    """Axis-aligned building footprint, meters: finite bounds, each min below its max."""
 
     xmin: float
     xmax: float
@@ -80,6 +80,8 @@ class Box:
     zmax: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.bounds)):
+            raise ValueError(f"box bounds must be finite, got {self}")
         if not (self.xmin < self.xmax and self.ymin < self.ymax and self.zmin < self.zmax):
             raise ValueError(f"degenerate box {self}")
 
@@ -110,7 +112,8 @@ class Scene:
     """Static propagation environment: buildings, ground plane at z=0, one tx.
 
     ``tx_position`` is 3 finite values, ``carrier_freq`` finite and > 0,
-    ``reflection_coeff`` finite with magnitude <= 1.
+    ``reflection_coeff`` finite with magnitude <= 1, ``max_bounces`` the
+    integer 0, 1 or 2.
     """
 
     buildings: tuple[Box, ...]
@@ -121,6 +124,7 @@ class Scene:
 
     def __post_init__(self):
         _point3(self.tx_position, "tx_position")
+        _index_fields(self, "max_bounces")
         f, gamma = self.carrier_freq, self.reflection_coeff
         if not (math.isfinite(f) and f > 0):
             raise ValueError(f"carrier frequency must be finite and > 0, got {f}")
@@ -385,11 +389,7 @@ def _unfold(verts: np.ndarray, scene: Scene):
     return segs, dist, efield
 
 
-def trace_paths(
-    scene: Scene,
-    rx_position,
-    calib: GainCalibration | None = None,
-) -> PathSet:
+def trace_paths(scene: Scene, rx_position) -> PathSet:
     """Image-method ray trace from the scene transmitter to ``rx_position``.
 
     Returns the unobstructed line-of-sight path plus specular reflections off
@@ -397,15 +397,15 @@ def trace_paths(
     one :class:`PathSet` whose columns list the paths by bounce order, then
     facet chain. An occluded receiver with no reflected path yields an empty
     PathSet. ``fields`` holds ``E = Gamma^b * exp(-2j*pi*d/lambda) / d``
-    and ``alphas`` the channel gains calibrated against ``calib`` (transmit
-    power and array sizes). ``rx_position`` must be 3 finite values.
+    and ``alphas`` the channel gains for the default :class:`GainCalibration`;
+    :func:`calibrate_alphas` recomputes them for another transmit power or
+    other array sizes. ``rx_position`` must be 3 finite values.
     """
-    calib = calib or GainCalibration()
     rx = _point3(rx_position, "rx_position")[None]
     g = _geometry(scene)
     if _inside(g, rx)[0]:
         raise ValueError("receiver position lies inside a building")
-    scale = _gain_scale(scene.wavelength, calib)
+    scale = _gain_scale(scene.wavelength, GainCalibration())
     orders = []
     for verts, _ in _trace(g, rx):
         segs, dist, efield = _unfold(verts, scene)

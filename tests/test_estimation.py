@@ -185,6 +185,12 @@ class TestLsEstimate:
 
         np.testing.assert_allclose(est, channel_frequency_response(h, 16), atol=1e-10)
 
+    def test_rejects_config_for_other_tx_array(self):
+        cfg = PilotConfig(n_sc=16, n_pilot=4, nt=4)
+        obs = PilotObservation(y=np.ones((4, 2, 2), dtype=complex), placement=cfg.placement)
+        with pytest.raises(ValueError, match="Nt"):
+            ls_estimate(obs, cfg)
+
     def test_scalar_case(self):
         h = ChannelTensor(np.array([[[0.7 - 0.2j]]]))
         cfg = PilotConfig(n_sc=1, n_pilot=1, nt=1, snr_db=10.0)
@@ -410,6 +416,12 @@ class TestOmpDictionaryChecks:
         with pytest.raises(ValueError, match="delays|cosine"):
             OmpDictionary(**{**good, **kw}, rx_geom=geom, tx_geom=geom)
 
+    @pytest.mark.parametrize("oversample", [0, -1, 1.5])
+    def test_build_rejects_bad_oversample(self, oversample):
+        geom = ArrayGeometry(2, 1)
+        with pytest.raises(ValueError, match="oversample"):
+            OmpDictionary.build(2, geom, geom, oversample=oversample)
+
 
 class TestOmp:
     def setup_method(self):
@@ -436,7 +448,7 @@ class TestOmp:
         obs = transmit_pilots(h, self.cfg, 0)
         res = omp_estimate(obs, self.cfg, self.dict, k_max=3, return_info=True)
 
-        y = obs.y.ravel()
+        y = ls_estimate(obs, self.cfg).ravel()
         best, best_err = None, np.inf
         for combo in itertools.combinations(range(atoms), 3):
             sub = phi[:, combo]
@@ -445,6 +457,18 @@ class TestOmp:
             if err < best_err:
                 best, best_err = combo, err
         assert sorted(res.selected) == sorted(best)
+
+    @pytest.mark.parametrize("random_placement", [False, True], ids=["comb", "random"])
+    def test_forward_is_the_noiseless_ls_estimate(self, random_placement):
+        # forward works in the LS domain: it equals the pilot chain followed by LS
+        rng = np.random.default_rng(42)
+        placement = tuple(sorted(rng.choice(16, 6, replace=False).tolist()))
+        cfg = PilotConfig(n_sc=16, n_pilot=6, nt=4, placement=placement if random_placement else ())
+        picks = rng.choice(self.dict.n_atoms, size=3, replace=False)
+        gains = rng.normal(size=3) + 1j * rng.normal(size=3)
+        got = self.dict.forward(picks, gains, cfg)
+        expect = ls_estimate(transmit_pilots(self.dict.synthesize(picks, gains), cfg, 0), cfg)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
 
     def test_forward_adjoint_identity(self):
         # <A x, r> == <x, A^H r> for sparse x and arbitrary pilot residuals r

@@ -26,6 +26,7 @@ from mbce.estimation import (
     OmpDictionary,
     PilotConfig,
     _slab_bounds,
+    ls_estimate,
     omp_estimate,
     transmit_pilots,
 )
@@ -120,11 +121,13 @@ def residual_corr(alpha0, gram, selected, gains):
 
 def full_grid_omp(obs, cfg, dc, k_max):
     """Batch-OMP that scans every atom at every pick: the search that slab
-    pruning must reproduce exactly. Returns ``(selected, residual_norms)``."""
-    alpha0 = dc.adjoint(obs.y, cfg)
+    pruning must reproduce exactly, pursuing the LS estimate as
+    ``omp_estimate`` does. Returns ``(selected, residual_norms)``."""
+    y = ls_estimate(obs, cfg)
+    alpha0 = dc.adjoint(y, cfg)
     kd, kr, kt = gram = dc.gram_factors(cfg)
     chol = np.zeros((k_max, k_max), dtype=np.complex128)
-    selected, gains, norms = [], np.zeros(0, dtype=np.complex128), [float(np.linalg.norm(obs.y))]
+    selected, gains, norms = [], np.zeros(0, dtype=np.complex128), [float(np.linalg.norm(y))]
     while len(selected) < k_max and norms[-1] > 0:
         k = len(selected)
         corr = residual_corr(alpha0, gram, selected, gains)
@@ -141,7 +144,7 @@ def full_grid_omp(obs, cfg, dc, k_max):
         selected.append(pick)
         low = chol[: k + 1, : k + 1]
         gains = np.linalg.solve(low.conj().T, np.linalg.solve(low, alpha0.ravel()[selected]))
-        norms.append(float(np.linalg.norm(obs.y - dc.forward(selected, gains, cfg))))
+        norms.append(float(np.linalg.norm(y - dc.forward(selected, gains, cfg))))
     return selected, norms
 
 

@@ -26,6 +26,7 @@ from mbce.estimation import (
     OmpDictionary,
     PilotConfig,
     interpolate_full_band,
+    ls_estimate,
     omp_estimate,
     transmit_pilots,
 )
@@ -129,11 +130,13 @@ def test_gram_factors_give_adjoint_of_forward(grid, dims, oversample, seed):
 
 
 def reference_omp(obs, cfg, dc, k_max):
-    """Textbook OMP: correlate the residual with every atom, refit by lstsq."""
-    y = obs.y.ravel()
+    """Textbook OMP on the LS estimate: correlate the residual with every
+    atom, refit by lstsq."""
+    y_ls = ls_estimate(obs, cfg)
+    y = y_ls.ravel()
     selected, cols, r = [], [], y
     while len(selected) < k_max:
-        corr = np.abs(dc.adjoint(r.reshape(obs.y.shape), cfg)).ravel()
+        corr = np.abs(dc.adjoint(r.reshape(y_ls.shape), cfg)).ravel()
         corr[selected] = 0.0
         pick = int(np.argmax(corr))
         phi = np.stack(cols + [dc.forward([pick], [1.0], cfg).ravel()], axis=1)
