@@ -5,6 +5,11 @@ image-method ray model, produces coarse least-squares estimates from few
 OFDM pilots, and benchmarks them against an OMP sparse-recovery baseline.
 ``mbce.autodiff`` is a small reverse-mode engine for the refinement network,
 which is not implemented yet.
+
+Boundary contract: a count, real, point or array argument that is malformed
+(not a number, of the wrong shape or out of range) or non-finite raises
+``ValueError`` naming the argument. Non-finite tensor data in
+``mbce.autodiff`` raises ``NumericFault``.
 """
 
 __version__ = "0.1.0"

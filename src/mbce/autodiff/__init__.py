@@ -7,51 +7,9 @@ order; :meth:`Tape.backward` replays it once in reverse. Tapes are confined
 to a single thread; independent tapes may run concurrently.
 """
 
-from .engine import (
-    NumericFault,
-    Tape,
-    Tensor,
-    add,
-    concat,
-    grad_check,
-    layer_norm,
-    matmul,
-    mean,
-    mul,
-    permute,
-    relu,
-    reshape,
-    scale,
-    softmax,
-    sub,
-    tensor_sum,
-)
-from .convops import adaptive_avg_pool, conv2d, conv_transpose2d, max_pool2d
-from .checkpoint import CHECKPOINT_MAGIC, load_params, save_params
+from . import checkpoint, convops, engine
+from .checkpoint import *  # noqa: F403
+from .convops import *  # noqa: F403
+from .engine import *  # noqa: F403
 
-__all__ = [
-    "NumericFault",
-    "Tape",
-    "Tensor",
-    "add",
-    "sub",
-    "mul",
-    "scale",
-    "relu",
-    "matmul",
-    "reshape",
-    "permute",
-    "concat",
-    "tensor_sum",
-    "mean",
-    "softmax",
-    "layer_norm",
-    "grad_check",
-    "conv2d",
-    "conv_transpose2d",
-    "max_pool2d",
-    "adaptive_avg_pool",
-    "save_params",
-    "load_params",
-    "CHECKPOINT_MAGIC",
-]
+__all__ = engine.__all__ + convops.__all__ + checkpoint.__all__

@@ -24,10 +24,9 @@ kernel gradient over the blocks.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
+from .._checks import count
 from .engine import Tensor, _record
 
 __all__ = ["conv2d", "conv_transpose2d", "max_pool2d", "adaptive_avg_pool"]
@@ -38,22 +37,19 @@ __all__ = ["conv2d", "conv_transpose2d", "max_pool2d", "adaptive_avg_pool"]
 _COL_BUDGET = 2**18
 
 
-def _pair(v, name):
-    """``(v, v)`` for an integer ``v``, else the integer pair ``v``; ``ValueError``
-    for anything else."""
+def _pair(v, name, low):
+    """``(v, v)`` for an integer ``v``, else the integer pair ``v``, each ``>= low``;
+    ``ValueError`` for anything else."""
     try:
         a, b = (v, v) if np.isscalar(v) else v
-        return operator.index(a), operator.index(b)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be an integer or a pair of integers, got {v!r}") from None
+    return count(a, name, low), count(b, name, low)
 
 
 def _stride_pad(stride, pad):
     """Integer ``(sh, sw)`` and ``(ph, pw)``, each stride >= 1 and each pad >= 0."""
-    (sh, sw), (ph, pw) = _pair(stride, "stride"), _pair(pad, "pad")
-    if sh < 1 or sw < 1 or ph < 0 or pw < 0:
-        raise ValueError(f"need stride >= 1 and pad >= 0, got stride {stride!r}, pad {pad!r}")
-    return (sh, sw), (ph, pw)
+    return _pair(stride, "stride", 1), _pair(pad, "pad", 0)
 
 
 def _conv_out(size, k, s, p):
@@ -167,9 +163,7 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, *, out_hw) -> Tensor
     b, c, h, w = x.shape
     if c != ci:
         raise ValueError(f"input channels {c} != kernel channels {ci}")
-    ho, wo = _pair(out_hw, "out_hw")
-    if ho < 1 or wo < 1:
-        raise ValueError("empty transposed-convolution output")
+    ho, wo = _pair(out_hw, "out_hw", 1)
     if _conv_out(ho, kh, sh, ph) != h or _conv_out(wo, kw, sw, pw) != w:
         raise ValueError(
             f"output {ho}x{wo} is inconsistent with input {h}x{w} under the adjoint shape map"
@@ -232,9 +226,9 @@ def adaptive_avg_pool(x: Tensor, out_hw) -> Tensor:
     """Average pooling onto a fixed output grid (same cell split as torch)."""
     if x.ndim != 4:
         raise ValueError("adaptive_avg_pool expects a 4-D tensor")
-    oh, ow = _pair(out_hw, "out_hw")
+    oh, ow = _pair(out_hw, "out_hw", 1)
     b, c, h, w = x.shape
-    if oh < 1 or ow < 1 or oh > h or ow > w:
+    if oh > h or ow > w:
         raise ValueError(f"bad adaptive pool target {oh}x{ow} for input {h}x{w}")
 
     def bounds(n, o):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import operator
 import threading
 
 import numpy as np
+
+from .._checks import count
 
 __all__ = [
     "NumericFault",
@@ -290,18 +291,9 @@ def permute(a: Tensor, axes) -> Tensor:
     return _record(out, (a,), bwd)
 
 
-def _axis(value, name: str = "axis") -> int:
-    """``value`` as the int that ``operator.index`` gives; ``ValueError`` naming
-    ``name`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def concat(tensors, axis: int) -> Tensor:
     tensors = tuple(tensors)
-    axis = _axis(axis)
+    axis = count(axis, "axis")
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -335,7 +327,7 @@ def mean(a: Tensor) -> Tensor:
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    axis = _axis(axis)
+    axis = count(axis, "axis")
     out = a.data - np.max(a.data, axis=axis, keepdims=True)
     np.exp(out, out=out)
     out /= np.sum(out, axis=axis, keepdims=True)
@@ -357,8 +349,10 @@ def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
     ``gain``/``bias`` must broadcast against the input (e.g. per-channel
     ``[C, 1, 1]`` for NCHW feature maps, ``[D]`` for token embeddings).
     """
-    axes = tuple(_axis(ax, "axes") for ax in ((axes,) if np.isscalar(axes) else axes))
+    axes = tuple(count(ax, "axes") for ax in ((axes,) if np.isscalar(axes) else axes))
     x = a.data
+    if not all(-x.ndim <= ax < x.ndim for ax in axes):
+        raise ValueError(f"axes {axes} out of range for a {x.ndim}-D input")
     m = int(np.prod([x.shape[i] for i in axes]))
     mu = np.mean(x, axis=axes, keepdims=True, dtype=np.float64)
     var = np.mean(

@@ -11,10 +11,11 @@ All functions are pure; no shared mutable state.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import count, count_fields, finite_array, real
 
 __all__ = [
     "ArrayGeometry",
@@ -34,21 +35,6 @@ __all__ = [
 PULSE_SUPPORT = 8.0  # pulse half-width in samples; beyond it, below 1e-4 for beta >= 0.1
 
 
-def _index(value, name: str) -> int:
-    """``value`` as the int that ``operator.index`` gives; ``ValueError`` naming
-    ``name`` if it is not an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _index_fields(obj, *names: str) -> None:
-    """Store each named field of the frozen dataclass ``obj`` as :func:`_index` gives it."""
-    for name in names:
-        object.__setattr__(obj, name, _index(getattr(obj, name), name))
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform rectangular array of ``nx`` x ``ny`` elements, half a wavelength apart."""
@@ -57,9 +43,7 @@ class ArrayGeometry:
     ny: int
 
     def __post_init__(self):
-        _index_fields(self, "nx", "ny")
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError(f"element counts must be >= 1, got {self.nx}x{self.ny}")
+        count_fields(self, "nx", "ny", low=1)
 
     @property
     def size(self) -> int:
@@ -137,11 +121,9 @@ class PulseConfig:
     t_off: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.ts) and self.ts > 0):
-            raise ValueError(f"sampling interval must be finite and > 0, got {self.ts}")
-        if not math.isfinite(self.t_off):
-            raise ValueError(f"clock offset must be finite, got {self.t_off}")
-        if not 0.0 <= self.beta <= 1.0:
+        real(self.ts, "ts", positive=True)
+        real(self.t_off, "t_off")
+        if not 0.0 <= real(self.beta, "beta") <= 1.0:
             raise ValueError(f"roll-off must be in [0, 1], got {self.beta}")
 
 
@@ -152,11 +134,9 @@ class ChannelTensor:
     taps: np.ndarray
 
     def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=np.complex128)
+        self.taps = finite_array(self.taps, "channel taps", np.complex128)
         if self.taps.ndim != 3:
             raise ValueError(f"channel tensor must be 3-D, got shape {self.taps.shape}")
-        if not np.all(np.isfinite(self.taps)):
-            raise ValueError("channel tensor contains non-finite entries")
 
     @property
     def d(self) -> int:
@@ -182,10 +162,7 @@ def steering_vector(theta, n: int) -> np.ndarray:
     unit magnitude. ``theta`` is a scalar or an array; the result has shape
     ``shape(theta) + (n,)``. The element count ``n`` is an integer ``>= 1``.
     """
-    n = _index(n, "element count")
-    if n < 1:
-        raise ValueError(f"element count must be >= 1, got {n}")
-    k = np.arange(n, dtype=np.float64)
+    k = np.arange(count(n, "element count", 1), dtype=np.float64)
     return np.exp(np.multiply.outer(theta, -1j * np.pi * k))
 
 
@@ -254,9 +231,7 @@ def synth_channel(
     contributions farther than ``PULSE_SUPPORT * ts`` from a tap are dropped.
     The tap count ``d`` is an integer ``>= 1``.
     """
-    d = _index(d, "tap count")
-    if d <= 0:
-        raise ValueError(f"tap count must be >= 1, got {d}")
+    d = count(d, "tap count", 1)
     if len(paths) == 0:
         raise ValueError("no paths: cannot synthesize a channel from an empty PathSet")
 
@@ -273,7 +248,7 @@ def channel_frequency_response(h: ChannelTensor, n_sc: int) -> np.ndarray:
     :func:`mbce.estimation.to_time_domain` on noise-free full-band data.
     ``n_sc`` is an integer no smaller than the tap count.
     """
-    n_sc = _index(n_sc, "subcarrier count")
+    n_sc = count(n_sc, "subcarrier count")
     if n_sc < h.d:
         raise ValueError(f"subcarrier count {n_sc} must be >= tap count {h.d}")
     return np.fft.fft(h.taps, n=n_sc, axis=0)

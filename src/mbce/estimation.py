@@ -15,13 +15,12 @@ parallelized across seeds.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import count, count_fields, finite_array, real
 from .channel_model import ArrayGeometry, ChannelTensor, rank_one_taps, ura_from_cosines
-from .channel_model import _index, _index_fields
 
 __all__ = [
     "PilotConfig",
@@ -51,7 +50,8 @@ class PilotConfig:
     stored as a tuple of ints; empty means an equispaced comb. ``snr_db`` is
     the one noise level: the noise variance is derived per call as the mean
     received pilot power over 10^(snr/10) per receive antenna; ``None``
-    means noiseless. Counts are integers, ``nt`` at least 1, and ``snr_db`` finite.
+    means noiseless. Counts are integers >= 1, ``n_pilot <= n_sc``, and
+    ``snr_db`` is finite.
 
     :attr:`pilot_matrix` is derived, not set: the Nt x Nt unitary DFT
     ``fft(eye(Nt)) / sqrt(Nt)``, transmitted (column per symbol slot) at every
@@ -65,16 +65,14 @@ class PilotConfig:
     placement: tuple[int, ...] = ()
 
     def __post_init__(self):
-        _index_fields(self, "n_sc", "n_pilot", "nt")
-        if not 1 <= self.n_pilot <= self.n_sc:
-            raise ValueError(f"need 1 <= n_pilot <= n_sc, got {self.n_pilot}/{self.n_sc}")
-        if self.nt < 1:
-            raise ValueError(f"need nt >= 1 transmit antennas, got {self.nt}")
-        if self.snr_db is not None and not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        count_fields(self, "n_sc", "n_pilot", "nt", low=1)
+        if self.n_pilot > self.n_sc:
+            raise ValueError(f"need n_pilot <= n_sc, got {self.n_pilot}/{self.n_sc}")
+        if self.snr_db is not None:
+            real(self.snr_db, "snr_db")
         if np.ndim(self.placement) != 1:
             raise ValueError(f"pilot placement must be a sequence, got {self.placement!r}")
-        placement = tuple(_index(k, "pilot placement") for k in self.placement)
+        placement = tuple(count(k, "pilot placement") for k in self.placement)
         object.__setattr__(self, "placement", placement or _comb_indices(self.n_sc, self.n_pilot))
         if len(self.placement) != self.n_pilot or any(
             b <= a for a, b in zip(self.placement, self.placement[1:])
@@ -100,13 +98,12 @@ class PilotObservation:
     placement: tuple[int, ...]
 
     def __post_init__(self):
-        if np.ndim(self.y) != 3 or len(self.y) != len(self.placement):
+        self.y = finite_array(self.y, "observation", np.complex128)
+        if self.y.ndim != 3 or len(self.y) != len(self.placement):
             raise ValueError(
                 f"observation must be [{len(self.placement)}, Nr, Nt], one matrix per "
-                f"pilot, got shape {np.shape(self.y)}"
+                f"pilot, got shape {self.y.shape}"
             )
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("observation contains non-finite entries")
 
 
 def _pilot_dft(cfg: PilotConfig, taps) -> np.ndarray:
@@ -253,7 +250,7 @@ def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
     """Inverse DFT over subcarriers, truncated to the first ``d`` taps,
     ``1 <= d <= n_sc``."""
     n_sc = h_freq.shape[0]
-    d = _index(d, "tap count")
+    d = count(d, "tap count")
     if not 1 <= d <= n_sc:
         raise ValueError(f"need 1 <= tap count <= {n_sc} subcarriers, got {d}")
     # A copy: a view of the first d rows would keep all n_sc rows alive.
@@ -325,8 +322,8 @@ class OmpDictionary:
         if delays.ndim != 1 or not np.issubdtype(delays.dtype, np.integer):
             raise ValueError(f"dictionary delays must be a 1-D integer array, got {self.delays!r}")
         self.delays = delays.astype(np.int64)
-        self.rx_dirs = np.atleast_2d(np.asarray(self.rx_dirs, dtype=np.float64))
-        self.tx_dirs = np.atleast_2d(np.asarray(self.tx_dirs, dtype=np.float64))
+        self.rx_dirs = np.atleast_2d(finite_array(self.rx_dirs, "rx_dirs direction cosines"))
+        self.tx_dirs = np.atleast_2d(finite_array(self.tx_dirs, "tx_dirs direction cosines"))
         for name, dirs in (("rx_dirs", self.rx_dirs), ("tx_dirs", self.tx_dirs)):
             if dirs.ndim != 2 or dirs.shape[1] != 2:
                 raise ValueError(f"{name} must be [G, 2] direction-cosine pairs, got {dirs.shape}")
@@ -334,8 +331,6 @@ class OmpDictionary:
             raise ValueError("empty dictionary")
         if np.any(self.delays < 0):
             raise ValueError(f"dictionary delays must be >= 0, got {self.delays.min()}")
-        if not (np.all(np.isfinite(self.rx_dirs)) and np.all(np.isfinite(self.tx_dirs))):
-            raise ValueError("dictionary direction cosines must be finite")
         self._a_r = ura_from_cosines(*self.rx_dirs.T, self.rx_geom)  # [Gr, Nr]
         self._a_t = ura_from_cosines(*self.tx_dirs.T, self.tx_geom)  # [Gt, Nt]
         self._norm = np.sqrt(self.rx_geom.size * self.tx_geom.size)
@@ -359,9 +354,7 @@ class OmpDictionary:
     ) -> "OmpDictionary":
         """Default grid: delays at tap resolution, cosine grids of
         ``oversample`` points per array element per axis, an integer ``>= 1``."""
-        oversample = _index(oversample, "oversample")
-        if oversample < 1:
-            raise ValueError(f"oversample must be >= 1, got {oversample}")
+        oversample = count(oversample, "oversample", 1)
 
         def axis_grid(n):
             g = oversample * n
@@ -407,6 +400,9 @@ class OmpDictionary:
         every spatial atom, tx first. The returned array is the only one of
         the full grid's size.
         """
+        shape = (len(cfg.placement), self.rx_geom.size, self.tx_geom.size)
+        if np.shape(residual) != shape:
+            raise ValueError(f"residual must be {list(shape)}, got shape {np.shape(residual)}")
         z = _pilot_dft(cfg, self.delays).conj().T @ residual.reshape(len(residual), -1)
         z = z.reshape(len(z), *residual.shape[1:]) @ np.conj(self._a_t).T  # [Nd, Nr, Gt]
         corr = np.conj(self._a_r) @ z  # [Nd, Gr, Gt]
@@ -507,9 +503,7 @@ def omp_estimate(
     placement and have the dictionary's ``(Nr, Nt)``, and ``cfg.nt`` must be
     that Nt.
     """
-    k_max = _index(k_max, "k_max")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    k_max = count(k_max, "k_max", 1)
     dc = dictionary
     arrays = (dc.rx_geom.size, dc.tx_geom.size)
     if obs.y.shape[1:] != arrays:

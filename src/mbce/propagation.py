@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel_model import ChannelTensor, PathSet, _index, _index_fields
+from ._checks import count, count_fields, finite_array, point, real
+from .channel_model import ChannelTensor, PathSet
 
 __all__ = [
     "ETA0",
@@ -80,8 +81,8 @@ class Box:
     zmax: float
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.bounds)):
-            raise ValueError(f"box bounds must be finite, got {self}")
+        for name, value in vars(self).items():
+            real(value, name)
         if not (self.xmin < self.xmax and self.ymin < self.ymax and self.zmin < self.zmax):
             raise ValueError(f"degenerate box {self}")
 
@@ -97,14 +98,6 @@ class Box:
         return np.array(
             [[self.xmin, self.ymin, self.zmin], [self.xmax, self.ymax, self.zmax]]
         )
-
-
-def _point3(p, name: str) -> np.ndarray:
-    """``p`` as a float64 array of 3 finite values, else ``ValueError``."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ValueError(f"{name} must be 3 finite values, got {p.tolist()}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -123,11 +116,10 @@ class Scene:
     max_bounces: int = 1
 
     def __post_init__(self):
-        _point3(self.tx_position, "tx_position")
-        _index_fields(self, "max_bounces")
-        f, gamma = self.carrier_freq, self.reflection_coeff
-        if not (math.isfinite(f) and f > 0):
-            raise ValueError(f"carrier frequency must be finite and > 0, got {f}")
+        point(self.tx_position, "tx_position")
+        count_fields(self, "max_bounces")
+        real(self.carrier_freq, "carrier_freq", positive=True)
+        gamma = self.reflection_coeff
         if not (cmath.isfinite(gamma) and abs(gamma) <= 1.0 + 1e-12):
             raise ValueError(f"reflection coefficient must be finite, |.| <= 1, got {gamma}")
         if self.max_bounces not in (0, 1, 2):
@@ -149,26 +141,18 @@ class RssMap:
     rx_height: float
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.origin.shape != (2,) or not np.all(
-            np.isfinite([*self.origin, self.spacing, self.rx_height])
-        ):
-            raise ValueError("origin must be 2 finite values; spacing and rx_height finite")
-        if self.spacing <= 0:
-            raise ValueError("grid spacing must be > 0")
+        self.origin = point(self.origin, "origin", 2)
+        real(self.spacing, "spacing", positive=True)
+        real(self.rx_height, "rx_height")
+        self.values = finite_array(self.values, "RSS values")
         if self.values.ndim != 2:
             raise ValueError("RSS values must be a 2-D array")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("RSS values must be finite")
         if np.any(self.values < 0):
             raise ValueError("RSS values must be non-negative")
 
     def nearest_cell(self, xy) -> tuple[int, int]:
         """``(row, col)`` of the cell nearest the finite point ``xy[:2]``."""
-        x, y = float(xy[0]), float(xy[1])
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"position must be finite, got {(x, y)}")
+        x, y = point(xy[:2], "position", 2)
         col = int(round((x - self.origin[0]) / self.spacing))
         row = int(round((y - self.origin[1]) / self.spacing))
         return row, col
@@ -203,11 +187,8 @@ class GainCalibration:
     nt: int = 1
 
     def __post_init__(self):
-        _index_fields(self, "nr", "nt")
-        if not (math.isfinite(self.p_t) and self.p_t > 0):
-            raise ValueError(f"transmit power p_t must be finite and > 0, got {self.p_t}")
-        if self.nr < 1 or self.nt < 1:
-            raise ValueError(f"array sizes nr, nt must be >= 1, got {self.nr}, {self.nt}")
+        count_fields(self, "nr", "nt", low=1)
+        real(self.p_t, "transmit power p_t", positive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +382,7 @@ def trace_paths(scene: Scene, rx_position) -> PathSet:
     :func:`calibrate_alphas` recomputes them for another transmit power or
     other array sizes. ``rx_position`` must be 3 finite values.
     """
-    rx = _point3(rx_position, "rx_position")[None]
+    rx = point(rx_position, "rx_position")[None]
     g = _geometry(scene)
     if _inside(g, rx)[0]:
         raise ValueError("receiver position lies inside a building")
@@ -442,11 +423,8 @@ def _coherent_power(total, wavelength: float):
 
 def rss_from_fields(fields, wavelength: float) -> float:
     """Coherent-sum received power ``lambda^2/(8*pi*eta0) * |sum E_l|^2`` of finite fields."""
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise ValueError(f"wavelength must be finite and > 0, got {wavelength}")
-    fields = np.asarray(fields, dtype=np.complex128)
-    if not np.all(np.isfinite(fields)):
-        raise ValueError("fields must be finite")
+    real(wavelength, "wavelength", positive=True)
+    fields = finite_array(fields, "fields", np.complex128)
     return float(_coherent_power(np.sum(fields), wavelength))
 
 
@@ -454,8 +432,7 @@ def rss_from_channel(h: ChannelTensor, p_t: float) -> float:
     """Channel-side received power ``P_T * sum_d ||H_d||_F^2`` of a :class:`ChannelTensor`."""
     if not isinstance(h, ChannelTensor):
         raise TypeError(f"h must be a ChannelTensor, got {type(h).__name__}")
-    if not (math.isfinite(p_t) and p_t > 0):
-        raise ValueError(f"transmit power must be finite and > 0, got {p_t}")
+    real(p_t, "transmit power p_t", positive=True)
     return float(p_t * np.sum(np.abs(h.taps) ** 2))
 
 
@@ -475,9 +452,7 @@ def generate_rss_map(
     cell's fields are summed in path order, as :func:`trace_paths` lists them.
     ``shape`` is two integers ``(rows, cols)``, each ``>= 1``.
     """
-    rows, cols = (_index(n, "grid shape") for n in shape)
-    if rows < 1 or cols < 1:
-        raise ValueError("grid must be at least 1x1")
+    rows, cols = (count(n, "grid shape", 1) for n in shape)
     values = np.zeros((rows, cols), dtype=np.float64)
     origin = RssMap(origin=origin, spacing=spacing, values=values, rx_height=rx_height).origin
     g = _geometry(scene)
@@ -502,8 +477,8 @@ def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
     Cells outside the map are zero-padded. The side ``p`` is an odd integer
     ``>= 1``. The estimate itself must be finite and fall within map bounds.
     """
-    p = _index(p, "patch side")
-    if p < 1 or p % 2 != 1:
+    p = count(p, "patch side", 1)
+    if p % 2 != 1:
         raise ValueError(f"patch side must be odd and >= 1, got {p}")
     rows, cols = rss_map.values.shape
     row, col = rss_map.nearest_cell(ue_estimate)

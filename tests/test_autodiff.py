@@ -422,6 +422,8 @@ class TestSoftmaxLayerNorm:
     def test_layer_norm_rejects_non_integer_axis(self):
         with pytest.raises(ValueError, match="axes"):
             layer_norm(t64(2, 3), 1.5, t64(3), t64(3))
+        with pytest.raises(ValueError, match="axes"):
+            layer_norm(t64(2, 3), 5, t64(3), t64(3))
 
 
 class TestShapeOps:

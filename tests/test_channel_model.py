@@ -141,7 +141,7 @@ class TestPathAndPulseChecks:
 
     @pytest.mark.parametrize(
         "dims,match",
-        [((0, 2), "element counts"), ((2, -1), "element counts"), ((2.5, 2), "nx"),
+        [((0, 2), "nx"), ((2, -1), "ny"), ((2.5, 2), "nx"),
          ((2, "2"), "ny"), ((2, None), "ny")],
     )
     def test_array_geometry_rejects(self, dims, match):
@@ -153,7 +153,10 @@ class TestPathAndPulseChecks:
         assert (type(geom.nx), type(geom.ny), geom.size) == (int, int, 6)
 
     @pytest.mark.parametrize(
-        "kw", [dict(ts=np.nan), dict(ts=np.inf), dict(ts=1e-9, t_off=np.nan)]
+        "kw",
+        [dict(ts=np.nan), dict(ts=np.inf), dict(ts=1e-9, t_off=np.nan), dict(ts="1"),
+         dict(ts=None), dict(ts=1e-9, beta="0.3"), dict(ts=1e-9, beta=None),
+         dict(ts=1e-9, t_off="0"), dict(ts=1e-9, t_off=None)],
     )
     def test_pulse_rejects_non_finite(self, kw):
         with pytest.raises(ValueError, match="finite"):

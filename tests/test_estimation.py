@@ -93,9 +93,11 @@ class TestPilotConfigChecks:
             (dict(n_pilot=4.0), "n_pilot"),
             (dict(nt=2.5), "nt"),
             (dict(nt="2"), "nt"),
+            (dict(snr_db="10"), "snr_db"),
+            (dict(snr_db="x"), "snr_db"),
         ],
         ids=["snr-nan", "snr-inf", "nt-zero", "nt-negative", "n_sc-float", "n_pilot-float",
-             "nt-float", "nt-string"],
+             "nt-float", "nt-string", "snr-numeric-string", "snr-string"],
     )
     def test_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -406,9 +408,10 @@ class TestOmpDictionaryChecks:
             dict(delays=[[0, 1]]),
             dict(rx_dirs=np.zeros((2, 3))),
             dict(tx_dirs=np.zeros((2, 1))),
+            dict(rx_dirs=[["x", 0.0]]),
         ],
         ids=["negative-delay", "rx-nan", "tx-inf", "tx-minus-inf", "float-delays",
-             "2d-delays", "rx-triples", "tx-singles"],
+             "2d-delays", "rx-triples", "tx-singles", "rx-string"],
     )
     def test_rejects(self, kw):
         geom = ArrayGeometry(2, 1)
@@ -421,6 +424,13 @@ class TestOmpDictionaryChecks:
         geom = ArrayGeometry(2, 1)
         with pytest.raises(ValueError, match="oversample"):
             OmpDictionary.build(2, geom, geom, oversample=oversample)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (5, 2, 2)], ids=["wrong-nt", "wrong-pilots"])
+    def test_adjoint_rejects_misshapen_residual(self, shape):
+        geom = ArrayGeometry(2, 1)
+        cfg = PilotConfig(n_sc=16, n_pilot=4, nt=2)
+        with pytest.raises(ValueError, match="residual"):
+            OmpDictionary.build(2, geom, geom).adjoint(np.ones(shape, dtype=complex), cfg)
 
 
 class TestOmp:

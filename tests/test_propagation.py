@@ -80,6 +80,9 @@ class TestInputChecks:
             ("reflection_coeff", complex(np.nan, 0.0), "reflection"),
             ("reflection_coeff", complex(0.0, np.inf), "reflection"),
             ("max_bounces", 2.0, "max_bounces"),
+            ("carrier_freq", "15e9", "carrier"),
+            ("carrier_freq", None, "carrier"),
+            ("tx_position", ("x", 0.0, 25.0), "tx_position"),
         ],
     )
     def test_scene_rejects(self, name, bad, match):
@@ -88,14 +91,18 @@ class TestInputChecks:
             Scene(**{**good, name: bad})
 
     @pytest.mark.parametrize(
-        "bounds", [(10.0, np.inf, 10.0, 20.0, 0.0, 10.0), (10.0, 20.0, -np.inf, 20.0, 0.0, 10.0)]
+        "bounds",
+        [(10.0, np.inf, 10.0, 20.0, 0.0, 10.0), (10.0, 20.0, -np.inf, 20.0, 0.0, 10.0),
+         ("0", 20.0, 10.0, 20.0, 0.0, 10.0), (10.0, None, 10.0, 20.0, 0.0, 10.0)],
     )
     def test_box_rejects_non_finite_bounds(self, bounds):
         with pytest.raises(ValueError, match="finite"):
             Box(*bounds)
 
     @pytest.mark.parametrize(
-        "rx", [(np.nan, 0.0, 1.5), (10.0, -np.inf, 1.5), (10.0, 0.0), (10.0, 0.0, 1.5, 0.0)]
+        "rx",
+        [(np.nan, 0.0, 1.5), (10.0, -np.inf, 1.5), (10.0, 0.0), (10.0, 0.0, 1.5, 0.0),
+         ("x", 0.0, 1.5)],
     )
     def test_trace_paths_rejects_receiver(self, rx):
         with pytest.raises(ValueError, match="rx_position"):
@@ -134,9 +141,18 @@ class TestInputChecks:
             (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), np.nan), "power"),
             (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), np.inf), "power"),
             (lambda m: rss_from_fields([1e-3, np.nan], 0.02), "fields"),
+            (lambda m: rss_from_fields([1e-3], "1"), "wavelength"),
+            (lambda m: rss_from_fields([1e-3], None), "wavelength"),
+            (lambda m: rss_from_fields([1e-3, "x"], 0.02), "fields"),
+            (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), None), "power"),
+            (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), "x"), "power"),
+            (lambda m: m.nearest_cell((None, 1.0)), "position"),
+            (lambda m: m.nearest_cell(("x", 1.0)), "position"),
         ],
         ids=["patch-inf", "patch-minus-inf", "patch-nan", "fields-nan", "fields-inf",
-             "channel-nan", "channel-inf", "field-value-nan"],
+             "channel-nan", "channel-inf", "field-value-nan", "wavelength-string",
+             "wavelength-none", "field-value-string", "channel-none", "channel-string",
+             "cell-none", "cell-string"],
     )
     def test_non_finite_scalar_rejected(self, call, match):
         m = RssMap(origin=(0.0, 0.0), spacing=1.0, values=np.ones((4, 4)), rx_height=1.5)
@@ -185,9 +201,11 @@ class TestGainCalibrationChecks:
             (dict(nr=-2, nt=-2), "nr"),
             (dict(nr=2.5), "nr"),
             (dict(nt="16"), "nt"),
+            (dict(p_t=None), "p_t"),
+            (dict(p_t="x"), "p_t"),
         ],
         ids=["power-zero", "power-negative", "power-nan", "power-inf", "nr-zero", "nt-zero",
-             "both-negative", "nr-float", "nt-string"],
+             "both-negative", "nr-float", "nt-string", "power-none", "power-string"],
     )
     def test_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -448,6 +466,11 @@ class TestRssMap:
             ("spacing", np.inf),
             ("rx_height", np.inf),
             ("rx_height", np.nan),
+            ("spacing", "1"),
+            ("spacing", None),
+            ("origin", ["x", 0.0]),
+            ("rx_height", "x"),
+            ("rx_height", None),
         ],
     )
     def test_rejects_bad_geometry(self, name, bad):
