@@ -44,15 +44,22 @@ def real(value, name: str, positive: bool = False):
 
 
 def finite_array(value, name: str, dtype=np.float64, shape: tuple | None = None) -> np.ndarray:
-    """``value`` as a ``dtype`` array of finite entries, of ``shape`` if given."""
+    """``value`` as a ``dtype`` array of finite entries, of ``shape`` if given. Text
+    (str or bytes, or entries of them) is not numeric, though numpy parses it; an
+    ``ndarray`` of ``dtype`` passes uncopied. A non-finite error names the entry."""
     try:
+        raw = np.asarray(value)
+        if raw.dtype.kind in "SU" or (
+                raw.dtype == object and any(isinstance(v, (str, bytes)) for v in raw.flat)):
+            raise TypeError
         arr = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be numeric") from None
     if shape is not None and arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
+    if not (finite := np.isfinite(arr)).all():
+        at = np.unravel_index(finite.argmin(), arr.shape)
+        raise ValueError(f"{name}{list(map(int, at)) if at else ''}={arr[at]} is not finite")
     return arr
 
 

@@ -51,15 +51,15 @@ class ArrayGeometry:
 
 
 _EL, _AZ = math.pi / 2 + 1e-12, math.pi + 1e-12
-# column: (dtype, mask of valid entries, the rule a valid entry keeps)
+# column: (dtype, mask of the entries in range or None for no range, the range)
 _PATH_COLUMNS = {
-    "alphas": (np.complex128, np.isfinite, "finite"),
-    "toas": (np.float64, lambda v: (v >= 0) & (v < np.inf), "finite and >= 0"),
+    "alphas": (np.complex128, None, None),
+    "toas": (np.float64, lambda v: v >= 0, ">= 0"),
     "aoa_az": (np.float64, lambda v: (v > -_AZ) & (v <= _AZ), "in (-pi, pi]"),
     "aoa_el": (np.float64, lambda v: np.abs(v) <= _EL, "in [-pi/2, pi/2]"),
     "aod_az": (np.float64, lambda v: (v > -_AZ) & (v <= _AZ), "in (-pi, pi]"),
     "aod_el": (np.float64, lambda v: np.abs(v) <= _EL, "in [-pi/2, pi/2]"),
-    "fields": (np.complex128, np.isfinite, "finite"),
+    "fields": (np.complex128, None, None),
 }
 
 
@@ -72,10 +72,10 @@ class PathSet:
     ``aoa_el``, ``aod_az`` and ``aod_el``, arrival and departure angles in
     radians; ``fields``, the complex electric-field amplitudes in V/m at the
     receiver, zeros when not given. Columns are stored as float64 or
-    complex128 arrays. ``alphas``, ``toas`` and ``fields`` must be finite,
-    ``toas`` >= 0, elevations in [-pi/2, pi/2] and azimuths in (-pi, pi]
-    (each with 1e-12 slack); a violation raises ``ValueError`` naming the
-    column and the index of the first bad path.
+    complex128 arrays. Every column must hold finite numbers, not text;
+    ``toas`` must be >= 0, elevations in [-pi/2, pi/2] and azimuths in
+    (-pi, pi] (each with 1e-12 slack). A violation raises ``ValueError``
+    naming the column and, for a bad value, the index of the first bad path.
     """
 
     alphas: np.ndarray
@@ -93,11 +93,10 @@ class PathSet:
         if self.fields is None:
             self.fields = np.zeros(shape, dtype=np.complex128)
         for name, (dtype, valid, rule) in _PATH_COLUMNS.items():
-            col = np.asarray(getattr(self, name), dtype=dtype)
+            col = finite_array(getattr(self, name), name, dtype)
             if col.shape != shape:
                 raise ValueError(f"{name} has shape {col.shape}, not alphas' {shape}")
-            ok = valid(col)
-            if not ok.all():
+            if valid is not None and not (ok := valid(col)).all():
                 i = int(ok.argmin())
                 raise ValueError(f"{name}[{i}]={col[i]} is not {rule}")
             setattr(self, name, col)

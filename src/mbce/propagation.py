@@ -1,4 +1,4 @@
-"""Per-path electric fields, RSS maps, and the built-in image-method ray model.
+"""Per-path electric fields, RSS maps, and the image-method ray model.
 
 Received signal strength follows the coherent field sum
 ``RSS = lambda^2 / (8*pi*eta0) * |sum_l E_l|^2`` and, equivalently on the
@@ -20,8 +20,6 @@ every function here is pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import cmath
-import csv
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -45,8 +43,6 @@ __all__ = [
     "rss_from_channel",
     "generate_rss_map",
     "rss_patch_at",
-    "import_paths",
-    "PathImportError",
     "save_rss_map",
     "load_rss_map",
     "RSS_MAP_MAGIC",
@@ -56,17 +52,6 @@ ETA0 = 376.730          # intrinsic impedance of free space, ohms
 C0 = 2.99792458e8       # speed of light, m/s
 
 RSS_MAP_MAGIC = b"RSSM"
-_PATH_CSV_COLUMNS = (
-    "sample_id",
-    "path_id",
-    "e_real",
-    "e_imag",
-    "toa_s",
-    "aoa_az_rad",
-    "aoa_el_rad",
-    "aod_az_rad",
-    "aod_el_rad",
-)
 
 
 @dataclass(frozen=True)
@@ -105,23 +90,19 @@ class Scene:
     """Static propagation environment: buildings, ground plane at z=0, one tx.
 
     ``tx_position`` is 3 finite values, ``carrier_freq`` finite and > 0,
-    ``reflection_coeff`` finite with magnitude <= 1, ``max_bounces`` the
-    integer 0, 1 or 2.
+    ``max_bounces`` the integer 0, 1 or 2. Every facet, the ground included,
+    reflects with Gamma = -0.7, whatever the carrier and the incidence angle.
     """
 
     buildings: tuple[Box, ...]
     tx_position: tuple[float, float, float]
     carrier_freq: float
-    reflection_coeff: complex = -0.7
     max_bounces: int = 1
 
     def __post_init__(self):
         point(self.tx_position, "tx_position")
         count_fields(self, "max_bounces")
         real(self.carrier_freq, "carrier_freq", positive=True)
-        gamma = self.reflection_coeff
-        if not (cmath.isfinite(gamma) and abs(gamma) <= 1.0 + 1e-12):
-            raise ValueError(f"reflection coefficient must be finite, |.| <= 1, got {gamma}")
         if self.max_bounces not in (0, 1, 2):
             raise ValueError("max_bounces must be 0, 1 or 2")
 
@@ -160,16 +141,15 @@ class RssMap:
 
 @dataclass
 class RssPatch:
-    """Square window of an RSS map around a coarse UE position."""
+    """Square 2-D window of finite RSS values around a coarse UE position."""
 
     values: np.ndarray
     center: tuple[int, int]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        p = self.values.shape[0]
-        if self.values.shape != (p, p):
-            raise ValueError("patch must be square")
+        self.values = finite_array(self.values, "patch values")
+        if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
+            raise ValueError(f"patch values must be square, got shape {self.values.shape}")
 
 
 @dataclass(frozen=True)
@@ -196,6 +176,7 @@ class GainCalibration:
 # ---------------------------------------------------------------------------
 
 _EPS = 1e-9
+_GAMMA = -0.7  # every facet's reflection coefficient; as a float, the fields keep their rounding
 # Lanes (receivers times live chains) that generate_rss_map traces at once. A lane's
 # temporaries take ~150 B, so 2**13 lanes cost ~1 MB of peak memory; each doubling
 # beyond saves under 5% of a map's time and adds as much memory again.
@@ -362,10 +343,11 @@ def _gain_scale(wavelength: float, calib: GainCalibration) -> float:
 
 def _unfold(verts: np.ndarray, scene: Scene):
     """Segments, total lengths and fields ``E = Gamma^b * exp(-2j*pi*d/lambda) / d``
-    (V/m, for a 1 V/m reference field at 1 m) of same-order paths."""
+    (V/m, for a 1 V/m reference field at 1 m) of same-order paths, Gamma being -0.7
+    at every facet whatever the carrier and the incidence angle."""
     segs = np.diff(verts, axis=1)
     dist = np.linalg.norm(segs, axis=2).sum(axis=1)
-    gamma = scene.reflection_coeff ** (verts.shape[1] - 2)
+    gamma = _GAMMA ** (verts.shape[1] - 2)
     efield = gamma * np.exp(-2j * np.pi * dist / scene.wavelength) / dist
     return segs, dist, efield
 
@@ -377,7 +359,8 @@ def trace_paths(scene: Scene, rx_position) -> PathSet:
     the ground and vertical building facets up to ``scene.max_bounces``, as
     one :class:`PathSet` whose columns list the paths by bounce order, then
     facet chain. An occluded receiver with no reflected path yields an empty
-    PathSet. ``fields`` holds ``E = Gamma^b * exp(-2j*pi*d/lambda) / d``
+    PathSet. ``fields`` holds ``E = Gamma^b * exp(-2j*pi*d/lambda) / d``, with
+    Gamma = -0.7 at every facet whatever the carrier and the incidence angle,
     and ``alphas`` the channel gains for the default :class:`GainCalibration`;
     :func:`calibrate_alphas` recomputes them for another transmit power or
     other array sizes. ``rx_position`` must be 3 finite values.
@@ -406,8 +389,10 @@ def trace_paths(scene: Scene, rx_position) -> PathSet:
 
 
 def calibrate_alphas(paths: PathSet, wavelength: float, calib: GainCalibration) -> PathSet:
-    """``paths`` with ``alphas`` recomputed from ``fields`` for the transmit power and
-    array sizes of ``calib``, as :func:`trace_paths` computes them; other columns shared."""
+    """``paths`` with ``alphas`` recomputed from ``fields`` for a finite ``wavelength`` > 0
+    and the transmit power and array sizes of ``calib``, as :func:`trace_paths` computes
+    them; other columns shared."""
+    real(wavelength, "wavelength", positive=True)
     return replace(paths, alphas=paths.fields * _gain_scale(wavelength, calib))
 
 
@@ -483,9 +468,7 @@ def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
     rows, cols = rss_map.values.shape
     row, col = rss_map.nearest_cell(ue_estimate)
     if not (0 <= row < rows and 0 <= col < cols):
-        raise ValueError(
-            f"UE estimate {tuple(ue_estimate)} is outside the RSS map bounds"
-        )
+        raise ValueError(f"UE estimate {tuple(ue_estimate)} is outside the RSS map bounds")
     half = p // 2
     out = np.zeros((p, p), dtype=np.float64)
     r0, r1 = row - half, row + half + 1
@@ -494,85 +477,6 @@ def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
     sr1, sc1 = min(r1, rows), min(c1, cols)
     out[sr0 - r0 : sr1 - r0, sc0 - c0 : sc1 - c0] = rss_map.values[sr0:sr1, sc0:sc1]
     return RssPatch(values=out, center=(row, col))
-
-
-# ---------------------------------------------------------------------------
-# external interfaces
-# ---------------------------------------------------------------------------
-
-
-class PathImportError(ValueError):
-    """Malformed ray-tracer export."""
-
-
-def _csv_rows(stream):
-    """The rows of a CSV stream; a CSV syntax error becomes a :class:`PathImportError`."""
-    reader = csv.reader(stream)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise PathImportError(f"line {reader.line_num}: {exc}") from None
-
-
-def import_paths(stream) -> list[tuple[int, PathSet]]:
-    """Parse a ray-tracer CSV export into per-sample PathSets.
-
-    ``stream`` is a text-mode file object or a path. The header must be
-    exactly ``sample_id,path_id,e_real,e_imag,toa_s,aoa_az_rad,aoa_el_rad,
-    aod_az_rad,aod_el_rad``; decimal and exponential notation are both
-    accepted. Rows are grouped by sample_id into one :class:`PathSet` each, in
-    row order; errors name the line, and a repeated ``(sample_id, path_id)``
-    names both lines. ``alphas`` is zero until :func:`calibrate_alphas` is
-    applied.
-    """
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        with open(stream, "r", encoding="utf-8", newline="") as fh:
-            return import_paths(fh)
-
-    reader = _csv_rows(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PathImportError("empty stream: missing header row") from None
-    header = [h.strip() for h in header]
-    if tuple(header) != _PATH_CSV_COLUMNS:
-        unknown = [h for h in header if h not in _PATH_CSV_COLUMNS]
-        if unknown:
-            raise PathImportError(f"unknown column(s): {', '.join(unknown)}")
-        raise PathImportError(
-            f"bad header: expected {','.join(_PATH_CSV_COLUMNS)}, got {','.join(header)}"
-        )
-
-    groups: dict[int, list[tuple]] = {}
-    first_line: dict[tuple[int, int], int] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(_PATH_CSV_COLUMNS):
-            raise PathImportError(
-                f"line {lineno}: expected {len(_PATH_CSV_COLUMNS)} fields, got {len(row)}"
-            )
-        vals = {}
-        for name, raw in zip(_PATH_CSV_COLUMNS, row):
-            try:
-                vals[name] = int(raw) if name in ("sample_id", "path_id") else float(raw)
-            except ValueError:
-                raise PathImportError(
-                    f"line {lineno}: field '{name}' is not numeric: {raw!r}"
-                ) from None
-        path = (0j, vals["toa_s"], vals["aoa_az_rad"], vals["aoa_el_rad"], vals["aod_az_rad"],
-                vals["aod_el_rad"], complex(vals["e_real"], vals["e_imag"]))
-        try:
-            PathSet(*([v] for v in path))
-        except ValueError as exc:
-            raise PathImportError(f"line {lineno}: {exc}") from None
-        key = (vals["sample_id"], vals["path_id"])
-        if key in first_line:
-            raise PathImportError(f"line {lineno}: sample_id {key[0]}, path_id {key[1]} "
-                                  f"repeats line {first_line[key]}")
-        first_line[key] = lineno
-        groups.setdefault(vals["sample_id"], []).append(path)
-    return [(sid, PathSet(*zip(*rows))) for sid, rows in groups.items()]
 
 
 def save_rss_map(rss_map: RssMap, path) -> None:

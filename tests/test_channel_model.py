@@ -120,9 +120,14 @@ class TestPathAndPulseChecks:
             ("aoa_az", [0.0], r"aoa_az has shape \(1,\)"),
             ("fields", [0j, 0j, 0j], r"fields has shape \(3,\)"),
             ("alphas", [[1.0, 2.0]], "1-D"),
+            ("alphas", ["1", "2"], "alphas must be numeric"),
+            ("toas", ["0", "1e-9"], "toas must be numeric"),
+            ("fields", [b"0", 0j], "fields must be numeric"),
+            ("toas", np.array(["0", 1e-9], dtype=object), "toas must be numeric"),
         ],
         ids=["toa-negative", "aoa-el-above", "aod-el-below", "aoa-az-above", "aod-az-below",
-             "aoa-el-nan", "aod-az-nan", "short-column", "long-fields", "2-d"],
+             "aoa-el-nan", "aod-az-nan", "short-column", "long-fields", "2-d", "alphas-string",
+             "toas-string", "fields-bytes", "toas-object-string"],
     )
     def test_path_set_rejects_out_of_range(self, name, bad, match):
         good = dict(alphas=[1.0, 2.0], toas=[0.0, 1e-9], aoa_az=[math.pi, 0.0],

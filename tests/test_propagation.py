@@ -1,8 +1,5 @@
-import csv
-import io
 import math
 import struct
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -25,12 +22,11 @@ from mbce.propagation import (
     ETA0,
     Box,
     GainCalibration,
-    PathImportError,
     RssMap,
+    RssPatch,
     Scene,
     calibrate_alphas,
     generate_rss_map,
-    import_paths,
     load_rss_map,
     rss_from_channel,
     rss_from_fields,
@@ -77,12 +73,12 @@ class TestInputChecks:
             ("tx_position", (0.0, 0.0, 25.0, 1.0), "tx_position"),
             ("carrier_freq", np.nan, "carrier"),
             ("carrier_freq", np.inf, "carrier"),
-            ("reflection_coeff", complex(np.nan, 0.0), "reflection"),
-            ("reflection_coeff", complex(0.0, np.inf), "reflection"),
             ("max_bounces", 2.0, "max_bounces"),
             ("carrier_freq", "15e9", "carrier"),
             ("carrier_freq", None, "carrier"),
             ("tx_position", ("x", 0.0, 25.0), "tx_position"),
+            ("tx_position", ("1", "0", "25"), "tx_position"),
+            ("tx_position", (b"1", 0.0, 25.0), "tx_position"),
         ],
     )
     def test_scene_rejects(self, name, bad, match):
@@ -148,11 +144,13 @@ class TestInputChecks:
             (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), "x"), "power"),
             (lambda m: m.nearest_cell((None, 1.0)), "position"),
             (lambda m: m.nearest_cell(("x", 1.0)), "position"),
+            (lambda m: m.nearest_cell(("1", 2.0)), "position"),
+            (lambda m: ChannelTensor([[["1"]]]), "channel taps"),
         ],
         ids=["patch-inf", "patch-minus-inf", "patch-nan", "fields-nan", "fields-inf",
              "channel-nan", "channel-inf", "field-value-nan", "wavelength-string",
              "wavelength-none", "field-value-string", "channel-none", "channel-string",
-             "cell-none", "cell-string"],
+             "cell-none", "cell-string", "cell-numeric-string", "taps-numeric-string"],
     )
     def test_non_finite_scalar_rejected(self, call, match):
         m = RssMap(origin=(0.0, 0.0), spacing=1.0, values=np.ones((4, 4)), rx_height=1.5)
@@ -215,6 +213,19 @@ class TestGainCalibrationChecks:
         ps = PathSet([1.0], [1e-8], [0.0], [0.0], [0.0], [0.0], fields=[0.01])
         with pytest.raises(ValueError, match="p_t"):
             calibrate_alphas(ps, 0.02, GainCalibration(p_t=0.0, nr=4, nt=16))
+
+    @pytest.mark.parametrize("wavelength", [-0.02, 0.0, np.nan, "x"])
+    def test_calibrate_alphas_rejects_wavelength(self, wavelength):
+        ps = PathSet([1.0], [1e-8], [0.0], [0.0], [0.0], [0.0], fields=[0.01])
+        with pytest.raises(ValueError, match="wavelength"):
+            calibrate_alphas(ps, wavelength, GainCalibration())
+
+    def test_calibrate_alphas_applies_gain_formula(self):
+        ps = PathSet([0j], [1e-8], [0.0], [0.0], [0.0], [0.0], fields=[0.01])
+        lam, p_t, nr, nt = 0.02, 2.0, 4, 16
+        cal = calibrate_alphas(ps, lam, GainCalibration(p_t, nr, nt))
+        expect = lam * 0.01 / math.sqrt(8 * math.pi * ETA0 * p_t * nr * nt)
+        assert cal.alphas[0] == pytest.approx(expect, rel=1e-12)
 
 
 class TestTracePaths:
@@ -443,7 +454,7 @@ class TestRssMap:
         d1 = math.sqrt(x**2 + (20.0 + zh) ** 2)
         e = (
             np.exp(-2j * np.pi * d0 / lam) / d0
-            + scene.reflection_coeff * np.exp(-2j * np.pi * d1 / lam) / d1
+            - 0.7 * np.exp(-2j * np.pi * d1 / lam) / d1
         )
         expect = lam**2 / (8 * math.pi * ETA0) * abs(e) ** 2
         assert m.values[0, 0] == pytest.approx(expect, rel=1e-9)
@@ -519,154 +530,12 @@ class TestRssPatch:
         with pytest.raises(ValueError):
             rss_patch_at(self.map, (3.0, 3.0), 4)
 
-
-HEADER = "sample_id,path_id,e_real,e_imag,toa_s,aoa_az_rad,aoa_el_rad,aod_az_rad,aod_el_rad"
-AZIMUTHS, ELEVATIONS = st.floats(-math.pi, math.pi), st.floats(-math.pi / 2, math.pi / 2)
-# (sample_id, path_id, field, toa, aoa_az, aoa_el, aod_az, aod_el) of a valid row
-VALID_PATHS = st.tuples(
-    st.integers(0, 3),
-    st.integers(0, 99),
-    st.complex_numbers(allow_nan=False, allow_infinity=False),
-    st.floats(0.0, allow_infinity=False),
-    AZIMUTHS,
-    ELEVATIONS,
-    AZIMUTHS,
-    ELEVATIONS,
-)
-
-
-def csv_row(path):
-    sid, pid, e, *reals = path
-    return [str(sid), str(pid), repr(e.real), repr(e.imag), *map(repr, reals)]
-
-
-def csv_text(rows):
-    return "".join(",".join(row) + "\n" for row in [HEADER.split(",")] + rows)
-
-
-VALID_ROWS = VALID_PATHS.map(csv_row)
-# valid rows of one file: no (sample_id, path_id) twice
-UNIQUE_PATHS = st.lists(VALID_PATHS, max_size=12, unique_by=lambda p: (p[0], p[1]))
-
-
-def unique_rows(max_size):
-    return st.lists(VALID_ROWS, max_size=max_size, unique_by=lambda r: (r[0], r[1]))
-# no decimal digit, comma, quote or line break: never a number and still one field
-NON_NUMERIC = st.text(
-    st.characters(blacklist_categories=("Nd", "Cs"), blacklist_characters=',"\r\n'), max_size=6
-)
-
-
-@st.composite
-def malformed_rows(draw):
-    """A valid row with one defect: a non-numeric field, a field past the csv
-    module's size limit, a non-finite value, a non-integer id, a value outside
-    its column's range, or a wrong field count."""
-    row = draw(VALID_ROWS)
-    kind = draw(st.sampled_from(["text", "oversized", "non-finite", "id", "range", "count"]))
-    if kind == "text":
-        row[draw(st.integers(0, 8))] = draw(NON_NUMERIC)
-    elif kind == "oversized":
-        row[draw(st.integers(0, 8))] = "1" * (csv.field_size_limit() + 1)
-    elif kind == "non-finite":
-        row[draw(st.integers(2, 8))] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999"]))
-    elif kind == "id":
-        row[draw(st.integers(0, 1))] = repr(draw(st.floats()))
-    elif kind == "range":
-        # toa_s below 0; angles beyond their bound plus the 1e-12 slack
-        column, bound = draw(st.sampled_from(
-            [(4, 0.0), (5, math.pi), (6, math.pi / 2), (7, math.pi), (8, math.pi / 2)]
-        ))
-        excess = draw(st.floats(1e-9, 1e300))
-        sign = -1.0 if column == 4 else draw(st.sampled_from([-1.0, 1.0]))
-        row[column] = repr(sign * (bound + excess))
-    else:
-        n = draw(st.integers(1, 12).filter(lambda n: n != 9))
-        row = (row + row)[:n]
-    return row
-
-
-class TestImportPaths:
-    def test_header_only(self):
-        assert import_paths(io.StringIO(HEADER + "\n")) == []
-
-    def test_single_row_verbatim(self):
-        text = HEADER + "\n1,0,0.5,-0.25,3.3e-7,0.1,-0.2,1.0,0.05\n"
-        out = import_paths(io.StringIO(text))
-        assert len(out) == 1
-        sid, ps = out[0]
-        assert sid == 1 and len(ps) == 1
-        assert ps.fields[0] == 0.5 - 0.25j
-        assert ps.toas[0] == 3.3e-7
-        assert (ps.aoa_az[0], ps.aoa_el[0], ps.aod_az[0], ps.aod_el[0]) == (0.1, -0.2, 1.0, 0.05)
-        assert ps.alphas[0] == 0j
-
-    def test_exponential_and_fixed_notation_agree(self):
-        row_exp = "2,0,1.5e-1,0.0,2.5e-8,0.0,0.0,0.0,0.0"
-        row_fix = "2,0,0.15,0.0,0.000000025,0.0,0.0,0.0,0.0"
-        a = import_paths(io.StringIO(HEADER + "\n" + row_exp + "\n"))
-        b = import_paths(io.StringIO(HEADER + "\n" + row_fix + "\n"))
-        assert all(map(np.array_equal, astuple(a[0][1]), astuple(b[0][1])))
-
-    def test_groups_preserve_row_order(self):
-        text = HEADER + "\n"
-        text += "7,0,1,0,1e-8,0,0,0,0\n"
-        text += "3,0,2,0,1e-8,0,0,0,0\n"
-        text += "7,1,3,0,2e-8,0,0,0,0\n"
-        out = import_paths(io.StringIO(text))
-        assert [sid for sid, _ in out] == [7, 3]
-        assert out[0][1].fields.real.tolist() == [1.0, 3.0]
-
-    def test_malformed_row_names_line_and_field(self):
-        text = HEADER + "\n1,0,abc,0,1e-8,0,0,0,0\n"
-        with pytest.raises(PathImportError, match="line 2.*e_real"):
-            import_paths(io.StringIO(text))
-
-    @pytest.mark.parametrize("column", [2, 3, 4], ids=["e_real", "e_imag", "toa_s"])
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_value_names_line(self, column, bad):
-        row = "1,0,0.5,0,1e-8,0,0,0,0".split(",")
-        row[column] = bad
-        text = HEADER + "\n0,0,1,0,1e-8,0,0,0,0\n" + ",".join(row) + "\n"
-        with pytest.raises(PathImportError, match="line 3.*not finite"):
-            import_paths(io.StringIO(text))
-
-    def test_repeated_path_id_names_both_lines(self):
-        text = HEADER + "\n4,1,1,0,1e-8,0,0,0,0\n5,1,1,0,1e-8,0,0,0,0\n4,1,2,0,2e-8,0,0,0,0\n"
-        with pytest.raises(PathImportError, match="^line 4: .*path_id 1 repeats line 2$"):
-            import_paths(io.StringIO(text))
-
-    def test_unknown_column_rejected(self):
-        text = HEADER + ",extra\n"
-        with pytest.raises(PathImportError, match="unknown column"):
-            import_paths(io.StringIO(text))
-
-    def test_calibrate_alphas_applies_gain_formula(self):
-        text = HEADER + "\n0,0,0.01,0.0,1e-8,0,0,0,0\n"
-        (_, ps), = import_paths(io.StringIO(text))
-        lam, p_t, nr, nt = 0.02, 2.0, 4, 16
-        cal = calibrate_alphas(ps, lam, GainCalibration(p_t, nr, nt))
-        expect = lam * 0.01 / math.sqrt(8 * math.pi * ETA0 * p_t * nr * nt)
-        assert cal.alphas[0] == pytest.approx(expect, rel=1e-12)
-
-    @settings(max_examples=100, deadline=None)
-    @given(paths=UNIQUE_PATHS)
-    def test_repr_written_columns_parse_back_exactly(self, paths):
-        out = import_paths(io.StringIO(csv_text([csv_row(p) for p in paths])))
-        expect = {}
-        for sid, _, e, *reals in paths:
-            expect.setdefault(sid, []).append((0j, *reals, e))
-        assert [sid for sid, _ in out] == list(expect)
-        for (_, ps), want in zip(out, expect.values()):
-            assert [c.tobytes() for c in astuple(ps)] == [
-                c.tobytes() for c in astuple(PathSet(*zip(*want)))
-            ]
-
-    @settings(max_examples=300, deadline=None)
-    @given(before=unique_rows(3), bad=malformed_rows(), after=unique_rows(2))
-    def test_malformed_row_raises_only_path_import_error(self, before, bad, after):
-        with pytest.raises(PathImportError, match=rf"^line {len(before) + 2}: "):
-            import_paths(io.StringIO(csv_text(before + [bad] + after)))
+    @pytest.mark.parametrize(
+        "values", [5.0, [[np.nan]], np.zeros((2, 3))], ids=["scalar", "nan", "oblong"]
+    )
+    def test_patch_values_must_be_finite_and_square(self, values):
+        with pytest.raises(ValueError, match="patch values"):
+            RssPatch(values=values, center=(0, 0))
 
 
 class TestRssMapIO:
