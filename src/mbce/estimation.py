@@ -5,8 +5,13 @@ pilot symbols forming the unitary DFT matrix across transmit antennas, so
 per-subcarrier least squares is its conjugate transpose. Noise is set by the
 SNR alone, so the transmit power cancels and is not a parameter. The
 coarse estimate interpolates magnitude and unwrapped phase across the band
-and transforms back to the tap domain with an inverse DFT. OMP pursues the
-same LS estimate, so the pilot matrix appears only in the pilot model.
+and transforms back to the tap domain with an inverse DFT, truncated to the
+taps it keeps. One rule gives every DFT row: the pilot model's, the OMP
+operator's and the inverse transform's. OMP pursues the same LS estimate, so
+the pilot matrix appears only in the pilot model. It correlates that estimate
+with the whole dictionary once and then works from the refit's Cholesky
+factor (Batch-OMP): neither the residual nor its norm is formed by applying
+the operator.
 
 Everything is a pure function of (inputs, seed); Monte-Carlo trials can be
 parallelized across seeds.
@@ -15,6 +20,7 @@ parallelized across seeds.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,9 +112,11 @@ class PilotObservation:
             )
 
 
-def _pilot_dft(cfg: PilotConfig, taps) -> np.ndarray:
-    """``[P, len(taps)]`` rows ``exp(-2j*pi*k*d/n_sc)``: pilot subcarriers ``k``, taps ``d``."""
-    return np.exp(-2j * np.pi * np.multiply.outer(cfg.placement, taps) / cfg.n_sc)
+def _dft_rows(subcarriers, taps, n_sc: int) -> np.ndarray:
+    """``[len(subcarriers), len(taps)]`` rows ``exp(-2j*pi*k*d/n_sc)``: subcarriers
+    ``k``, taps ``d``. ``k*d`` is reduced mod ``n_sc`` first, so every phase is
+    in ``[0, 2*pi)`` and carries one rounding, however large the product."""
+    return np.exp(-2j * np.pi * (np.multiply.outer(subcarriers, taps) % n_sc) / n_sc)
 
 
 def _pilot_response(h: ChannelTensor, cfg: PilotConfig) -> np.ndarray:
@@ -117,7 +125,8 @@ def _pilot_response(h: ChannelTensor, cfg: PilotConfig) -> np.ndarray:
         raise ValueError(f"subcarriers {cfg.n_sc} < tap count {h.d}")
     if cfg.nt != h.nt:
         raise ValueError(f"pilot config is for Nt={cfg.nt}, channel has Nt={h.nt}")
-    h_k = _pilot_dft(cfg, np.arange(h.d)) @ h.taps.reshape(h.d, -1)  # [P, Nr*Nt]
+    f = _dft_rows(cfg.placement, np.arange(h.d), cfg.n_sc)
+    h_k = f @ h.taps.reshape(h.d, -1)  # [P, Nr*Nt]
     return (h_k.reshape(-1, h.nt) @ cfg.pilot_matrix).reshape((-1,) + h.taps.shape[1:])
 
 
@@ -248,13 +257,22 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
 
 def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
     """Inverse DFT over subcarriers, truncated to the first ``d`` taps,
-    ``1 <= d <= n_sc``."""
+    ``1 <= d <= n_sc``.
+
+    Only the kept taps are computed, one ``[d, n_sc]`` row table times the
+    band; the taps agree with ``ifft(h_freq, axis=0)[:d]`` to rounding.
+    """
     n_sc = h_freq.shape[0]
     d = count(d, "tap count")
     if not 1 <= d <= n_sc:
         raise ValueError(f"need 1 <= tap count <= {n_sc} subcarriers, got {d}")
-    # A copy: a view of the first d rows would keep all n_sc rows alive.
-    taps = np.fft.ifft(h_freq, axis=0)[:d].copy()
+    # The truncated inverse DFT as one [d, n_sc] @ [n_sc, Nr*Nt] GEMM written
+    # into the returned taps: no array holds all n_sc rows of the transform.
+    idft = _dft_rows(np.arange(d), np.arange(n_sc), n_sc)
+    np.conjugate(idft, out=idft)
+    idft /= n_sc
+    taps = np.empty((d,) + h_freq.shape[1:], dtype=np.complex128)
+    np.matmul(idft, h_freq.reshape(n_sc, -1), out=taps.reshape(d, -1))
     return ChannelTensor(taps)
 
 
@@ -387,27 +405,28 @@ class OmpDictionary:
         tap tensor is never formed.
         """
         di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
-        w = _pilot_dft(cfg, self.delays[di]) * (np.asarray(gains) / self._norm)
+        w = _dft_rows(cfg.placement, self.delays[di], cfg.n_sc) * (np.asarray(gains) / self._norm)
         return rank_one_taps(w, self._a_r[ri], self._a_t[ti]).taps
 
     def adjoint(self, residual: np.ndarray, cfg: PilotConfig) -> np.ndarray:
         """Correlation ``[Nd, Gr, Gt]`` of a ``[P, Nr, Nt]`` LS-domain residual
         with every atom.
 
-        The pilot axis is contracted first, on the small residual:
-        ``F^H [Nd, P] @ R [P, Nr*Nt]``, with ``F`` the pilot DFT rows at
-        :attr:`delays`. Per delay, ``conj(A_r) Z_d A_t^H`` then correlates with
-        every spatial atom, tx first. The returned array is the only one of
-        the full grid's size.
+        The small axes are contracted first: the pilot axis,
+        ``F^H [Nd, P] @ R [P, Nr*Nt]`` with ``F`` the pilot DFT rows at
+        :attr:`delays`, then the rx axis, ``conj(A_r) Z_d`` per delay. One
+        ``[Nd*Gr, Nt] @ [Nt, Gt]`` GEMM against ``A_t^H / sqrt(Nr*Nt)`` then
+        writes the grid, so the returned array is the only one of the full
+        grid's size and no other pass touches it.
         """
         shape = (len(cfg.placement), self.rx_geom.size, self.tx_geom.size)
         if np.shape(residual) != shape:
             raise ValueError(f"residual must be {list(shape)}, got shape {np.shape(residual)}")
-        z = _pilot_dft(cfg, self.delays).conj().T @ residual.reshape(len(residual), -1)
-        z = z.reshape(len(z), *residual.shape[1:]) @ np.conj(self._a_t).T  # [Nd, Nr, Gt]
-        corr = np.conj(self._a_r) @ z  # [Nd, Gr, Gt]
-        corr /= self._norm
-        return corr
+        f = _dft_rows(cfg.placement, self.delays, cfg.n_sc)
+        z = f.conj().T @ residual.reshape(len(residual), -1)  # [Nd, Nr*Nt]
+        z = np.conj(self._a_r) @ z.reshape(len(z), *residual.shape[1:])  # [Nd, Gr, Nt]
+        a_t = np.conj(self._a_t).T / self._norm  # [Nt, Gt]
+        return (z.reshape(-1, shape[2]) @ a_t).reshape(self.shape)
 
     def gram_factors(self, cfg: PilotConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Factors ``kd [Nd, Nd]``, ``kr [Gr, Gr]``, ``kt [Gt, Gt]`` of the Gram
@@ -417,7 +436,7 @@ class OmpDictionary:
         ``kd = F^H F / (Nr*Nt)`` with ``F`` the pilot DFT rows at :attr:`delays`,
         ``kr = conj(A_r) A_r^T`` and ``kt = conj(A_t) A_t^T``.
         """
-        f = _pilot_dft(cfg, self.delays)
+        f = _dft_rows(cfg.placement, self.delays, cfg.n_sc)
         kd = f.conj().T @ f / self._norm**2
         kr = np.conj(self._a_r) @ self._a_r.T
         kt = np.conj(self._a_t) @ self._a_t.T
@@ -430,6 +449,10 @@ class OmpDictionary:
 # ms for a full-grid search and 2**14 ~59-65 ms; with comb pilots all take
 # ~30 ms. 2**15 (4 slabs at bench size) keeps the run buffers at 0.75 MB.
 _RUN_ATOMS = 2**15
+
+# Relative excess of the refit's projected energy ||w||^2 over ||y||^2 that
+# omp_estimate takes for rounding rather than a breakdown of the refit.
+_BREAKDOWN_TOL = 1e-9
 
 
 def _slab_bounds(slab_max, kd, kr_max, kt_max, selected, gains):
@@ -476,11 +499,21 @@ def omp_estimate(
     correlation is ``alpha0 - G[:, I] g`` for the selected atoms ``I`` and
     gains ``g``, with the Gram columns ``G[:, I]`` formed from
     :meth:`OmpDictionary.gram_factors` one factor at a time, never stored
-    whole. The refit grows the Cholesky factor of ``G[I, I]`` by one row per
-    pick and solves two triangular systems against ``alpha0[I]``. A pick whose
+    whole. Per pick, the refit grows the Cholesky factor ``L`` of ``G[I, I]``
+    by one row, extends ``w = L^-1 alpha0[I]`` by one entry (forward
+    substitution) and solves ``L^H g = w`` for the gains. A pick whose
     new squared pivot is at most ``1e-10`` times its own Gram entry lies in
     the span of the atoms already selected: the refit is rank-deficient, so
     that atom is dropped and the pursuit stops.
+
+    The residual norm is read off the same factor, as in Batch-OMP: the
+    projection of ``y`` onto the selected atoms has energy ``||w||^2``, summed
+    as the entries of ``w`` arrive, so the residual
+    ``y - forward(selected, gains)`` has norm ``sqrt(||y||^2 - ||w||^2)``,
+    clamped at 0, and is never formed. The norms agree with the explicit
+    residual's to rounding in ``||y||^2``: ~1e-15 ``||y||`` on bench-size
+    links, and up to ~``sqrt(eps) ||y||`` where the residual itself is at
+    rounding level. They never grow, by construction.
 
     The pick is searched one delay slab ``[Gr, Gt]`` at a time, in descending
     order of an upper bound on the slab's residual correlation: its
@@ -496,12 +529,13 @@ def omp_estimate(
     index wins, so the picks are those of a full-grid search. ``alpha0`` is
     the only grid-sized array a call holds.
 
-    Stops after ``k_max`` atoms, an integer ``>= 1``, once the residual
-    ``y - forward(selected, gains)`` is zero, or at a rank-deficient refit. A
-    residual norm that grows across an iteration raises
-    ``FloatingPointError``. The observation must come from ``cfg``'s pilot
-    placement and have the dictionary's ``(Nr, Nt)``, and ``cfg.nt`` must be
-    that Nt.
+    Stops after ``k_max`` atoms, an integer ``>= 1``, once the residual norm
+    is zero (``||w||^2`` reached ``||y||^2``), or at a rank-deficient refit.
+    A projection cannot hold more energy than ``y``: a ``||w||^2`` above
+    ``||y||^2`` by more than a relative ``_BREAKDOWN_TOL`` means the refit broke
+    down and raises ``FloatingPointError``. The observation must come from
+    ``cfg``'s pilot placement and have the dictionary's ``(Nr, Nt)``, and
+    ``cfg.nt`` must be that Nt.
     """
     k_max = count(k_max, "k_max", 1)
     dc = dictionary
@@ -510,6 +544,7 @@ def omp_estimate(
         raise ValueError(f"observation is for {obs.y.shape[1:]} arrays, dictionary for {arrays}")
     y = ls_estimate(obs, cfg)
     y_norm = float(np.linalg.norm(y))
+    y_norm2 = y_norm**2
     resid_norms = [y_norm]
     alpha0 = dc.adjoint(y, cfg)
     kd, kr, kt = dc.gram_factors(cfg)
@@ -523,7 +558,8 @@ def omp_estimate(
     corr = np.empty(run_max * slab)  # |resid_corr|, flat atom order within the run
     chol = np.zeros((k_max, k_max), dtype=np.complex128)  # lower, G[I, I] = L L^H
     selected: list[int] = []
-    gains = np.zeros(0, dtype=np.complex128)
+    gains = w = np.zeros(0, dtype=np.complex128)
+    proj2 = 0.0
 
     while len(selected) < k_max and resid_norms[-1] > 0.0:
         k = len(selected)
@@ -564,13 +600,14 @@ def omp_estimate(
         chol[k, :k] = row.conj()
         chol[k, k] = np.sqrt(pivot2)
         selected.append(pick)
-        low = chol[: k + 1, : k + 1]
-        gains = np.linalg.solve(low.conj().T, np.linalg.solve(low, alpha0.ravel()[selected]))
+        # w = L^-1 alpha0[I] gains one entry by forward substitution
+        w = np.append(w, (alpha0.flat[pick] - chol[k, :k] @ w) / chol[k, k])
+        gains = np.linalg.solve(chol[: k + 1, : k + 1].conj().T, w)
 
-        r_norm = float(np.linalg.norm(y - dc.forward(selected, gains, cfg)))
-        if r_norm > resid_norms[-1] + 1e-9 * y_norm:
-            raise FloatingPointError("OMP residual increased across an iteration")
-        resid_norms.append(r_norm)
+        proj2 += abs(w[-1]) ** 2  # ||w||^2, the energy of y's projection on the atoms
+        if proj2 > y_norm2 * (1.0 + _BREAKDOWN_TOL):
+            raise FloatingPointError("OMP refit holds more energy than the LS estimate")
+        resid_norms.append(math.sqrt(max(y_norm2 - proj2, 0.0)))
 
     result = OmpResult(dc.synthesize(selected, gains), selected, gains, resid_norms)
     return result if return_info else result.estimate

@@ -89,9 +89,11 @@ class Box:
 class Scene:
     """Static propagation environment: buildings, ground plane at z=0, one tx.
 
-    ``tx_position`` is 3 finite values, ``carrier_freq`` finite and > 0,
-    ``max_bounces`` the integer 0, 1 or 2. Every facet, the ground included,
-    reflects with Gamma = -0.7, whatever the carrier and the incidence angle.
+    ``buildings`` is a sequence of :class:`Box`, stored as a tuple so that a
+    scene stays hashable. ``tx_position`` is 3 finite values, ``carrier_freq``
+    finite and > 0, ``max_bounces`` the integer 0, 1 or 2. Every facet, the
+    ground included, reflects with Gamma = -0.7, whatever the carrier and the
+    incidence angle.
     """
 
     buildings: tuple[Box, ...]
@@ -100,6 +102,13 @@ class Scene:
     max_bounces: int = 1
 
     def __post_init__(self):
+        try:
+            buildings = tuple(self.buildings)
+        except TypeError:
+            buildings = None
+        if buildings is None or not all(isinstance(b, Box) for b in buildings):
+            raise ValueError(f"buildings must be a sequence of Box, got {self.buildings!r}")
+        object.__setattr__(self, "buildings", buildings)
         point(self.tx_position, "tx_position")
         count_fields(self, "max_bounces")
         real(self.carrier_freq, "carrier_freq", positive=True)
@@ -132,11 +141,16 @@ class RssMap:
             raise ValueError("RSS values must be non-negative")
 
     def nearest_cell(self, xy) -> tuple[int, int]:
-        """``(row, col)`` of the cell nearest the finite point ``xy[:2]``."""
-        x, y = point(xy[:2], "position", 2)
-        col = int(round((x - self.origin[0]) / self.spacing))
-        row = int(round((y - self.origin[1]) / self.spacing))
-        return row, col
+        """``(row, col)`` of the cell nearest the finite point ``xy[:2]``, which
+        must be a cell of the map."""
+        pos = point(xy[:2], "position", 2)
+        # Far off a fine grid the offset overflows to inf, which is off the map too.
+        with np.errstate(over="ignore"):
+            col, row = np.rint((pos - self.origin) / self.spacing)
+        rows, cols = self.values.shape
+        if not (0 <= row < rows and 0 <= col < cols):
+            raise ValueError(f"position {tuple(pos.tolist())} is outside the RSS map bounds")
+        return int(row), int(col)
 
 
 @dataclass
@@ -467,8 +481,6 @@ def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
         raise ValueError(f"patch side must be odd and >= 1, got {p}")
     rows, cols = rss_map.values.shape
     row, col = rss_map.nearest_cell(ue_estimate)
-    if not (0 <= row < rows and 0 <= col < cols):
-        raise ValueError(f"UE estimate {tuple(ue_estimate)} is outside the RSS map bounds")
     half = p // 2
     out = np.zeros((p, p), dtype=np.float64)
     r0, r1 = row - half, row + half + 1

@@ -538,14 +538,19 @@ class TestOmp:
     def test_rank_deficient_refit_drops_newest_atom_and_stops(self):
         # Comb pilots 0 and 4 of 8 subcarriers see taps d and d + 2 alike, so
         # once taps 0 and 1 are fitted every other atom repeats a selected one.
+        # One rx direction over two rx antennas spans half the observation
+        # space, so the residual stays nonzero and the rank test stops the pursuit.
         cfg = PilotConfig(n_sc=8, n_pilot=2, nt=1)
-        dc = OmpDictionary.build(4, ArrayGeometry(1, 1), ArrayGeometry(1, 1), oversample=1)
-        y = np.random.default_rng(0).normal(size=(2, 1, 1)) + 1j
+        dc = OmpDictionary(delays=np.arange(4), rx_dirs=[[0.0, 0.0]], tx_dirs=[[0.0, 0.0]],
+                           rx_geom=ArrayGeometry(2, 1), tx_geom=ArrayGeometry(1, 1))
+        rng = np.random.default_rng(0)
+        y = rng.normal(size=(2, 2, 1)) + 1j * rng.normal(size=(2, 2, 1))
         obs = PilotObservation(y=y, placement=cfg.placement)
         res = omp_estimate(obs, cfg, dc, k_max=4, return_info=True)
-        assert res.selected == [0, 1]
+        assert sorted(res.selected) == [0, 1]
         assert len(res.gains) == 2
         assert len(res.residual_norms) == 3
+        assert res.residual_norms[-1] > 1e-3 * res.residual_norms[0]
 
     def test_repeated_delay_ties_go_to_the_lower_index(self):
         # Delays [1, 1] make slab 1 a copy of slab 0, so every pick ties an atom
@@ -555,10 +560,26 @@ class TestOmp:
         dc = OmpDictionary(delays=[1, 1], rx_dirs=[[-1.0, 0.0], [0.0, 0.0]],
                            tx_dirs=[[0.0, 0.0]], rx_geom=ArrayGeometry(2, 1),
                            tx_geom=ArrayGeometry(1, 1))
-        obs = PilotObservation(y=dc.forward([0, 1], [2.0, 1.0], cfg), placement=cfg.placement)
+        # noise outside the atoms' span keeps the residual nonzero to the end
+        noise = 0.1 * np.random.default_rng(1).normal(size=(4, 2, 1))
+        obs = PilotObservation(y=dc.forward([0, 1], [2.0, 1.0], cfg) + noise,
+                               placement=cfg.placement)
         res = omp_estimate(obs, cfg, dc, k_max=4, return_info=True)
         assert res.selected == [0, 1]
         assert len(res.residual_norms) == 3
+        assert res.residual_norms[-1] > 0.0
+
+    def test_refit_holding_more_energy_than_y_raises(self):
+        # An adjoint twice too large gives the one-atom projection of an exact
+        # atom four times the energy of y: only a broken refit does that.
+        class Doubled(OmpDictionary):
+            def adjoint(self, residual, cfg):
+                return 2.0 * super().adjoint(residual, cfg)
+
+        dc = Doubled(self.dict.delays, self.dict.rx_dirs, self.dict.tx_dirs, self.rx, self.tx)
+        obs = transmit_pilots(dc.synthesize([5], [1.0]), self.cfg, 0)
+        with pytest.raises(FloatingPointError, match="more energy"):
+            omp_estimate(obs, self.cfg, dc, k_max=1)
 
     def test_residual_norms_non_increasing(self):
         rng = np.random.default_rng(30)

@@ -79,12 +79,21 @@ class TestInputChecks:
             ("tx_position", ("x", 0.0, 25.0), "tx_position"),
             ("tx_position", ("1", "0", "25"), "tx_position"),
             ("tx_position", (b"1", 0.0, 25.0), "tx_position"),
+            ("buildings", ("x",), "buildings"),
+            ("buildings", (Box(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), None), "buildings"),
+            ("buildings", None, "buildings"),
         ],
     )
     def test_scene_rejects(self, name, bad, match):
         good = dict(buildings=(), tx_position=(0.0, 0.0, 25.0), carrier_freq=CARRIER)
         with pytest.raises(ValueError, match=match):
             Scene(**{**good, name: bad})
+
+    def test_scene_from_a_list_of_boxes_is_hashable(self):
+        wall = Box(10.0, 14.0, -20.0, 20.0, 0.0, 30.0)
+        scene = Scene([wall], (0.0, 0.0, 25.0), CARRIER)
+        assert scene.buildings == (wall,)
+        assert hash(scene) == hash(Scene((wall,), (0.0, 0.0, 25.0), CARRIER))
 
     @pytest.mark.parametrize(
         "bounds",
@@ -525,6 +534,18 @@ class TestRssPatch:
     def test_out_of_bounds_errors(self):
         with pytest.raises(ValueError, match="outside"):
             rss_patch_at(self.map, (50.0, 0.0), 3)
+
+    @pytest.mark.parametrize("xy", [(50.0, 0.0), (0.0, -0.6)])
+    def test_nearest_cell_off_the_map_errors(self, xy):
+        with pytest.raises(ValueError, match="outside the RSS map bounds"):
+            self.map.nearest_cell(xy)
+
+    def test_point_far_off_a_fine_grid_is_outside_not_an_overflow(self):
+        fine = RssMap(origin=(0.0, 0.0), spacing=1e-300, values=np.ones((4, 4)), rx_height=1.5)
+        with pytest.raises(ValueError, match="outside the RSS map bounds"):
+            fine.nearest_cell((1e10, 0.0))
+        with pytest.raises(ValueError, match="outside the RSS map bounds"):
+            rss_patch_at(fine, (0.0, -1e10), 3)
 
     def test_even_patch_side_rejected(self):
         with pytest.raises(ValueError):

@@ -131,10 +131,12 @@ def test_gram_factors_give_adjoint_of_forward(grid, dims, oversample, seed):
 
 def reference_omp(obs, cfg, dc, k_max):
     """Textbook OMP on the LS estimate: correlate the residual with every
-    atom, refit by lstsq."""
+    atom, refit by lstsq. Returns ``(selected, residual_norms)``, the norms
+    of ``y`` and of each refit's explicit residual."""
     y_ls = ls_estimate(obs, cfg)
     y = y_ls.ravel()
     selected, cols, r = [], [], y
+    norms = [float(np.linalg.norm(y))]
     while len(selected) < k_max:
         corr = np.abs(dc.adjoint(r.reshape(y_ls.shape), cfg)).ravel()
         corr[selected] = 0.0
@@ -146,27 +148,25 @@ def reference_omp(obs, cfg, dc, k_max):
         selected.append(pick)
         cols.append(phi[:, -1])
         r = y - phi @ gains
-    return selected
+        norms.append(float(np.linalg.norm(r)))
+    return selected, norms
 
 
-@PROPS
-@given(
-    n_sc=st.integers(8, 32),
-    data=st.data(),
-    dims=st.tuples(*[st.integers(1, 2)] * 4),
-    oversample=st.integers(1, 2),
-    sparsity=st.integers(1, 3),
-    k_max=st.integers(1, 6),
-    seed=st.integers(0, 2**32),
-)
-def test_omp_picks_the_atoms_of_reference_omp(n_sc, data, dims, oversample, sparsity, k_max,
-                                              seed):
+@st.composite
+def omp_links(draw):
+    """``(obs, cfg, dictionary, k_max)``: a sparse channel of dictionary atoms
+    observed at 15 dB SNR through a random placement of at least ``d`` pilots."""
+    n_sc = draw(st.integers(8, 32))
+    dims = draw(st.tuples(*[st.integers(1, 2)] * 4))
+    oversample = draw(st.integers(1, 2))
+    sparsity, k_max = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32))
     # on an axis of one element every oversampled direction is the same atom
     assume(oversample == 1 or min(dims) > 1)
     # several delay slabs, so the pick search prunes some of them
-    d = data.draw(st.integers(1, min(12, n_sc)))
+    d = draw(st.integers(1, min(12, n_sc)))
     # at least d pilots: the pilot DFT rows then tell every delay apart
-    placement = tuple(sorted(data.draw(st.sets(st.integers(0, n_sc - 1), min_size=d))))
+    placement = tuple(sorted(draw(st.sets(st.integers(0, n_sc - 1), min_size=d))))
     rx, tx = ArrayGeometry(*dims[:2]), ArrayGeometry(*dims[2:])
     assume(k_max < len(placement) * rx.size * tx.size)
     cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=tx.size, snr_db=15.0,
@@ -175,9 +175,24 @@ def test_omp_picks_the_atoms_of_reference_omp(n_sc, data, dims, oversample, spar
     rng = np.random.default_rng(seed)
     picks = rng.choice(dc.n_atoms, size=min(sparsity, dc.n_atoms), replace=False)
     h = dc.synthesize(picks, rng.normal(size=picks.size) + 1j * rng.normal(size=picks.size))
-    obs = transmit_pilots(h, cfg, seed)
-    res = omp_estimate(obs, cfg, dc, k_max, return_info=True)
-    assert res.selected == reference_omp(obs, cfg, dc, k_max)
+    return transmit_pilots(h, cfg, seed), cfg, dc, k_max
+
+
+@PROPS
+@given(case=omp_links())
+def test_omp_picks_the_atoms_of_reference_omp(case):
+    res = omp_estimate(*case, return_info=True)
+    assert res.selected == reference_omp(*case)[0]
+
+
+@PROPS
+@given(case=omp_links())
+def test_omp_residual_norms_are_those_of_the_lstsq_refit(case):
+    # omp_estimate reads ||y - P_I y|| off its Cholesky factor as
+    # sqrt(||y||^2 - ||w||^2); the reference forms the residual explicitly.
+    res = omp_estimate(*case, return_info=True)
+    norms = reference_omp(*case)[1]
+    np.testing.assert_allclose(res.residual_norms, norms, rtol=0, atol=1e-9 * norms[0])
 
 
 angles = st.tuples(
