@@ -5,9 +5,9 @@ pilot symbols forming the unitary DFT matrix across transmit antennas, so
 per-subcarrier least squares is its conjugate transpose. Noise is set by the
 SNR alone, so the transmit power cancels and is not a parameter. The
 coarse estimate interpolates magnitude and unwrapped phase across the band
-and transforms back to the tap domain with an inverse DFT, truncated to the
-taps it keeps. One rule gives every DFT row: the pilot model's, the OMP
-operator's and the inverse transform's. OMP pursues the same LS estimate, so
+and transforms back to the tap domain with an inverse FFT, truncated to the
+taps it keeps. One rule gives every DFT row, the pilot model's and the OMP
+operator's. OMP pursues the same LS estimate, so
 the pilot matrix appears only in the pilot model. It correlates that estimate
 with the whole dictionary once and then works from the refit's Cholesky
 factor (Batch-OMP): neither the residual nor its norm is formed by applying
@@ -259,20 +259,17 @@ def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
     """Inverse DFT over subcarriers, truncated to the first ``d`` taps,
     ``1 <= d <= n_sc``.
 
-    Only the kept taps are computed, one ``[d, n_sc]`` row table times the
-    band; the taps agree with ``ifft(h_freq, axis=0)[:d]`` to rounding.
+    The transform is the single-threaded FFT. A ``[d, n_sc]`` inverse-DFT
+    GEMM computes only the kept taps, but at bench size it is large enough
+    for a multithreaded BLAS to split it across cores, and its time then
+    depends on what else the machine runs.
     """
     n_sc = h_freq.shape[0]
     d = count(d, "tap count")
     if not 1 <= d <= n_sc:
         raise ValueError(f"need 1 <= tap count <= {n_sc} subcarriers, got {d}")
-    # The truncated inverse DFT as one [d, n_sc] @ [n_sc, Nr*Nt] GEMM written
-    # into the returned taps: no array holds all n_sc rows of the transform.
-    idft = _dft_rows(np.arange(d), np.arange(n_sc), n_sc)
-    np.conjugate(idft, out=idft)
-    idft /= n_sc
-    taps = np.empty((d,) + h_freq.shape[1:], dtype=np.complex128)
-    np.matmul(idft, h_freq.reshape(n_sc, -1), out=taps.reshape(d, -1))
+    # A copy: a view of the first d rows would keep all n_sc rows alive.
+    taps = np.fft.ifft(h_freq, axis=0)[:d].copy()
     return ChannelTensor(taps)
 
 
