@@ -6,12 +6,19 @@ per-subcarrier least squares is its conjugate transpose. Noise is set by the
 SNR alone, so the transmit power cancels and is not a parameter. The
 coarse estimate interpolates magnitude and unwrapped phase across the band
 and transforms back to the tap domain with an inverse FFT, truncated to the
-taps it keeps. One rule gives every DFT row, the pilot model's and the OMP
-operator's. OMP pursues the same LS estimate, so
-the pilot matrix appears only in the pilot model. It correlates that estimate
-with the whole dictionary once and then works from the refit's Cholesky
-factor (Batch-OMP): neither the residual nor its norm is formed by applying
-the operator.
+taps it keeps. Both band steps work on blocks of channel entries (columns of
+the ``[n_sc, Nr*Nt]`` band), so no step holds a band-sized temporary beside
+the one band the interpolation returns. Such a temporary on every link would
+lift the heap over glibc's trim threshold, so its pages would go back to the
+OS and be faulted in again on the next link. The transform is an FFT, not a
+truncated inverse-DFT GEMM: OpenBLAS runs GEMMs of that size on several
+threads, and their time then depends on the machine's other load (see
+:func:`to_time_domain`). One rule gives every DFT row, the pilot model's and
+the OMP operator's. OMP pursues the same LS estimate, so the pilot matrix
+appears only in the pilot model. It correlates that estimate with the whole
+dictionary once and then works from the refit's Cholesky factor
+(Batch-OMP): neither the residual nor its norm is formed by applying the
+operator.
 
 Everything is a pure function of (inputs, seed); Monte-Carlo trials can be
 parallelized across seeds.
@@ -175,6 +182,27 @@ def ls_estimate(obs: PilotObservation, cfg: PilotConfig) -> np.ndarray:
 # 256 subcarriers (gap 8) needs no anchor beyond its pilots.
 _ANCHOR_STRIDE = 16
 
+# Channel entries (columns of the flattened [n_sc, Nr*Nt] band) per block in
+# interpolate_full_band and to_time_domain. At bench size (32 pilots, 256
+# subcarriers, 512 entries) each temporary of a block is at most 64 KB in the
+# interpolation, and 512 KB (one block's full inverse FFT) in the transform,
+# against the 2 MB band. With no second band-sized array, the allocator reuses
+# the same memory from link to link instead of returning it to the OS and
+# faulting it in again.
+_COLUMN_BLOCK = 128
+
+
+def _column_blocks(n: int) -> list[slice]:
+    """``ceil(n / _COLUMN_BLOCK)`` slices of near-equal width tiling ``range(n)``.
+
+    No block is one column wide unless ``n`` is 1. numpy multiplies a
+    one-element complex array in place without the fused multiply-add of its
+    vector loop, so a one-column block would round the phasor steps of
+    :func:`interpolate_full_band` differently from a wider one.
+    """
+    k = -(-n // _COLUMN_BLOCK)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
 
 def _cis(phase: np.ndarray) -> np.ndarray:
     """``exp(1j * phase)`` from one ``cos`` and one ``sin`` pass."""
@@ -203,6 +231,14 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     whatever the gap. The magnitude lerp is evaluated per subcarrier. At 32
     comb pilots over 256 subcarriers this is 31 ``cos``/``sin`` pairs per
     channel entry, not 256.
+
+    The placement alone fixes the breakpoints, lerp weights and runs, so they
+    are worked out once. The values are then computed for blocks of at most
+    ``_COLUMN_BLOCK`` channel entries (see :func:`_column_blocks`), each
+    block written into its columns of the returned band. Every entry's
+    arithmetic is independent of the other entries' and runs in the same
+    order whatever its block, so the result does not depend on the block
+    size, and the returned band is the only band-sized array the call holds.
     """
     est = np.asarray(pilot_estimates)
     n_p = est.shape[0]
@@ -215,12 +251,8 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     est = est.reshape(n_p, -1)
     pl = np.asarray(cfg.placement)
     xs = pl.astype(np.float64)
+    gaps = np.diff(xs)[:, None]
     q = np.arange(cfg.n_sc)
-    mag = np.abs(est)
-    phasor = np.divide(est, mag, out=np.ones(est.shape, np.complex128), where=mag > 0)
-    dphi = np.diff(np.angle(est), axis=0)
-    dphi -= np.where(dphi > np.pi, 2.0 * np.pi, np.where(dphi < -np.pi, -2.0 * np.pi, 0.0))
-    step = dphi / np.diff(xs)[:, None]  # phase advance per subcarrier, per interval
 
     # Shared breakpoints: one searchsorted, then a lerp per subcarrier.
     idx = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, n_p - 2)
@@ -236,22 +268,32 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     order = np.argsort(-run_len, kind="stable")
     start, run_len = start[order], run_len[order]
     iv, past = idx[start], off[start]
-    m0, m1 = mag[iv], mag[iv + 1]
-    z = phasor[iv]
     mid = np.flatnonzero(past)
-    z[mid] *= _cis(past[mid, None] * step[iv[mid]])
-    rot = _cis(step)[iv]
-
-    out = np.empty((cfg.n_sc, est.shape[1]), dtype=np.complex128)
+    lerps = []  # per offset t: live runs, their subcarriers and lerp weights
     for t in range(run_len[0]):
         live = np.count_nonzero(run_len > t)
-        if t:
-            z[:live] *= rot[:live]
         rows = start[:live] + t
-        wr = w[rows]
-        out[rows] = z[:live] * (m0[:live] * (1.0 - wr) + m1[:live] * wr)
-    out[: pl[0]] = out[pl[0]]
-    out[pl[-1] :] = phasor[-1] * mag[-1]
+        lerps.append((live, rows, 1.0 - w[rows], w[rows]))
+
+    out = np.empty((cfg.n_sc, est.shape[1]), dtype=np.complex128)
+    for cols in _column_blocks(est.shape[1]):
+        blk = est[:, cols]
+        band = out[:, cols]
+        mag = np.abs(blk)
+        phasor = np.divide(blk, mag, out=np.ones(blk.shape, np.complex128), where=mag > 0)
+        dphi = np.diff(np.angle(blk), axis=0)
+        dphi -= np.where(dphi > np.pi, 2.0 * np.pi, np.where(dphi < -np.pi, -2.0 * np.pi, 0.0))
+        step = dphi / gaps  # phase advance per subcarrier, per interval
+        m0, m1 = mag[iv], mag[iv + 1]
+        z = phasor[iv]
+        z[mid] *= _cis(past[mid, None] * step[iv[mid]])
+        rot = _cis(step)[iv]
+        for t, (live, rows, w0, w1) in enumerate(lerps):
+            if t:
+                z[:live] *= rot[:live]
+            band[rows] = z[:live] * (m0[:live] * w0 + m1[:live] * w1)
+        band[: pl[0]] = band[pl[0]]
+        band[pl[-1] :] = phasor[-1] * mag[-1]
     return out.reshape(shape)
 
 
@@ -259,17 +301,27 @@ def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
     """Inverse DFT over subcarriers, truncated to the first ``d`` taps,
     ``1 <= d <= n_sc``.
 
-    The transform is the single-threaded FFT. A ``[d, n_sc]`` inverse-DFT
-    GEMM computes only the kept taps, but at bench size it is large enough
-    for a multithreaded BLAS to split it across cores, and its time then
-    depends on what else the machine runs.
+    The transform is the single-threaded FFT, taken over blocks of at most
+    ``_COLUMN_BLOCK`` channel entries. The first ``d`` rows of each block's
+    transform are copied into the returned taps, which own their data, so
+    the call holds one block's full transform, never the whole band's.
+
+    A ``[d, n_sc]`` inverse-DFT GEMM would compute only the kept taps, but
+    OpenBLAS already runs a complex GEMM of M*N*K = 65,536 on several
+    threads, and its time then depends on what else the machine runs. Beside
+    one busy-looping process on a 2-core Haswell box, a transform made of
+    GEMMs that size took 5.5-6.1 ms at p90 against 1.2-2.4 ms single-threaded.
+    At 32,768 the GEMMs stay on one thread but are slower than the FFT.
     """
     n_sc = h_freq.shape[0]
     d = count(d, "tap count")
     if not 1 <= d <= n_sc:
         raise ValueError(f"need 1 <= tap count <= {n_sc} subcarriers, got {d}")
-    # A copy: a view of the first d rows would keep all n_sc rows alive.
-    taps = np.fft.ifft(h_freq, axis=0)[:d].copy()
+    freq = h_freq.reshape(n_sc, -1)
+    taps = np.empty((d,) + h_freq.shape[1:], dtype=np.complex128)
+    flat = taps.reshape(d, -1)
+    for cols in _column_blocks(freq.shape[1]):
+        flat[:, cols] = np.fft.ifft(freq[:, cols], axis=0)[:d]
     return ChannelTensor(taps)
 
 
@@ -368,11 +420,15 @@ class OmpDictionary:
         oversample: int = 2,
     ) -> "OmpDictionary":
         """Default grid: delays at tap resolution, cosine grids of
-        ``oversample`` points per array element per axis, an integer ``>= 1``."""
+        ``oversample`` points per array element per axis, an integer ``>= 1``.
+
+        An axis of one element gets the one cosine -1 whatever ``oversample``:
+        its steering vector is 1 at every cosine, so more points would only
+        repeat each atom."""
         oversample = count(oversample, "oversample", 1)
 
         def axis_grid(n):
-            g = oversample * n
+            g = oversample * n if n > 1 else 1
             return np.arange(g) * (2.0 / g) - 1.0
 
         def dir_pairs(geom):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,37 @@ class TestBenchSizeChain:
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+class TestBandMemory:
+    """Peak memory of the band steps at the benchmark's sizes: a ``[32, 16, 32]``
+    pilot estimate, 256 subcarriers, 32 taps. numpy reports its buffers to
+    ``tracemalloc``; the peak is read on the second call, after a warm-up."""
+
+    CFG = PilotConfig(n_sc=256, n_pilot=32, nt=32)
+
+    @staticmethod
+    def peak_of(fn, *args):
+        fn(*args)
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_interpolation_holds_no_second_band(self):
+        rng = np.random.default_rng(12)
+        est = rng.normal(size=(32, 16, 32)) + 1j * rng.normal(size=(32, 16, 32))
+        band, peak = self.peak_of(interpolate_full_band, est, self.CFG)
+        assert peak <= 1.5 * band.nbytes
+
+    def test_idft_holds_less_than_half_the_band(self):
+        rng = np.random.default_rng(13)
+        band = rng.normal(size=(256, 16, 32)) + 1j * rng.normal(size=(256, 16, 32))
+        h, peak = self.peak_of(to_time_domain, band, 32)
+        assert h.taps.shape == (32, 16, 32)
+        assert peak <= 0.5 * band.nbytes
+
+
 class TestToTimeDomain:
     def test_flat_response_is_single_tap(self):
         flat = np.full((8, 2, 2), 1.5 + 0.5j)
@@ -424,6 +456,14 @@ class TestOmpDictionaryChecks:
         geom = ArrayGeometry(2, 1)
         with pytest.raises(ValueError, match="oversample"):
             OmpDictionary.build(2, geom, geom, oversample=oversample)
+
+    def test_build_gives_a_one_element_axis_one_cosine(self):
+        dc = OmpDictionary.build(2, ArrayGeometry(1, 2), ArrayGeometry(1, 1), oversample=2)
+        assert dc.shape == (2, 4, 1)
+        np.testing.assert_array_equal(
+            dc.rx_dirs, [[-1.0, -1.0], [-1.0, -0.5], [-1.0, 0.0], [-1.0, 0.5]]
+        )
+        np.testing.assert_array_equal(dc.tx_dirs, [[-1.0, -1.0]])
 
     @pytest.mark.parametrize("shape", [(4, 2, 3), (5, 2, 2)], ids=["wrong-nt", "wrong-pilots"])
     def test_adjoint_rejects_misshapen_residual(self, shape):

@@ -23,11 +23,13 @@ from mbce.channel_model import (
     ura_response,
 )
 from mbce.estimation import (
+    _COLUMN_BLOCK,
     OmpDictionary,
     PilotConfig,
     interpolate_full_band,
     ls_estimate,
     omp_estimate,
+    to_time_domain,
     transmit_pilots,
 )
 from mbce.propagation import RssMap, load_rss_map, save_rss_map
@@ -43,6 +45,17 @@ def pilot_grids(draw, max_sc=48):
     d = draw(st.integers(1, n_sc))
     placement = sorted(draw(st.sets(st.integers(0, n_sc - 1), min_size=1)))
     return n_sc, d, tuple(placement)
+
+
+def interp_reference(est, placement, n_sc):
+    """Per-entry ``np.interp`` of magnitude and unwrapped phase, one entry at a time."""
+    flat = est.reshape(len(placement), -1)
+    out = np.empty((n_sc, flat.shape[1]), dtype=np.complex128)
+    for j, entry in enumerate(flat.T):
+        mag = np.interp(np.arange(n_sc), placement, np.abs(entry))
+        phase = np.interp(np.arange(n_sc), placement, np.unwrap(np.angle(entry)))
+        out[:, j] = mag * np.exp(1j * phase)
+    return out.reshape((n_sc,) + est.shape[1:])
 
 
 def random_channel(seed, d, nr, nt):
@@ -72,14 +85,34 @@ def test_interpolation_is_per_entry_interp_of_magnitude_and_phase(grid, dims, se
     shape = (len(placement),) + dims
     est = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=1, placement=placement)
-    expect = np.empty((n_sc,) + dims, dtype=np.complex128)
-    for i, j in np.ndindex(dims):
-        entry = est[:, i, j]
-        mag = np.interp(np.arange(n_sc), placement, np.abs(entry))
-        phase = np.interp(np.arange(n_sc), placement, np.unwrap(np.angle(entry)))
-        expect[:, i, j] = mag * np.exp(1j * phase)
     got = interpolate_full_band(est, cfg)
+    expect = interp_reference(est, placement, n_sc)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12 * np.abs(est).max())
+
+
+@PROPS
+@given(
+    grid=pilot_grids(),
+    comb=st.booleans(),
+    entries=st.sampled_from([1, _COLUMN_BLOCK - 1, _COLUMN_BLOCK + 1, 3 * _COLUMN_BLOCK + 5])
+    | st.integers(1, 3 * _COLUMN_BLOCK + 5),
+    seed=st.integers(0, 2**32),
+)
+def test_band_steps_are_per_entry_across_column_blocks(grid, comb, entries, seed):
+    # The band steps work on column blocks of the [n_sc, entries] band; every
+    # entry must come out as its own per-entry reference, whatever block it is in.
+    n_sc, d, placement = grid
+    if comb:
+        placement = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=1).placement
+    rng = np.random.default_rng(seed)
+    shape = (len(placement), 1, entries)
+    est = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=1, placement=placement)
+    band = interpolate_full_band(est, cfg)
+    expect = interp_reference(est, placement, n_sc)
+    np.testing.assert_allclose(band, expect, rtol=0, atol=1e-12 * np.abs(est).max())
+    taps = to_time_domain(band, d).taps
+    np.testing.assert_allclose(taps, np.fft.ifft(band, axis=0)[:d], rtol=1e-13)
 
 
 @PROPS
@@ -161,8 +194,6 @@ def omp_links(draw):
     oversample = draw(st.integers(1, 2))
     sparsity, k_max = draw(st.integers(1, 3)), draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**32))
-    # on an axis of one element every oversampled direction is the same atom
-    assume(oversample == 1 or min(dims) > 1)
     # several delay slabs, so the pick search prunes some of them
     d = draw(st.integers(1, min(12, n_sc)))
     # at least d pilots: the pilot DFT rows then tell every delay apart
