@@ -6,14 +6,15 @@ per-subcarrier least squares is its conjugate transpose. Noise is set by the
 SNR alone, so the transmit power cancels and is not a parameter. The
 coarse estimate interpolates magnitude and unwrapped phase across the band
 and transforms back to the tap domain with an inverse FFT, truncated to the
-taps it keeps. Both band steps work on blocks of channel entries (columns of
-the ``[n_sc, Nr*Nt]`` band), so no step holds a band-sized temporary beside
-the one band the interpolation returns. Such a temporary on every link would
-lift the heap over glibc's trim threshold, so its pages would go back to the
-OS and be faulted in again on the next link. The transform is an FFT, not a
-truncated inverse-DFT GEMM: OpenBLAS runs GEMMs of that size on several
-threads, and their time then depends on the machine's other load (see
-:func:`to_time_domain`). One rule gives every DFT row, the pilot model's and
+taps it keeps. Both band steps tile the channel entries (columns of the
+``[n_sc, Nr*Nt]`` band) into blocks of ``_COLUMN_BLOCK``, the last one
+shorter, and write each block into its columns of the one array they return.
+Each entry's arithmetic is independent of the other entries' and runs in the
+same order whatever its block, so the results do not depend on the tiling,
+and no step holds a band-sized temporary beside the band the interpolation
+returns. Such a temporary on every link would lift the heap over glibc's trim
+threshold, so its pages would go back to the OS and be faulted in again on
+the next link. One rule gives every DFT row, the pilot model's and
 the OMP operator's. OMP pursues the same LS estimate, so the pilot matrix
 appears only in the pilot model. It correlates that estimate with the whole
 dictionary once and then works from the refit's Cholesky factor
@@ -42,7 +43,6 @@ __all__ = [
     "ls_estimate",
     "interpolate_full_band",
     "to_time_domain",
-    "coarse_estimate",
     "OmpDictionary",
     "OmpResult",
     "omp_estimate",
@@ -182,26 +182,11 @@ def ls_estimate(obs: PilotObservation, cfg: PilotConfig) -> np.ndarray:
 # 256 subcarriers (gap 8) needs no anchor beyond its pilots.
 _ANCHOR_STRIDE = 16
 
-# Channel entries (columns of the flattened [n_sc, Nr*Nt] band) per block in
-# interpolate_full_band and to_time_domain. At bench size (32 pilots, 256
-# subcarriers, 512 entries) each temporary of a block is at most 64 KB in the
-# interpolation, and 512 KB (one block's full inverse FFT) in the transform,
-# against the 2 MB band. With no second band-sized array, the allocator reuses
-# the same memory from link to link instead of returning it to the OS and
-# faulting it in again.
+# Channel entries per block of the band steps (see the module docstring). At
+# bench size (32 pilots, 256 subcarriers, 512 entries) each temporary of a
+# block is at most 64 KB in the interpolation, and 512 KB (one block's full
+# inverse FFT) in the transform, against the 2 MB band.
 _COLUMN_BLOCK = 128
-
-
-def _column_blocks(n: int) -> list[slice]:
-    """``ceil(n / _COLUMN_BLOCK)`` slices of near-equal width tiling ``range(n)``.
-
-    No block is one column wide unless ``n`` is 1. numpy multiplies a
-    one-element complex array in place without the fused multiply-add of its
-    vector loop, so a one-column block would round the phasor steps of
-    :func:`interpolate_full_band` differently from a wider one.
-    """
-    k = -(-n // _COLUMN_BLOCK)
-    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -232,18 +217,16 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     comb pilots over 256 subcarriers this is 31 ``cos``/``sin`` pairs per
     channel entry, not 256.
 
+    ``pilot_estimates`` is a finite array with one row per pilot of ``cfg``.
     The placement alone fixes the breakpoints, lerp weights and runs, so they
-    are worked out once. The values are then computed for blocks of at most
-    ``_COLUMN_BLOCK`` channel entries (see :func:`_column_blocks`), each
-    block written into its columns of the returned band. Every entry's
-    arithmetic is independent of the other entries' and runs in the same
-    order whatever its block, so the result does not depend on the block
-    size, and the returned band is the only band-sized array the call holds.
+    are worked out once, over the subcarriers from the first pilot up to the
+    last, the only ones the runs write. The values are then computed block by
+    block (see the module docstring).
     """
-    est = np.asarray(pilot_estimates)
-    n_p = est.shape[0]
-    if n_p != len(cfg.placement):
-        raise ValueError("estimate count does not match pilot placement")
+    est = finite_array(pilot_estimates, "pilot estimates", np.complex128)
+    n_p = len(cfg.placement)
+    if est.ndim == 0 or len(est) != n_p:
+        raise ValueError(f"pilot estimates must have {n_p} rows, one per pilot, got {est.shape}")
     if n_p == 1:
         return np.broadcast_to(est[0], (cfg.n_sc,) + est.shape[1:]).copy()
 
@@ -252,19 +235,19 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     pl = np.asarray(cfg.placement)
     xs = pl.astype(np.float64)
     gaps = np.diff(xs)[:, None]
-    q = np.arange(cfg.n_sc)
+    q = np.arange(pl[0], pl[-1])
 
     # Shared breakpoints: one searchsorted, then a lerp per subcarrier.
-    idx = np.clip(np.searchsorted(xs, q, side="right") - 1, 0, n_p - 2)
+    idx = np.searchsorted(xs, q, side="right") - 1
     x0, x1 = xs[idx], xs[idx + 1]
-    w = np.clip((q - x0) / (x1 - x0), 0.0, 1.0)[:, None]  # clip gives edge hold
+    w = ((q - x0) / (x1 - x0))[:, None]
 
     # Runs of at most _ANCHOR_STRIDE subcarriers tile the pilot intervals,
     # each from an anchor. Longest first, so the runs still live at offset t
     # are a leading slice.
     off = q - pl[idx]
-    start = np.flatnonzero((off >= 0) & (q < pl[-1]) & (off % _ANCHOR_STRIDE == 0))
-    run_len = np.diff(start, append=pl[-1])
+    start = np.flatnonzero(off % _ANCHOR_STRIDE == 0)
+    run_len = np.diff(start, append=len(q))
     order = np.argsort(-run_len, kind="stable")
     start, run_len = start[order], run_len[order]
     iv, past = idx[start], off[start]
@@ -273,12 +256,12 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     for t in range(run_len[0]):
         live = np.count_nonzero(run_len > t)
         rows = start[:live] + t
-        lerps.append((live, rows, 1.0 - w[rows], w[rows]))
+        lerps.append((live, pl[0] + rows, 1.0 - w[rows], w[rows]))
 
     out = np.empty((cfg.n_sc, est.shape[1]), dtype=np.complex128)
-    for cols in _column_blocks(est.shape[1]):
-        blk = est[:, cols]
-        band = out[:, cols]
+    for c in range(0, est.shape[1], _COLUMN_BLOCK):
+        blk = est[:, c : c + _COLUMN_BLOCK]
+        band = out[:, c : c + _COLUMN_BLOCK]
         mag = np.abs(blk)
         phasor = np.divide(blk, mag, out=np.ones(blk.shape, np.complex128), where=mag > 0)
         dphi = np.diff(np.angle(blk), axis=0)
@@ -286,11 +269,14 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
         step = dphi / gaps  # phase advance per subcarrier, per interval
         m0, m1 = mag[iv], mag[iv + 1]
         z = phasor[iv]
-        z[mid] *= _cis(past[mid, None] * step[iv[mid]])
+        # Phasor products out of place: numpy multiplies a one-element complex
+        # array in place without its vector loop's fused multiply-add, so a
+        # single entry would round unlike the same entry in a wider band.
+        z[mid] = z[mid] * _cis(past[mid, None] * step[iv[mid]])
         rot = _cis(step)[iv]
         for t, (live, rows, w0, w1) in enumerate(lerps):
             if t:
-                z[:live] *= rot[:live]
+                z[:live] = z[:live] * rot[:live]
             band[rows] = z[:live] * (m0[:live] * w0 + m1[:live] * w1)
         band[: pl[0]] = band[pl[0]]
         band[pl[-1] :] = phasor[-1] * mag[-1]
@@ -298,13 +284,12 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
 
 
 def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
-    """Inverse DFT over subcarriers, truncated to the first ``d`` taps,
-    ``1 <= d <= n_sc``.
+    """Inverse DFT over subcarriers of a ``[n_sc, Nr, Nt]`` band, truncated to
+    the first ``d`` taps, ``1 <= d <= n_sc``.
 
-    The transform is the single-threaded FFT, taken over blocks of at most
-    ``_COLUMN_BLOCK`` channel entries. The first ``d`` rows of each block's
-    transform are copied into the returned taps, which own their data, so
-    the call holds one block's full transform, never the whole band's.
+    The transform is the single-threaded FFT, block by block (see the module
+    docstring). The first ``d`` rows of each block's transform are copied into
+    the returned taps, which own their data.
 
     A ``[d, n_sc]`` inverse-DFT GEMM would compute only the kept taps, but
     OpenBLAS already runs a complex GEMM of M*N*K = 65,536 on several
@@ -313,6 +298,12 @@ def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
     GEMMs that size took 5.5-6.1 ms at p90 against 1.2-2.4 ms single-threaded.
     At 32,768 the GEMMs stay on one thread but are slower than the FFT.
     """
+    h_freq = np.asarray(h_freq)
+    if h_freq.ndim != 3 or h_freq.dtype.kind not in "iufc":
+        raise ValueError(
+            f"frequency response must be a numeric [n_sc, Nr, Nt] array, got "
+            f"{h_freq.dtype} of shape {h_freq.shape}"
+        )
     n_sc = h_freq.shape[0]
     d = count(d, "tap count")
     if not 1 <= d <= n_sc:
@@ -320,17 +311,9 @@ def to_time_domain(h_freq: np.ndarray, d: int) -> ChannelTensor:
     freq = h_freq.reshape(n_sc, -1)
     taps = np.empty((d,) + h_freq.shape[1:], dtype=np.complex128)
     flat = taps.reshape(d, -1)
-    for cols in _column_blocks(freq.shape[1]):
-        flat[:, cols] = np.fft.ifft(freq[:, cols], axis=0)[:d]
+    for c in range(0, freq.shape[1], _COLUMN_BLOCK):
+        flat[:, c : c + _COLUMN_BLOCK] = np.fft.ifft(freq[:, c : c + _COLUMN_BLOCK], axis=0)[:d]
     return ChannelTensor(taps)
-
-
-def coarse_estimate(h: ChannelTensor, cfg: PilotConfig, seed) -> ChannelTensor:
-    """Full coarse pipeline: pilots -> LS -> band interpolation -> taps."""
-    obs = transmit_pilots(h, cfg, seed)
-    pilot_est = ls_estimate(obs, cfg)
-    full_band = interpolate_full_band(pilot_est, cfg)
-    return to_time_domain(full_band, h.d)
 
 
 def nmse(h_hat: ChannelTensor, h: ChannelTensor) -> float:

@@ -18,7 +18,6 @@ from mbce.estimation import (
     OmpDictionary,
     PilotConfig,
     PilotObservation,
-    coarse_estimate,
     interpolate_full_band,
     ls_estimate,
     nmse,
@@ -32,6 +31,12 @@ from mbce.estimation import (
 def random_channel(rng, d=4, nr=2, nt=4):
     taps = rng.normal(size=(d, nr, nt)) + 1j * rng.normal(size=(d, nr, nt))
     return ChannelTensor(taps)
+
+
+def coarse_chain(h, cfg, seed):
+    """Pilots -> LS -> band interpolation -> taps: the coarse estimate of ``h``."""
+    est = ls_estimate(transmit_pilots(h, cfg, seed), cfg)
+    return to_time_domain(interpolate_full_band(est, cfg), h.d)
 
 
 def interp_reference(est, placement, n_sc):
@@ -246,7 +251,7 @@ class TestInterpolation:
         ps = PathSet(alphas=[1.0], toas=[3e-9], aoa_az=[0], aoa_el=[0], aod_az=[0.4], aod_el=[0.1])
         h = synth_channel(ps, 8, pulse, rx, tx)
         cfg = PilotConfig(n_sc=512, n_pilot=128, nt=2)
-        est = coarse_estimate(h, cfg, 0)
+        est = coarse_chain(h, cfg, 0)
         assert nmse_db(est, h) < -40.0
 
         # Frequency-domain error equals the closed-form edge-hold loss.
@@ -279,6 +284,22 @@ class TestInterpolation:
             rtol=0,
             atol=1e-12 * np.abs(est).max(),
         )
+
+    @pytest.mark.parametrize(
+        "est",
+        [
+            np.full((4, 1, 1), np.nan + 0j),
+            np.full((4, 1, 1), np.inf + 0j),
+            np.array(1.0 + 0j),
+            np.full((4, 1, 1), "1"),
+            np.ones((3, 1, 1), dtype=complex),
+        ],
+        ids=["nan", "inf", "0-d", "text", "rows"],
+    )
+    def test_rejects_malformed_estimates(self, est):
+        cfg = PilotConfig(n_sc=16, n_pilot=4, nt=1)
+        with pytest.raises(ValueError, match="pilot estimates"):
+            interpolate_full_band(est, cfg)
 
     def test_single_pilot_constant_extrapolation(self):
         cfg = PilotConfig(n_sc=8, n_pilot=1, nt=1)
@@ -371,6 +392,22 @@ class TestToTimeDomain:
         total = np.sum(np.abs(full) ** 2)
         assert kept + dropped == pytest.approx(total, rel=1e-12)
 
+    def test_takes_a_nested_list(self):
+        rng = np.random.default_rng(14)
+        band = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
+        np.testing.assert_array_equal(
+            to_time_domain(band.tolist(), 4).taps, to_time_domain(band, 4).taps
+        )
+
+    @pytest.mark.parametrize(
+        "band",
+        [np.array(1.0 + 0j), np.ones((8, 4), dtype=complex), np.full((8, 1, 1), "1")],
+        ids=["0-d", "2-d", "text"],
+    )
+    def test_rejects_malformed_band(self, band):
+        with pytest.raises(ValueError, match="frequency response"):
+            to_time_domain(band, 1)
+
     def test_rejects_overlong_truncation(self):
         with pytest.raises(ValueError):
             to_time_domain(np.zeros((4, 1, 1), dtype=complex), 5)
@@ -400,7 +437,7 @@ class TestCoarsePipeline:
         for _ in range(50):
             h = random_channel(rng, d=4, nr=2, nt=4)
             cfg = PilotConfig(n_sc=16, n_pilot=16, nt=4)
-            est = coarse_estimate(h, cfg, 0)
+            est = coarse_chain(h, cfg, 0)
             assert nmse_db(est, h) < -60.0
 
     def test_zero_channel_returns_finite(self):
@@ -408,7 +445,7 @@ class TestCoarsePipeline:
         # channel is observed without noise and estimated as zero.
         h = ChannelTensor(np.zeros((4, 2, 2)))
         cfg = PilotConfig(n_sc=16, n_pilot=4, nt=2, snr_db=10.0)
-        est = coarse_estimate(h, cfg, 3)
+        est = coarse_chain(h, cfg, 3)
         assert np.all(np.isfinite(est.taps))
         assert est.energy() == 0.0
 
@@ -421,7 +458,7 @@ class TestCoarsePipeline:
             h = random_channel(rng, d=4, nr=1, nt=2)
             for b in budgets:
                 cfg = PilotConfig(n_sc=32, n_pilot=b, nt=2, snr_db=10.0)
-                est = coarse_estimate(h, cfg, 1000 + i)
+                est = coarse_chain(h, cfg, 1000 + i)
                 sums[b] += nmse(est, h)
         curve = [10 * math.log10(sums[b] / n_chan) for b in budgets]
         for a, b in zip(curve, curve[1:]):

@@ -100,7 +100,8 @@ def test_interpolation_is_per_entry_interp_of_magnitude_and_phase(grid, dims, se
 )
 def test_band_steps_are_per_entry_across_column_blocks(grid, comb, entries, seed):
     # The band steps work on column blocks of the [n_sc, entries] band; every
-    # entry must come out as its own per-entry reference, whatever block it is in.
+    # entry must come out as its own per-entry reference, whatever block it is
+    # in, and a single entry alone must round as it does inside the wide band.
     n_sc, d, placement = grid
     if comb:
         placement = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=1).placement
@@ -111,6 +112,7 @@ def test_band_steps_are_per_entry_across_column_blocks(grid, comb, entries, seed
     band = interpolate_full_band(est, cfg)
     expect = interp_reference(est, placement, n_sc)
     np.testing.assert_allclose(band, expect, rtol=0, atol=1e-12 * np.abs(est).max())
+    np.testing.assert_array_equal(interpolate_full_band(est[..., :1], cfg), band[..., :1])
     taps = to_time_domain(band, d).taps
     np.testing.assert_allclose(taps, np.fft.ifft(band, axis=0)[:d], rtol=1e-13)
 
