@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 
-from .._checks import count
+from .._checks import count, real
 
 __all__ = [
     "NumericFault",
@@ -38,13 +38,17 @@ class NumericFault(FloatingPointError):
 class Tensor:
     """Dense real n-d array with optional participation in a gradient tape.
 
-    float32 and float64 data keep their dtype; anything else is stored as
-    float32. Tensors have no operators: ops are the module's functions."""
+    float32 and float64 data keep their dtype; other real numbers are stored
+    as float32. Complex or non-numeric data raises ``ValueError``, non-finite
+    data ``NumericFault``. Tensors have no operators: ops are the module's
+    functions."""
 
     __slots__ = ("data", "grad", "requires_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
+        if arr.dtype.kind not in "biuf":
+            raise ValueError(f"tensor data must be real numbers, got dtype {arr.dtype}")
         if arr.dtype not in _FLOAT_TYPES:
             arr = arr.astype(np.float32)
         if not np.all(np.isfinite(arr)):
@@ -222,7 +226,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
+    s = float(real(s, "scale factor"))
     out = a.data * np.asarray(s, dtype=a.dtype)
 
     def bwd(g, needs):
@@ -317,7 +321,10 @@ def tensor_sum(a: Tensor) -> Tensor:
 
 
 def mean(a: Tensor) -> Tensor:
-    """Mean of every element, as a 0-d tensor of ``a``'s dtype."""
+    """Mean of every element, as a 0-d tensor of ``a``'s dtype; ``a`` must
+    not be empty."""
+    if a.size == 0:
+        raise ValueError("mean of an empty tensor")
     return scale(tensor_sum(a), 1.0 / a.size)
 
 

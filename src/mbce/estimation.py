@@ -445,8 +445,8 @@ class OmpDictionary:
         return rank_one_taps(w, self._a_r[ri], self._a_t[ti]).taps
 
     def adjoint(self, residual: np.ndarray, cfg: PilotConfig) -> np.ndarray:
-        """Correlation ``[Nd, Gr, Gt]`` of a ``[P, Nr, Nt]`` LS-domain residual
-        with every atom.
+        """Correlation ``[Nd, Gr, Gt]`` of a finite ``[P, Nr, Nt]`` LS-domain
+        residual with every atom.
 
         The small axes are contracted first: the pilot axis,
         ``F^H [Nd, P] @ R [P, Nr*Nt]`` with ``F`` the pilot DFT rows at
@@ -456,8 +456,7 @@ class OmpDictionary:
         grid's size and no other pass touches it.
         """
         shape = (len(cfg.placement), self.rx_geom.size, self.tx_geom.size)
-        if np.shape(residual) != shape:
-            raise ValueError(f"residual must be {list(shape)}, got shape {np.shape(residual)}")
+        residual = finite_array(residual, "residual", np.complex128, shape)
         f = _dft_rows(cfg.placement, self.delays, cfg.n_sc)
         z = f.conj().T @ residual.reshape(len(residual), -1)  # [Nd, Nr*Nt]
         z = np.conj(self._a_r) @ z.reshape(len(z), *residual.shape[1:])  # [Nd, Gr, Nt]
@@ -478,13 +477,6 @@ class OmpDictionary:
         kt = np.conj(self._a_t) @ self._a_t.T
         return kd, kr, kt
 
-
-# Atoms per evaluated run of delay slabs in omp_estimate. Timed per call on
-# bench-size links (2-core Haswell box): with random 8- and 16-pilot
-# placements, where little prunes, 2**15 and 2**16 take ~55-58 ms against ~63
-# ms for a full-grid search and 2**14 ~59-65 ms; with comb pilots all take
-# ~30 ms. 2**15 (4 slabs at bench size) keeps the run buffers at 0.75 MB.
-_RUN_ATOMS = 2**15
 
 # Relative excess of the refit's projected energy ||w||^2 over ||y||^2 that
 # omp_estimate takes for rounding rather than a breakdown of the refit.
@@ -558,12 +550,10 @@ def omp_estimate(
     no unvisited slab's bound reaches the best value found. With comb pilots
     ``kd`` is diagonal up to rounding, so only the slabs at the selected
     delays and the strongest unselected ones are visited; with other
-    placements it is dense and little is pruned. After the first slab, a visit
-    takes in neighbouring slabs that can still win, up to ``_RUN_ATOMS``
-    atoms, as one run. A run is evaluated with the same arithmetic, in the
-    same order, as the full grid would be, and on an exact tie the lower flat
-    index wins, so the picks are those of a full-grid search. ``alpha0`` is
-    the only grid-sized array a call holds.
+    placements it is dense and little is pruned. A slab is evaluated with the
+    same arithmetic as the full grid would be, and on an exact tie the lower
+    flat index wins, so the picks are those of a full-grid search. ``alpha0``
+    is the only grid-sized array a call holds.
 
     Stops after ``k_max`` atoms, an integer ``>= 1``, once the residual norm
     is zero (``||w||^2`` reached ``||y||^2``), or at a rank-deficient refit.
@@ -584,14 +574,12 @@ def omp_estimate(
     resid_norms = [y_norm]
     alpha0 = dc.adjoint(y, cfg)
     kd, kr, kt = dc.gram_factors(cfg)
-    nd, gr, gt = dc.shape
+    _, gr, gt = dc.shape
     slab = gr * gt
-    run_max = max(1, _RUN_ATOMS // slab)
-    alpha0_2d = alpha0.reshape(nd * gr, gt)
-    slab_max = np.array([np.abs(a).max() for a in alpha0])  # one slab's |.| at a time
+    resid = np.empty((gr, gt), dtype=np.complex128)  # alpha0[s] - (G[:, I] g)[s], one slab
+    mag = np.empty((gr, gt))  # |resid|
+    slab_max = np.array([np.abs(a, out=mag).max() for a in alpha0])
     kr_max, kt_max = np.abs(kr).max(axis=0), np.abs(kt).max(axis=0)
-    resid_corr = np.empty((run_max * gr, gt), dtype=np.complex128)  # alpha0 - G[:, I] g, one run
-    corr = np.empty(run_max * slab)  # |resid_corr|, flat atom order within the run
     chol = np.zeros((k_max, k_max), dtype=np.complex128)  # lower, G[I, I] = L L^H
     selected: list[int] = []
     gains = w = np.zeros(0, dtype=np.complex128)
@@ -600,32 +588,20 @@ def omp_estimate(
     while len(selected) < k_max and resid_norms[-1] > 0.0:
         k = len(selected)
         d, r, t = np.unravel_index(np.asarray(selected, dtype=np.int64), dc.shape)
-        kd_g, kr_sel, kt_sel = kd[:, d] * gains, kr[None, :, r], kt[:, t].T
+        kd_g, kr_sel, kt_sel = kd[:, d] * gains, kr[:, r], kt[:, t].T
         bound = _slab_bounds(slab_max, kd, kr_max, kt_max, (d, r, t), gains).tolist()
-        seen = [False] * nd
         best, pick = -1.0, -1
         for s in np.argsort(bound)[::-1].tolist():
             if bound[s] < best:
                 break
-            if seen[s]:
-                continue
-            lo, hi = s, s + 1
-            if pick >= 0:  # a best value is known: grow the run over slabs that can reach it
-                while hi < nd and hi - lo < run_max and not seen[hi] and bound[hi] >= best:
-                    hi += 1
-                while lo > 0 and hi - lo < run_max and not seen[lo - 1] and bound[lo - 1] >= best:
-                    lo -= 1
-            seen[lo:hi] = [True] * (hi - lo)
-            base = lo * slab  # flat index of the run's first atom
-            rows = resid_corr[: (hi - lo) * gr]
-            np.matmul((kd_g[lo:hi, None, :] * kr_sel).reshape(len(rows), k), kt_sel, out=rows)
-            np.subtract(alpha0_2d[lo * gr : hi * gr], rows, out=rows)
-            mag = corr[: (hi - lo) * slab]
-            np.abs(rows, out=mag.reshape(rows.shape))
-            mag[[j - base for j in selected if base <= j < hi * slab]] = 0.0
+            np.matmul(kd_g[s] * kr_sel, kt_sel, out=resid)
+            np.subtract(alpha0[s], resid, out=resid)
+            np.abs(resid, out=mag)
+            mag[r[d == s], t[d == s]] = 0.0
             j = int(np.argmax(mag))
-            if mag[j] > best or (mag[j] == best and base + j < pick):
-                best, pick = float(mag[j]), base + j
+            v, j = float(mag.flat[j]), s * slab + j
+            if v > best or (v == best and j < pick):
+                best, pick = v, j
 
         dp, rp, tp = np.unravel_index(pick, dc.shape)
         row = np.linalg.solve(chol[:k, :k], kd[d, dp] * kr[r, rp] * kt[t, tp])

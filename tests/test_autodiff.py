@@ -573,6 +573,19 @@ class TestTensor:
     def test_storage_dtype(self, data, dtype):
         assert Tensor(data).dtype == dtype
 
+    @pytest.mark.parametrize(
+        "make, match",
+        [(lambda: Tensor([1 + 2j]), "tensor data"),
+         (lambda: Tensor(["a"]), "tensor data"),
+         (lambda: mean(Tensor(np.ones(0))), "empty tensor"),
+         (lambda: scale(Tensor(np.ones(2)), "2"), "scale factor"),
+         (lambda: scale(Tensor(np.ones(2)), np.nan), "scale factor")],
+        ids=["complex", "text", "empty-mean", "text-scale", "nan-scale"],
+    )
+    def test_malformed_input_raises_value_error(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
 
 class TestGradCheck:
     def test_sum_is_exact(self):

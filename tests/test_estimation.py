@@ -509,6 +509,26 @@ class TestOmpDictionaryChecks:
         with pytest.raises(ValueError, match="residual"):
             OmpDictionary.build(2, geom, geom).adjoint(np.ones(shape, dtype=complex), cfg)
 
+    @pytest.mark.parametrize(
+        "entry, shape",
+        [(np.nan, (4, 2, 2)), (np.inf, (4, 2, 2)), ("1", (4, 2, 2)), (1.0, (4, 2, 3))],
+        ids=["nan", "inf", "text", "wrong-shape"],
+    )
+    def test_adjoint_rejects_a_bad_residual_list(self, entry, shape):
+        geom = ArrayGeometry(2, 1)
+        cfg = PilotConfig(n_sc=16, n_pilot=4, nt=2)
+        residual = np.ones(shape, dtype=object)
+        residual[1, 0, 1] = entry
+        with pytest.raises(ValueError, match="residual"):
+            OmpDictionary.build(2, geom, geom).adjoint(residual.tolist(), cfg)
+
+    def test_adjoint_of_a_residual_list_equals_that_of_its_array(self):
+        geom = ArrayGeometry(2, 1)
+        cfg = PilotConfig(n_sc=16, n_pilot=4, nt=2)
+        dc = OmpDictionary.build(2, geom, geom)
+        r = np.random.default_rng(0).normal(size=(4, 2, 2)) * (1 - 2j)
+        np.testing.assert_array_equal(dc.adjoint(r.tolist(), cfg), dc.adjoint(r, cfg))
+
 
 class TestOmp:
     def setup_method(self):

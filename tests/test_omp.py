@@ -103,8 +103,8 @@ def test_adjoint_makes_no_grid_sized_temporary():
 
 
 def test_omp_holds_no_grid_sized_array_besides_the_correlation():
-    # alpha0 (4 MiB), one run of slabs' residual correlation and its magnitude
-    # (0.75 MiB), the Gram factors and the Cholesky factor of the refit.
+    # alpha0 (4 MiB), one slab's residual correlation and its magnitude
+    # (192 KiB), the Gram factors and the Cholesky factor of the refit.
     obs = link(0)
     assert traced_peak(omp_estimate, obs, CFG, DICTIONARY, K_MAX) <= 6 * 2**20
 
