@@ -17,9 +17,9 @@ threshold, so its pages would go back to the OS and be faulted in again on
 the next link. One rule gives every DFT row, the pilot model's and
 the OMP operator's. OMP pursues the same LS estimate, so the pilot matrix
 appears only in the pilot model. It correlates that estimate with the whole
-dictionary once and then works from the refit's Cholesky factor
-(Batch-OMP): neither the residual nor its norm is formed by applying the
-operator.
+dictionary once and then works from the inverse of the refit's Cholesky
+factor (Batch-OMP): neither the residual nor its norm is formed by applying
+the operator.
 
 Everything is a pure function of (inputs, seed); Monte-Carlo trials can be
 parallelized across seeds.
@@ -483,24 +483,36 @@ class OmpDictionary:
 _BREAKDOWN_TOL = 1e-9
 
 
-def _slab_bounds(slab_max, kd, kr_max, kt_max, selected, gains):
-    """Upper bound per delay slab ``d`` on ``|alpha0[d] - (G[:, I] g)[d]|``
-    as :func:`omp_estimate` computes it.
+def _slab_bounds(slab_max, weight, gains, seen):
+    """Upper bounds per delay slab ``d`` on ``|alpha0[d] - (G[:, I] g)[d]|``,
+    over the slab's atoms not yet selected, as :func:`omp_estimate` computes
+    it. Returns ``(bound, full)``.
 
-    ``slab_max[d] = max|alpha0[d]|``, ``kr_max``/``kt_max`` are the column
-    maxima of ``|kr|``/``|kt|``, and ``selected`` the flat indices ``I`` of
-    atoms ``(d_i, r_i, t_i)`` with gains ``g``. The bound is
-    ``slab_max[d] + sum_i |g_i| |kd[d, d_i]| kr_max[r_i] kt_max[t_i]``, scaled
-    by ``1 + 16 (k + 4) eps`` for ``k`` selected atoms and ``eps`` the float64
-    machine epsilon: several times the worst-case relative rounding of a
-    ``k``-term complex dot product and the few products, sums and moduli on
-    either side, so the bound also holds for the rounded values.
+    ``slab_max[d] = max|alpha0[d]|`` and ``weight[d, i] = |kd[d, d_i]|
+    kr_max[r_i] kt_max[t_i]`` for the selected atom ``i = (d_i, r_i, t_i)``
+    with gain ``g_i``, where ``kr_max``/``kt_max`` are the column maxima of
+    ``|kr|``/``|kt|``: no atom of slab ``d`` is moved by more than
+    ``weight[d, i]`` per unit of ``g_i``. The full bound is
+    ``slab_max[d] + sum_i |g_i| weight[d, i]``. ``seen = (v, b, h)`` holds,
+    per slab, the best value found at its last visit (``inf`` for a slab not
+    visited), the full bound then, and the gains then, zero-padded to ``k``.
+    The lazy bound ``v[d] + sum_i |g_i - h[d, i]| weight[d, i]`` charges the
+    slab only for the gain change since that visit. ``bound`` is the smaller
+    of the two.
+
+    For ``k`` selected atoms and ``eps`` the float64 machine epsilon, each
+    evaluation is charged ``16 (k + 4) eps`` times its full bound: several
+    times the worst-case relative rounding of a ``k``-term complex dot
+    product and the few products, sums and moduli on either side, so the
+    bounds also hold for the rounded values. The lazy bound is charged for
+    both evaluations it spans, each at the current ``k``, which is at least
+    the earlier one's.
     """
-    d, r, t = selected
-    k = len(gains)
-    bound = slab_max + np.abs(kd[:, d]) @ (np.abs(gains) * kr_max[r] * kt_max[t])
-    bound *= 1.0 + 16 * (k + 4) * np.finfo(np.float64).eps
-    return bound
+    v, b, h = seen
+    tol = 16 * (len(gains) + 4) * np.finfo(np.float64).eps
+    full = (slab_max + weight @ np.abs(gains)) * (1.0 + tol)
+    lazy = v + (np.abs(gains - h) * weight).sum(axis=1) + tol * (b + full)
+    return np.minimum(full, lazy), full
 
 
 @dataclass
@@ -527,12 +539,19 @@ def omp_estimate(
     correlation is ``alpha0 - G[:, I] g`` for the selected atoms ``I`` and
     gains ``g``, with the Gram columns ``G[:, I]`` formed from
     :meth:`OmpDictionary.gram_factors` one factor at a time, never stored
-    whole. Per pick, the refit grows the Cholesky factor ``L`` of ``G[I, I]``
-    by one row, extends ``w = L^-1 alpha0[I]`` by one entry (forward
-    substitution) and solves ``L^H g = w`` for the gains. A pick whose
-    new squared pivot is at most ``1e-10`` times its own Gram entry lies in
-    the span of the atoms already selected: the refit is rank-deficient, so
-    that atom is dropped and the pursuit stops.
+    whole. The refit keeps the inverse ``L^-1`` of the Cholesky factor ``L``
+    of ``G[I, I]``, lower triangular, and grows it by one row per pick: with
+    ``b = G[I, p]`` for the pick ``p``, the new row of ``L`` is
+    ``[row^H, delta]`` with ``row = L^-1 b`` and
+    ``delta = sqrt(G[p, p] - ||row||^2)``, so ``L^-1`` gains
+    ``[-(row^H L^-1) / delta, 1 / delta]``. ``w = L^-1 alpha0[I]`` gains one
+    entry ``w_k``, and the gains ``g = L^-H w`` gain ``w_k`` times the new
+    column of ``L^-H``. Each step is a small product summed by numpy, not a
+    BLAS matrix-vector product, which OpenBLAS splits over threads at larger
+    ``k``; nothing is factorised or solved. A pick whose new squared pivot
+    ``delta^2`` is at most ``1e-10`` times its own Gram entry lies in the
+    span of the atoms already selected: the refit is rank-deficient, so that
+    atom is dropped and the pursuit stops.
 
     The residual norm is read off the same factor, as in Batch-OMP: the
     projection of ``y`` onto the selected atoms has energy ``||w||^2``, summed
@@ -544,13 +563,16 @@ def omp_estimate(
     rounding level. They never grow, by construction.
 
     The pick is searched one delay slab ``[Gr, Gt]`` at a time, in descending
-    order of an upper bound on the slab's residual correlation: its
+    order of an upper bound on the slab's residual correlation (see
+    :func:`_slab_bounds`), the smaller of two. The full bound is the slab's
     ``max|alpha0|`` plus what the selected atoms can subtract through the
-    delay Gram factor ``kd`` (see :func:`_slab_bounds`). The search stops once
-    no unvisited slab's bound reaches the best value found. With comb pilots
-    ``kd`` is diagonal up to rounding, so only the slabs at the selected
-    delays and the strongest unselected ones are visited; with other
-    placements it is dense and little is pruned. A slab is evaluated with the
+    delay Gram factor ``kd``. The lazy bound applies to a slab visited
+    before: the best value found at its last visit plus what the gains'
+    change since then can move, so a slab the refit has barely touched is
+    not evaluated again. The search stops once no unvisited slab's bound
+    reaches the best value found. With comb pilots ``kd`` is diagonal up to
+    rounding, so a pick moves only its own slab's atoms much, and about two
+    slabs are visited per pick at any ``k``. A slab is evaluated with the
     same arithmetic as the full grid would be, and on an exact tie the lower
     flat index wins, so the picks are those of a full-grid search. ``alpha0``
     is the only grid-sized array a call holds.
@@ -569,54 +591,73 @@ def omp_estimate(
     if obs.y.shape[1:] != arrays:
         raise ValueError(f"observation is for {obs.y.shape[1:]} arrays, dictionary for {arrays}")
     y = ls_estimate(obs, cfg)
-    y_norm = float(np.linalg.norm(y))
-    y_norm2 = y_norm**2
-    resid_norms = [y_norm]
+    # numpy's pairwise sum, not a BLAS dot whose split follows the thread count
+    y_norm2 = float(np.sum(y.real**2 + y.imag**2))
+    resid_norms = [math.sqrt(y_norm2)]
     alpha0 = dc.adjoint(y, cfg)
     kd, kr, kt = dc.gram_factors(cfg)
-    _, gr, gt = dc.shape
+    nd, gr, gt = dc.shape
     slab = gr * gt
     resid = np.empty((gr, gt), dtype=np.complex128)  # alpha0[s] - (G[:, I] g)[s], one slab
     mag = np.empty((gr, gt))  # |resid|
     slab_max = np.array([np.abs(a, out=mag).max() for a in alpha0])
     kr_max, kt_max = np.abs(kr).max(axis=0), np.abs(kt).max(axis=0)
-    chol = np.zeros((k_max, k_max), dtype=np.complex128)  # lower, G[I, I] = L L^H
+    # per selected atom i: its grid indices, rx and tx Gram columns and bound weight
+    sel_d, sel_r, sel_t = (np.zeros(k_max, dtype=np.int64) for _ in range(3))
+    kr_sel = np.zeros((gr, k_max), dtype=np.complex128)
+    kt_sel = np.zeros((gt, k_max), dtype=np.complex128)
+    weight = np.zeros((nd, k_max))
+    # per slab: best value, full bound and gains at its last visit
+    seen_v, seen_b = np.full(nd, np.inf), np.zeros(nd)
+    seen_g = np.zeros((nd, k_max), dtype=np.complex128)
+    linv = np.zeros((k_max, k_max), dtype=np.complex128)  # L^-1, lower, G[I, I] = L L^H
+    w = np.zeros(k_max, dtype=np.complex128)  # L^-1 alpha0[I]
+    g = np.zeros(k_max, dtype=np.complex128)  # L^-H w
     selected: list[int] = []
-    gains = w = np.zeros(0, dtype=np.complex128)
+    gains = g[:0]
     proj2 = 0.0
 
     while len(selected) < k_max and resid_norms[-1] > 0.0:
         k = len(selected)
-        d, r, t = np.unravel_index(np.asarray(selected, dtype=np.int64), dc.shape)
-        kd_g, kr_sel, kt_sel = kd[:, d] * gains, kr[:, r], kt[:, t].T
-        bound = _slab_bounds(slab_max, kd, kr_max, kt_max, (d, r, t), gains).tolist()
+        d, r, t = sel_d[:k], sel_r[:k], sel_t[:k]
+        bound, full = _slab_bounds(
+            slab_max, weight[:, :k], gains, (seen_v, seen_b, seen_g[:, :k]))
+        bound = bound.tolist()
         best, pick = -1.0, -1
         for s in np.argsort(bound)[::-1].tolist():
             if bound[s] < best:
                 break
-            np.matmul(kd_g[s] * kr_sel, kt_sel, out=resid)
+            np.matmul(kd[s, d] * gains * kr_sel[:, :k], kt_sel[:, :k].T, out=resid)
             np.subtract(alpha0[s], resid, out=resid)
             np.abs(resid, out=mag)
             mag[r[d == s], t[d == s]] = 0.0
             j = int(np.argmax(mag))
             v, j = float(mag.flat[j]), s * slab + j
+            seen_v[s], seen_b[s], seen_g[s, :k] = v, full[s], gains
             if v > best or (v == best and j < pick):
                 best, pick = v, j
 
-        dp, rp, tp = np.unravel_index(pick, dc.shape)
-        row = np.linalg.solve(chol[:k, :k], kd[d, dp] * kr[r, rp] * kt[t, tp])
+        dp, rp = divmod(pick, slab)
+        rp, tp = divmod(rp, gt)
+        row = (linv[:k, :k] * (kd[d, dp] * kr[r, rp] * kt[t, tp])).sum(axis=1)  # L^-1 G[I, p]
         g_pp = float((kd[dp, dp] * kr[rp, rp] * kt[tp, tp]).real)
         pivot2 = g_pp - float(np.vdot(row, row).real)
         if pivot2 <= 1e-10 * g_pp:
             break
-        chol[k, :k] = row.conj()
-        chol[k, k] = np.sqrt(pivot2)
+        # L gains the row [row^H, delta], so L^-1 gains [-(row^H L^-1) / delta, 1 / delta]
+        delta = math.sqrt(pivot2)
+        linv[k, :k] = (row.conj()[:, None] * linv[:k, :k]).sum(axis=0) / -delta
+        linv[k, k] = 1.0 / delta
+        w[k] = (alpha0[dp, rp, tp] - np.vdot(row, w[:k])) / delta
+        # g = L^-H w gains column k of L^-H, the new row of L^-1 conjugated, times w[k]
+        g[: k + 1] += linv[k, : k + 1].conj() * w[k]
+        gains = g[: k + 1]
         selected.append(pick)
-        # w = L^-1 alpha0[I] gains one entry by forward substitution
-        w = np.append(w, (alpha0.flat[pick] - chol[k, :k] @ w) / chol[k, k])
-        gains = np.linalg.solve(chol[: k + 1, : k + 1].conj().T, w)
+        sel_d[k], sel_r[k], sel_t[k] = dp, rp, tp
+        kr_sel[:, k], kt_sel[:, k] = kr[:, rp], kt[:, tp]
+        weight[:, k] = np.abs(kd[:, dp]) * (kr_max[rp] * kt_max[tp])
 
-        proj2 += abs(w[-1]) ** 2  # ||w||^2, the energy of y's projection on the atoms
+        proj2 += abs(w[k]) ** 2  # ||w||^2, the energy of y's projection on the atoms
         if proj2 > y_norm2 * (1.0 + _BREAKDOWN_TOL):
             raise FloatingPointError("OMP refit holds more energy than the LS estimate")
         resid_norms.append(math.sqrt(max(y_norm2 - proj2, 0.0)))
