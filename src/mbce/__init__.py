@@ -9,7 +9,9 @@ which is not implemented yet.
 Boundary contract: a count, real, point or array argument that is malformed
 (not a number, of the wrong shape or out of range) or non-finite raises
 ``ValueError`` naming the argument; a numeric string such as ``"1"`` is not a
-number. Non-finite tensor data in ``mbce.autodiff`` raises ``NumericFault``.
+number. So does a malformed file given to a loader; a missing one raises
+``FileNotFoundError``. Non-finite tensor data in ``mbce.autodiff`` raises
+``NumericFault``.
 """
 
 __version__ = "0.1.0"

@@ -21,12 +21,11 @@ every function here is pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._checks import count, count_fields, finite_array, point, real
+from ._checks import count, count_fields, finite_array, point, read_arrays, real, write_arrays
 from .channel_model import ChannelTensor, PathSet
 
 __all__ = [
@@ -45,13 +44,10 @@ __all__ = [
     "rss_patch_at",
     "save_rss_map",
     "load_rss_map",
-    "RSS_MAP_MAGIC",
 ]
 
 ETA0 = 376.730          # intrinsic impedance of free space, ohms
 C0 = 2.99792458e8       # speed of light, m/s
-
-RSS_MAP_MAGIC = b"RSSM"
 
 
 @dataclass(frozen=True)
@@ -492,59 +488,27 @@ def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
 
 
 def save_rss_map(rss_map: RssMap, path) -> None:
-    """Write the flat binary map format (magic RSSM, version 1).
-
-    Layout, little-endian: the magic, u32 version, u32 rows, u32 cols, f64
-    origin x, f64 origin y, f64 spacing, f64 rx height, then the values as
-    f32 in row-major order. A value beyond the float32 range raises
-    ``ValueError`` and writes nothing.
-    """
+    """Write ``rss_map`` at exactly ``path`` as an ``.npz``, which ``np.load`` reads:
+    ``values.npy``, float32 ``[rows, cols]``, and ``grid.npy``, float64 ``[origin x,
+    origin y, spacing, rx height]``. A non-:class:`RssMap` and a value beyond the
+    float32 range raise ``ValueError`` and write nothing."""
+    if not isinstance(rss_map, RssMap):
+        raise ValueError(f"rss_map must be an RssMap, got {type(rss_map).__name__}")
     if np.any(rss_map.values > np.finfo(np.float32).max):
         raise ValueError("RSS values exceed the float32 range of the map format")
-    rows, cols = rss_map.values.shape
-    header = struct.pack(
-        "<4sIIIdddd",
-        RSS_MAP_MAGIC,
-        1,
-        rows,
-        cols,
-        float(rss_map.origin[0]),
-        float(rss_map.origin[1]),
-        float(rss_map.spacing),
-        float(rss_map.rx_height),
-    )
-    body = rss_map.values.astype("<f4").tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
+    grid = np.array([*rss_map.origin, rss_map.spacing, rss_map.rx_height], dtype=np.float64)
+    write_arrays(path, {"values": rss_map.values.astype("<f4"), "grid": grid})
 
 
 def load_rss_map(path) -> RssMap:
-    """Read a map that :func:`save_rss_map` wrote, in the layout given there.
-
-    A malformed or truncated file, bytes after the values, and values or
-    geometry that :class:`RssMap` rejects (non-finite or negative values, a
-    non-finite origin, a spacing that is not > 0) raise ``ValueError``.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    head_size = struct.calcsize("<4sIIIdddd")
-    if len(raw) < head_size:
-        raise ValueError("truncated RSS map file")
-    magic, version, rows, cols, ox, oy, spacing, rx_h = struct.unpack(
-        "<4sIIIdddd", raw[:head_size]
-    )
-    if magic != RSS_MAP_MAGIC:
-        raise ValueError(f"bad magic {magic!r}, expected {RSS_MAP_MAGIC!r}")
-    if version != 1:
-        raise ValueError(f"unsupported RSS map version {version}")
-    expected = rows * cols * 4
-    if len(raw) != head_size + expected:
-        raise ValueError("RSS map payload size mismatch")
-    values = np.frombuffer(raw[head_size:], dtype="<f4").reshape(rows, cols)
-    return RssMap(
-        origin=np.array([ox, oy]),
-        spacing=spacing,
-        values=values.astype(np.float64),
-        rx_height=rx_h,
-    )
+    """Read a map that :func:`save_rss_map` wrote. A malformed file (see
+    :func:`mbce._checks.read_arrays`), entries other than those two or of another
+    dtype or shape, and a map that :class:`RssMap` rejects raise ``ValueError``."""
+    arrays = read_arrays(path, "RSS map")
+    values, grid = arrays.get("values"), arrays.get("grid")
+    if (arrays.keys() != {"values", "grid"} or values.dtype != np.float32
+            or grid.dtype != np.float64 or grid.shape != (4,)):
+        layout = {name: f"{a.dtype}{list(a.shape)}" for name, a in arrays.items()}
+        raise ValueError(f"an RSS map holds float32 values and a float64 grid[4], got {layout}")
+    *origin, spacing, rx_height = grid.tolist()
+    return RssMap(origin, spacing, values.astype(np.float64), rx_height)

@@ -1,7 +1,7 @@
 import gc
-import struct
 import sys
 import tracemalloc
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -35,7 +35,10 @@ from mbce.autodiff import (
 )
 from mbce.autodiff.convops import _COL_BUDGET
 
+from archives import npy_bytes, npy_with_header, npz_bytes
+
 RNG = np.random.default_rng(2024)
+ONE32 = np.ones(1, np.float32)
 
 
 def t64(*shape, margin=0.0):
@@ -634,22 +637,22 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_bad_magic(self, tmp_path):
+        # garbage, an empty file and a plain .npy file are no zip archive
         p = tmp_path / "x.mbwt"
-        p.write_bytes(b"NOPE" + b"\x00" * 8)
-        with pytest.raises(ValueError, match="magic"):
-            load_params(p)
+        for raw in (b"NOPE" + b"\x00" * 8, b"", npy_bytes(np.ones(3, np.float32))):
+            p.write_bytes(raw)
+            with pytest.raises(ValueError, match="malformed checkpoint"):
+                load_params(p)
 
     def test_truncated_file_raises_value_error(self, tmp_path):
         params = {"w": Tensor(np.arange(6.0).reshape(2, 3)), "b": Tensor(np.ones(2))}
         path = tmp_path / "full.mbwt"
         save_params(params, path)
         raw = path.read_bytes()
-        # cuts in the header, then in the first record's name length, name,
-        # rank, dims and data, then in the second record's name and data
-        for cut in (0, 7, 12, 13, 14, 15, 19, 24, 30, len(raw) - 1):
+        for cut in range(len(raw)):
             p = tmp_path / f"cut{cut}.mbwt"
             p.write_bytes(raw[:cut])
-            with pytest.raises(ValueError, match="truncated"):
+            with pytest.raises(ValueError, match="malformed checkpoint"):
                 load_params(p)
 
     def test_values_beyond_float32_rejected_and_nothing_written(self, tmp_path):
@@ -662,16 +665,74 @@ class TestCheckpoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_raises_value_error(self, tmp_path, bad):
         path = tmp_path / "bad.mbwt"
-        save_params({"w": Tensor(np.zeros(3, dtype=np.float32))}, path)
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<f", raw, len(raw) - 4, bad)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="non-finite"):
+        path.write_bytes(npz_bytes(("w.npy", np.array([0.0, 0.0, bad], np.float32))))
+        with pytest.raises(ValueError, match=r"parameter 'w'\[2\]=.* is not finite"):
             load_params(path)
 
     def test_repeated_name_raises_value_error(self, tmp_path):
-        record = struct.pack("<H", 1) + b"w" + struct.pack("<BI", 1, 1) + struct.pack("<f", 1.0)
         path = tmp_path / "twice.mbwt"
-        path.write_bytes(struct.pack("<4sII", b"MBWT", 1, 2) + record + record)
-        with pytest.raises(ValueError, match="twice"):
+        path.write_bytes(npz_bytes(*[("w.npy", ONE32)] * 2))
+        with pytest.raises(ValueError, match="'w.npy' is not a new"):
             load_params(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            pytest.param(npz_bytes(("w.npy", np.array([1.0]))), id="float64"),
+            pytest.param(npz_bytes(("w.npy", np.array([None], object))), id="object"),
+            pytest.param(npz_bytes(("w", ONE32)), id="not-npy"),
+            pytest.param(npz_bytes(("w.npy", ONE32)) + b"\0", id="trailing-byte"),
+            pytest.param(npz_bytes(("w.npy", ONE32), compress_type=zipfile.ZIP_DEFLATED),
+                         id="deflated"),
+            pytest.param(npz_bytes(("w.npy", ONE32), flag_bits=1), id="encrypted"),
+            pytest.param(npz_bytes(("w.npy", ONE32), flag_bits=0x40), id="strong-encryption"),
+            pytest.param(npz_bytes(("w.npy", b"\0" * 64)), id="not-an-array"),
+            pytest.param(npz_bytes(("w.npy", npy_bytes(ONE32) + b"\0")), id="bytes-after-array"),
+            pytest.param(npz_bytes(("w.npy", npy_with_header("{'descr': '<f4', 'shape': (1, "))),
+                         id="unclosed-header"),
+            pytest.param(npz_bytes(("w.npy", npy_with_header(
+                "{b'x': 0, 'descr': '<f4', 'fortran_order': False, 'shape': (1,)}"))),
+                id="mixed-keys"),
+            pytest.param(npz_bytes(("w.npy", npy_with_header(
+                "{'descr': '<f8', 'fortran_order': False, 'shape': (1000000000000000,)}"))),
+                id="huge-shape"),
+        ],
+    )
+    def test_malformed_archive_raises_value_error(self, tmp_path, raw):
+        path = tmp_path / "bad.mbwt"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="checkpoint|float32"):
+            load_params(path)
+
+    def test_file_is_an_npz_at_exactly_the_path(self, tmp_path):
+        params = {"w": Tensor(RNG.normal(size=(2, 3)).astype(np.float32)), "b": Tensor(np.ones(2))}
+        path = tmp_path / "model.bin"
+        save_params(params, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        with zipfile.ZipFile(path) as zf:  # no clock time, so saves repeat byte for byte
+            assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+        with np.load(path) as npz:
+            assert npz.files == ["b", "w"]
+            assert all(npz[k].dtype == np.float32 for k in npz.files)
+            np.testing.assert_array_equal(npz["w"], params["w"].data)
+
+    @pytest.mark.parametrize(
+        "params",
+        [{1: Tensor(np.ones(2))}, {"w": np.ones(2)}, {"w": [1.0, 2.0]},
+         {"a\0b": Tensor(np.ones(2))}, {"n" * 65_532: Tensor(np.ones(2))},
+         {"\u00fc" * 32_766: Tensor(np.ones(2))}],
+        ids=["int-name", "ndarray-value", "list-value", "nul-in-name", "long-name",
+             "long-utf8-name"],
+    )
+    def test_unsavable_params_raise_value_error_and_write_nothing(self, tmp_path, params):
+        path = tmp_path / "bad.mbwt"
+        with pytest.raises(ValueError, match="params maps|NUL or is too long"):
+            save_params(params, path)
+        assert not path.exists()
+
+    def test_longest_name_a_zip_entry_holds_round_trips(self, tmp_path):
+        # 65,531 utf-8 bytes plus ".npy" fill the zip format's 16-bit name length
+        path = tmp_path / "long.mbwt"
+        for name in ("n" * 65_531, "\u00fc" * 32_765 + "n"):
+            save_params({name: Tensor(np.ones(2))}, path)
+            assert list(load_params(path)) == [name]

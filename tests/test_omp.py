@@ -172,6 +172,24 @@ def test_pruned_search_matches_full_grid(n_pilot, placement_seed):
     assert_matches_full_grid(pilots(n_pilot, placement_seed), seeds=(6, 7))
 
 
+def test_comb_search_evaluates_few_slabs_per_pick(monkeypatch):
+    # Each slab evaluation is one product into the [Gr, Gt] slab buffer. On
+    # comb-32 links at k = 16 the bounds leave ~2 per pick; a bound that stopped
+    # pruning would evaluate all 32, and every other test would still pass.
+    _, gr, gt = DICTIONARY.shape
+    matmul, evaluations = np.matmul, [0]
+
+    def counting_matmul(*args, out=None, **kwargs):
+        evaluations[0] += out is not None and out.shape == (gr, gt)
+        return matmul(*args, out=out, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    picks = [len(omp_estimate(link(seed), CFG, DICTIONARY, K_MAX, return_info=True).selected)
+             for seed in range(6)]
+    assert sum(picks) == 6 * K_MAX
+    assert evaluations[0] <= 6 * sum(picks)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "n_pilot, placement_seed, k_max",

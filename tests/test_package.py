@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -27,3 +28,14 @@ def test_every_all_resolves_and_lists_the_public_definitions():
             and obj.__module__ == name
         }
         assert defined <= set(exported), f"{name}.__all__ lacks {sorted(defined - set(exported))}"
+
+
+def test_no_module_packs_bytes_by_hand():
+    # files are .npz archives through mbce._checks' one reader and writer
+    for name in ["mbce", *MODULES]:
+        tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 0}
+        assert not {m.partition(".")[0] for m in imported} & {"struct", "pickle"}, name

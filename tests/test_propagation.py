@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -34,6 +33,8 @@ from mbce.propagation import (
     save_rss_map,
     trace_paths,
 )
+
+from archives import npy_bytes, npz_bytes
 
 CARRIER = 15e9
 
@@ -559,6 +560,16 @@ class TestRssPatch:
             RssPatch(values=values, center=(0, 0))
 
 
+VALUES, GRID = np.ones((2, 3), np.float32), np.array([0.0, 0.0, 1.0, 1.5])
+
+
+def map_npz(**entries) -> bytes:
+    """A map file of ``VALUES`` and ``GRID`` with ``entries`` replacing (``None``
+    dropping) or adding entries."""
+    arrays = {"values": VALUES, "grid": GRID} | entries
+    return npz_bytes(*[(f"{k}.npy", v) for k, v in arrays.items() if v is not None])
+
+
 class TestRssMapIO:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -571,15 +582,13 @@ class TestRssMapIO:
         np.testing.assert_array_equal(loaded.origin, m.origin)
         assert loaded.spacing == m.spacing and loaded.rx_height == m.rx_height
 
-    # Header field offsets in "<4sIIIdddd": origin x, origin y, spacing, rx height.
-    @pytest.mark.parametrize("offset", [16, 24, 32, 40], ids=["ox", "oy", "spacing", "rx_h"])
+    @pytest.mark.parametrize("field", [0, 1, 2, 3], ids=["ox", "oy", "spacing", "rx_h"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_header_rejected(self, tmp_path, offset, bad):
+    def test_non_finite_header_rejected(self, tmp_path, field, bad):
+        grid = GRID.copy()
+        grid[field] = bad
         path = tmp_path / "map.rssm"
-        save_rss_map(RssMap(np.zeros(2), 1.0, np.ones((2, 3)), 1.5), path)
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<d", raw, offset, bad)
-        path.write_bytes(bytes(raw))
+        path.write_bytes(map_npz(grid=grid))
         with pytest.raises(ValueError, match="finite"):
             load_rss_map(path)
 
@@ -590,9 +599,26 @@ class TestRssMapIO:
         assert not path.exists()
 
     @pytest.mark.parametrize(
-        "edit", [lambda raw: raw[:10], lambda raw: raw[:-1], lambda raw: raw + b"\x00",
-                 lambda raw: raw[:-4] + struct.pack("<f", -1.0)],
-        ids=["cut-header", "cut-values", "trailing-byte", "negative-value"],
+        "edit",
+        [
+            lambda raw: raw[:10],
+            lambda raw: raw[:-1],
+            lambda raw: raw + b"\x00",
+            lambda raw: map_npz(values=-VALUES),
+            lambda raw: map_npz(values=VALUES.astype(np.float64)),
+            lambda raw: map_npz(grid=np.zeros(4, np.float32)),
+            lambda raw: map_npz(grid=np.zeros(3)),
+            lambda raw: map_npz(values=np.ones(3, np.float32)),
+            lambda raw: map_npz(values=np.array([[None]], object)),
+            lambda raw: map_npz(grid=None),
+            lambda raw: map_npz(mask=np.ones((2, 3), np.float32)),
+            lambda raw: map_npz(values=b"RSSM"),
+            lambda raw: npz_bytes(("grid.npy", GRID), *[("values.npy", VALUES)] * 2),
+            lambda raw: npz_bytes(("grid.npy", GRID), ("values", VALUES)),
+        ],
+        ids=["cut-header", "cut-values", "trailing-byte", "negative-value", "float64-values",
+             "float32-grid", "grid-of-3", "1-d-values", "object-values", "missing-grid",
+             "extra-entry", "not-an-array", "duplicate-entry", "not-npy"],
     )
     def test_malformed_file_raises_value_error(self, tmp_path, edit):
         path = tmp_path / "map.rssm"
@@ -601,8 +627,37 @@ class TestRssMapIO:
         with pytest.raises(ValueError):
             load_rss_map(path)
 
+    def test_every_cut_raises_value_error(self, tmp_path):
+        path = tmp_path / "map.rssm"
+        save_rss_map(RssMap(np.zeros(2), 1.0, np.ones((2, 3)), 1.5), path)
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="malformed RSS map"):
+                load_rss_map(path)
+
+    def test_file_is_an_npz_at_exactly_the_path(self, tmp_path):
+        m = RssMap(np.array([-4.0, 3.0]), 2.0, np.arange(6.0).reshape(2, 3), 1.5)
+        path = tmp_path / "rss_map-123.bin"
+        save_rss_map(m, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["rss_map-123.bin"]
+        with np.load(path) as npz:
+            assert npz.files == ["values", "grid"]
+            assert (npz["values"].dtype, npz["grid"].dtype) == (np.float32, np.float64)
+            np.testing.assert_array_equal(npz["values"], m.values)
+            np.testing.assert_array_equal(npz["grid"], [-4.0, 3.0, 2.0, 1.5])
+
+    @pytest.mark.parametrize(
+        "rss_map", [None, np.ones((2, 2)), "map"], ids=["none", "array", "str"])
+    def test_save_rejects_a_non_map_and_writes_nothing(self, tmp_path, rss_map):
+        path = tmp_path / "map.rssm"
+        with pytest.raises(ValueError, match="must be an RssMap"):
+            save_rss_map(rss_map, path)
+        assert not path.exists()
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.rssm"
-        path.write_bytes(b"XXXX" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="magic"):
-            load_rss_map(path)
+        for raw in (b"XXXX" + b"\x00" * 64, npy_bytes(np.ones((2, 3), np.float32))):
+            path.write_bytes(raw)
+            with pytest.raises(ValueError, match="malformed RSS map"):
+                load_rss_map(path)
