@@ -3,8 +3,9 @@
 A :class:`Tensor` keeps float32 or float64 data as given and stores any
 other input as float32; reductions accumulate in float64, and gradient checks
 run entirely in float64. A :class:`Tape` records executed ops in execution
-order; :meth:`Tape.backward` replays it once in reverse. Tapes are confined
-to a single thread; independent tapes may run concurrently.
+order; :meth:`Tape.backward` replays it once in reverse. A thread has at most
+one tape open, and entering a second raises ``RuntimeError``; tapes open in
+different threads record independently and may run concurrently.
 """
 
 from . import checkpoint, convops, engine

@@ -3,6 +3,8 @@ entry ``<name>.npy`` per parameter, sorted by name."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from .._checks import finite_array, read_arrays, write_arrays
@@ -12,13 +14,17 @@ __all__ = ["save_params", "load_params"]
 
 
 def save_params(params: dict[str, Tensor], path) -> None:
-    """Write ``params`` at exactly ``path``, as float32. A name that is not a
-    ``str`` or that a file entry cannot hold (see :func:`mbce._checks.write_arrays`),
-    a value that is not a :class:`Tensor` and one beyond the float32 range raise
-    ``ValueError`` and write nothing."""
+    """Write ``params`` at exactly ``path``, as float32. A ``params`` that is not a
+    mapping, a name that is not a ``str`` or that a file entry cannot hold (see
+    :func:`mbce._checks.write_arrays`), a value that is not a :class:`Tensor`, and
+    tensor data that is not finite (it may have changed since the tensor was made)
+    or beyond the float32 range raise ``ValueError`` and write nothing."""
+    if not isinstance(params, Mapping):
+        raise ValueError(f"params maps str to Tensor, got a {type(params).__name__}")
     for name, value in params.items():
         if not isinstance(name, str) or not isinstance(value, Tensor):
             raise ValueError(f"params maps {name!r} to a {type(value).__name__}, not str to Tensor")
+        finite_array(value.data, f"parameter {name!r}", value.dtype)
         if np.any(np.abs(value.data) > np.finfo(np.float32).max):
             raise ValueError(f"parameter {name!r} has values beyond the float32 range")
     write_arrays(path, {k: params[k].data.astype("<f4", copy=False) for k in sorted(params)})

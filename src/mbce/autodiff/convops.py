@@ -47,11 +47,6 @@ def _pair(v, name, low):
     return count(a, name, low), count(b, name, low)
 
 
-def _stride_pad(stride, pad):
-    """Integer ``(sh, sw)`` and ``(ph, pw)``, each stride >= 1 and each pad >= 0."""
-    return _pair(stride, "stride", 1), _pair(pad, "pad", 0)
-
-
 def _conv_out(size, k, s, p):
     return (size + 2 * p - k) // s + 1
 
@@ -112,7 +107,7 @@ def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
 
     ``stride`` (>= 1) and ``pad`` (>= 0) are integers or ``(h, w)`` pairs of them.
     """
-    (sh, sw), (ph, pw) = _stride_pad(stride, pad)
+    (sh, sw), (ph, pw) = _pair(stride, "stride", 1), _pair(pad, "pad", 0)
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError("conv2d expects 4-D input and kernel")
     co, ci, kh, kw = k.shape
@@ -156,7 +151,7 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, *, out_hw) -> Tensor
     ``out_hw`` must be a size that conv2d's shape map, with the same kernel,
     stride and pad, takes back to the input dims (stride > 1 leaves several).
     """
-    (sh, sw), (ph, pw) = _stride_pad(stride, pad)
+    (sh, sw), (ph, pw) = _pair(stride, "stride", 1), _pair(pad, "pad", 0)
     if x.ndim != 4 or k.ndim != 4:
         raise ValueError("conv_transpose2d expects 4-D input and kernel")
     ci, co, kh, kw = k.shape

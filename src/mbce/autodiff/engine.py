@@ -81,44 +81,31 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
 
-class _Node:
-    __slots__ = ("out", "parents", "needs", "backward_fn")
-
-    def __init__(self, out, parents, needs, backward_fn):
-        self.out = out
-        self.parents = parents
-        self.needs = needs
-        self.backward_fn = backward_fn
-
-
-class _TapeStack(threading.local):
-    def __init__(self):
-        self.tapes: list[Tape] = []  # open in the current thread, innermost last
-
-
-_TAPE_STACK = _TapeStack()
+_OPEN = threading.local()  # .tape: the tape open in this thread, if any
 
 
 class Tape:
     """Ordered record of executed ops; reverse replay populates gradients.
 
-    Ops record onto the innermost tape open in the calling thread."""
+    A thread has at most one tape open, and ops record onto it; entering a
+    second tape in a thread that has one open raises ``RuntimeError``."""
 
     __slots__ = ("_nodes", "_consumed")
 
     def __init__(self):
-        self._nodes: list[_Node] = []
+        self._nodes: list[tuple] = []  # (out, parents, needs, backward_fn) per op
         self._consumed: int | None = None  # node count once backward has run
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.tapes.append(self)
+        if getattr(_OPEN, "tape", None) is not None:
+            raise RuntimeError("a tape is already open in this thread")
+        _OPEN.tape = self
         return self
 
     def __exit__(self, *exc):
-        tapes = _TAPE_STACK.tapes
-        if not tapes or tapes[-1] is not self:
-            raise RuntimeError("tape stack corrupted: tapes must close innermost first")
-        tapes.pop()
+        if getattr(_OPEN, "tape", None) is not self:
+            raise RuntimeError("this tape is not the one open in this thread")
+        _OPEN.tape = None
         return False
 
     def __len__(self):
@@ -141,26 +128,19 @@ class Tape:
         nodes, self._nodes = self._nodes, []
         self._consumed = len(nodes)
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(nodes):
-            g = node.out.grad
-            if g is None:
+        for out, parents, needs, backward_fn in reversed(nodes):
+            if out.grad is None:
                 continue
-            grads = node.backward_fn(g, node.needs)
-            for parent, need, pg in zip(node.parents, node.needs, grads):
-                if not need or pg is None:
-                    continue
-                if parent.grad is None:
-                    parent.grad = pg
-                else:
-                    parent.grad = parent.grad + pg
-            node.out.grad = None  # free intermediate storage
+            for parent, need, pg in zip(parents, needs, backward_fn(out.grad, needs)):
+                if need and pg is not None:
+                    parent.grad = pg if parent.grad is None else parent.grad + pg
+            out.grad = None  # free intermediate storage
 
 
 def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     if not np.all(np.isfinite(out_data)):
         raise NumericFault("operation produced non-finite values")
-    tapes = _TAPE_STACK.tapes
-    tape = tapes[-1] if tapes else None
+    tape = getattr(_OPEN, "tape", None)
     needs = tuple(p.requires_grad or p._tape is tape for p in parents)
     out = Tensor.__new__(Tensor)
     out.data = out_data
@@ -169,7 +149,7 @@ def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out._tape = None
     if tape is not None and any(needs):
         out._tape = tape
-        tape._nodes.append(_Node(out, parents, needs, backward_fn))
+        tape._nodes.append((out, parents, needs, backward_fn))
     return out
 
 
@@ -261,16 +241,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g, needs):
-        ga = gb = None
-        if needs[0]:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            if ga.ndim > a.ndim:
-                ga = ga.sum(axis=tuple(range(ga.ndim - a.ndim)))
-        if needs[1]:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            if gb.ndim > b.ndim:
-                gb = gb.sum(axis=tuple(range(gb.ndim - b.ndim)))
-        return ga, gb
+        return (
+            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if needs[0] else None,
+            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if needs[1] else None,
+        )
 
     return _record(out, (a, b), bwd)
 

@@ -227,9 +227,6 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     n_p = len(cfg.placement)
     if est.ndim == 0 or len(est) != n_p:
         raise ValueError(f"pilot estimates must have {n_p} rows, one per pilot, got {est.shape}")
-    if n_p == 1:
-        return np.broadcast_to(est[0], (cfg.n_sc,) + est.shape[1:]).copy()
-
     shape = (cfg.n_sc,) + est.shape[1:]
     est = est.reshape(n_p, -1)
     pl = np.asarray(cfg.placement)
@@ -253,7 +250,7 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
     iv, past = idx[start], off[start]
     mid = np.flatnonzero(past)
     lerps = []  # per offset t: live runs, their subcarriers and lerp weights
-    for t in range(run_len[0]):
+    for t in range(run_len.max(initial=0)):
         live = np.count_nonzero(run_len > t)
         rows = start[:live] + t
         lerps.append((live, pl[0] + rows, 1.0 - w[rows], w[rows]))
@@ -278,8 +275,8 @@ def interpolate_full_band(pilot_estimates: np.ndarray, cfg: PilotConfig) -> np.n
             if t:
                 z[:live] = z[:live] * rot[:live]
             band[rows] = z[:live] * (m0[:live] * w0 + m1[:live] * w1)
-        band[: pl[0]] = band[pl[0]]
         band[pl[-1] :] = phasor[-1] * mag[-1]
+        band[: pl[0]] = band[pl[0]]
     return out.reshape(shape)
 
 

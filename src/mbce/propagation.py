@@ -133,8 +133,9 @@ class RssMap:
         self.values = finite_array(self.values, "RSS values")
         if self.values.ndim != 2:
             raise ValueError("RSS values must be a 2-D array")
-        if np.any(self.values < 0):
-            raise ValueError("RSS values must be non-negative")
+        if (negative := self.values < 0).any():
+            at = np.unravel_index(negative.argmax(), negative.shape)
+            raise ValueError(f"RSS values{list(map(int, at))}={self.values[at]} is negative")
 
     def nearest_cell(self, xy) -> tuple[int, int]:
         """``(row, col)`` of the cell nearest the finite point ``xy[:2]``, which
@@ -448,8 +449,8 @@ def generate_rss_map(
     ``shape`` is two integers ``(rows, cols)``, each ``>= 1``.
     """
     rows, cols = (count(n, "grid shape", 1) for n in shape)
-    values = np.zeros((rows, cols), dtype=np.float64)
-    origin = RssMap(origin=origin, spacing=spacing, values=values, rx_height=rx_height).origin
+    rss = RssMap(origin=origin, spacing=spacing, values=np.zeros((rows, cols)), rx_height=rx_height)
+    origin, values = rss.origin, rss.values
     g = _geometry(scene)
     r, c = np.indices((rows, cols)).reshape(2, -1)
     cells = np.stack([origin[0] + c * spacing, origin[1] + r * spacing,
@@ -463,7 +464,7 @@ def generate_rss_map(
         total = (np.bincount(idx, efield.real, len(chunk))
                  + 1j * np.bincount(idx, efield.imag, len(chunk)))
         values.flat[chunk] = _coherent_power(total, scene.wavelength)
-    return RssMap(origin=origin, spacing=spacing, values=values, rx_height=rx_height)
+    return rss
 
 
 def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
@@ -490,10 +491,12 @@ def rss_patch_at(rss_map: RssMap, ue_estimate, p: int) -> RssPatch:
 def save_rss_map(rss_map: RssMap, path) -> None:
     """Write ``rss_map`` at exactly ``path`` as an ``.npz``, which ``np.load`` reads:
     ``values.npy``, float32 ``[rows, cols]``, and ``grid.npy``, float64 ``[origin x,
-    origin y, spacing, rx height]``. A non-:class:`RssMap` and a value beyond the
-    float32 range raise ``ValueError`` and write nothing."""
+    origin y, spacing, rx height]``. A non-:class:`RssMap`, a map that :class:`RssMap`
+    rejects (it is checked again, since its fields may have changed since it was made)
+    and a value beyond the float32 range raise ``ValueError`` and write nothing."""
     if not isinstance(rss_map, RssMap):
         raise ValueError(f"rss_map must be an RssMap, got {type(rss_map).__name__}")
+    rss_map = replace(rss_map)
     if np.any(rss_map.values > np.finfo(np.float32).max):
         raise ValueError("RSS values exceed the float32 range of the map format")
     grid = np.array([*rss_map.origin, rss_map.spacing, rss_map.rx_height], dtype=np.float64)

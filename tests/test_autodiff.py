@@ -523,13 +523,25 @@ class TestBackward:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_out_of_order_exit_raises(self):
-        outer, inner = Tape(), Tape()
-        with outer:
-            inner.__enter__()
-            with pytest.raises(RuntimeError, match="tape stack corrupted"):
-                outer.__exit__(None, None, None)
-            inner.__exit__(None, None, None)
+    def test_second_tape_in_a_thread_raises(self):
+        x = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        with Tape() as tape:
+            y = mul(x, x)
+            with pytest.raises(RuntimeError, match="already open"):
+                with Tape():
+                    pass
+            with pytest.raises(RuntimeError, match="not the one open"):
+                Tape().__exit__(None, None, None)
+            loss = tensor_sum(y)
+        tape.backward(loss)
+        assert len(tape) == 2
+        np.testing.assert_array_equal(x.grad, [4.0, 6.0])
+        x.grad = None
+        with Tape() as again:
+            loss = tensor_sum(scale(x, 3.0))
+        again.backward(loss)
+        assert len(again) == 2
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
     def test_scale_gradient(self):
         x = Tensor(np.ones((2,)), requires_grad=True)
@@ -663,6 +675,15 @@ class TestCheckpoint:
         assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_tensor_made_non_finite_after_construction_is_not_saved(self, tmp_path, bad):
+        path = tmp_path / "bad.mbwt"
+        params = {"a": Tensor(np.ones(2)), "w": Tensor(np.zeros((2, 3), np.float32))}
+        params["w"].data[1, 2] = bad
+        with pytest.raises(ValueError, match=r"parameter 'w'\[1, 2\]=.* is not finite"):
+            save_params(params, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_raises_value_error(self, tmp_path, bad):
         path = tmp_path / "bad.mbwt"
         path.write_bytes(npz_bytes(("w.npy", np.array([0.0, 0.0, bad], np.float32))))
@@ -720,9 +741,9 @@ class TestCheckpoint:
         "params",
         [{1: Tensor(np.ones(2))}, {"w": np.ones(2)}, {"w": [1.0, 2.0]},
          {"a\0b": Tensor(np.ones(2))}, {"n" * 65_532: Tensor(np.ones(2))},
-         {"\u00fc" * 32_766: Tensor(np.ones(2))}],
+         {"\u00fc" * 32_766: Tensor(np.ones(2))}, [Tensor(np.ones(2))]],
         ids=["int-name", "ndarray-value", "list-value", "nul-in-name", "long-name",
-             "long-utf8-name"],
+             "long-utf8-name", "list-params"],
     )
     def test_unsavable_params_raise_value_error_and_write_nothing(self, tmp_path, params):
         path = tmp_path / "bad.mbwt"

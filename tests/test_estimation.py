@@ -27,6 +27,8 @@ from mbce.estimation import (
     transmit_pilots,
 )
 
+from references import interp_reference
+
 
 def random_channel(rng, d=4, nr=2, nt=4):
     taps = rng.normal(size=(d, nr, nt)) + 1j * rng.normal(size=(d, nr, nt))
@@ -37,17 +39,6 @@ def coarse_chain(h, cfg, seed):
     """Pilots -> LS -> band interpolation -> taps: the coarse estimate of ``h``."""
     est = ls_estimate(transmit_pilots(h, cfg, seed), cfg)
     return to_time_domain(interpolate_full_band(est, cfg), h.d)
-
-
-def interp_reference(est, placement, n_sc):
-    """Per-entry ``np.interp`` of magnitude and unwrapped phase, one entry at a time."""
-    flat = est.reshape(len(placement), -1)
-    out = np.empty((n_sc, flat.shape[1]), dtype=np.complex128)
-    for j, entry in enumerate(flat.T):
-        mag = np.interp(np.arange(n_sc), placement, np.abs(entry))
-        phase = np.interp(np.arange(n_sc), placement, np.unwrap(np.angle(entry)))
-        out[:, j] = mag * np.exp(1j * phase)
-    return out.reshape((n_sc,) + est.shape[1:])
 
 
 class TestTransmitPilots:

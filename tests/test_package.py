@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import mbce
@@ -39,3 +40,13 @@ def test_no_module_packs_bytes_by_hand():
         imported |= {node.module for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) and node.level == 0}
         assert not {m.partition(".")[0] for m in imported} & {"struct", "pickle"}, name
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml's requires-python floor: syntax newer than 3.10 fails here,
+    # on any interpreter, rather than on a 3.10 install
+    root = pathlib.Path(__file__).resolve().parents[1]
+    files = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

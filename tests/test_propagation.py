@@ -648,6 +648,26 @@ class TestRssMapIO:
             np.testing.assert_array_equal(npz["grid"], [-4.0, 3.0, 2.0, 1.5])
 
     @pytest.mark.parametrize(
+        "field,bad,match",
+        [("values", np.nan, r"RSS values\[1, 2\]=nan is not finite"),
+         ("values", np.inf, r"RSS values\[1, 2\]=inf is not finite"),
+         ("values", -1.0, r"RSS values\[1, 2\]=-1.0 is negative"),
+         ("spacing", 0.0, "spacing"),
+         ("rx_height", np.nan, "rx_height")],
+        ids=["nan-value", "inf-value", "negative-value", "zero-spacing", "nan-rx-height"],
+    )
+    def test_map_changed_after_construction_is_not_saved(self, tmp_path, field, bad, match):
+        m = RssMap(np.zeros(2), 1.0, np.ones((2, 3)), 1.5)
+        if field == "values":
+            m.values[1, 2] = bad
+        else:
+            setattr(m, field, bad)
+        path = tmp_path / "map.rssm"
+        with pytest.raises(ValueError, match=match):
+            save_rss_map(m, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
         "rss_map", [None, np.ones((2, 2)), "map"], ids=["none", "array", "str"])
     def test_save_rejects_a_non_map_and_writes_nothing(self, tmp_path, rss_map):
         path = tmp_path / "map.rssm"
