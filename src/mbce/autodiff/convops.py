@@ -1,25 +1,39 @@
 """Convolution, transposed convolution, and pooling.
 
-conv2d uses the cross-correlation convention. Both convolutions run on one
-im2col/col2im pair over zero-padded NHWC arrays:
+conv2d uses the cross-correlation convention. A conv geometry is the linear
+map ``C`` from a zero-padded NHWC ``[b, hp, wp, c_in]`` array to the
+``[b, ho, wo, c_out]`` output grid, with a conv2d kernel ``[c_out, c_in, kh,
+kw]``: conv2d applies ``C``, conv_transpose2d applies ``C^T`` (its kernel
+``[c_in, c_out, kh, kw]`` is ``C``'s kernel read with the channel roles
+swapped). Each geometry is lowered to GEMMs once, by :class:`_Lowering`, and
+that one decision serves ``C x``, ``C^T g`` and the kernel gradient, so both
+ops and both their backward passes run on the same side:
 
-- ``_im2col(xp, ...)`` turns a padded ``[n, hp, wp, c]`` block into the
+- **Input side** builds ``kh*kw*c_in`` columns per output pixel.
+  ``_im2col(xp, ...)`` turns a padded ``[n, hp, wp, c]`` block into the
   ``[n*ho*wo, kh*kw*c]`` column matrix with ``kh*kw`` shifted-slice copies,
-  so each row holds its window in ``(kh, kw, c)`` order with ``c`` fastest.
-  Kernel matrices are flattened in the same order: ``k.transpose(0, 2, 3, 1)``
-  reshaped to ``(c_out, -1)`` for conv2d and to ``(c_in, -1)`` for
-  conv_transpose2d; the kernel gradient is transposed back.
-- ``_col2im`` is its exact adjoint: ``kh*kw`` shifted-slice adds into a padded
-  NHWC buffer, which is cropped and transposed back to NCHW once per call.
+  each row holding its window in ``(kh, kw, c)`` order with ``c`` fastest;
+  ``_col2im`` is its exact adjoint, ``kh*kw`` shifted-slice adds into a padded
+  NHWC buffer. The kernel matrix is ``[c_out, kh*kw*c_in]``.
+- **Output side** builds ``kh*kw*c_out`` columns per padded input pixel: one
+  GEMM of the padded rows ``[n*hp*wp, c_in]`` by the ``[c_in, kh*kw*c_out]``
+  kernel matrix, then ``_col2out`` adds the ``kh*kw`` slabs of those columns,
+  each shifted by its kernel offset, into the output. Its exact adjoint
+  ``_out2col`` spreads an output-grid array into the slabs, which one GEMM
+  each turns into ``C^T g`` and the kernel gradient.
 
-Hence ``<conv2d(x), y> == <x, conv_transpose2d(y)>`` holds for a shared kernel
-and mirrored geometry. Both ops walk the batch in blocks of samples whose
-columns fit ``_COL_BUDGET`` elements (one sample when a single one does not
-fit); each block's GEMM writes into its slice of the output. No column matrix
-outlives its block: backward holds the padded NHWC input (for
-conv_transpose2d, the input itself), recomputes each block's columns from it
-(for conv_transpose2d, from the padded upstream gradient) and accumulates the
-kernel gradient over the blocks.
+The rule is computed, not an option: the side with fewer column entries,
+``ho*wo*c_in`` against ``hp*wp*c_out`` per sample and kernel offset, the input
+side on a tie. A head that maps many channels to few (32 -> 2 on 32x32) thus
+lowers on the output side, while a stride-1 layer that keeps or widens its
+channel count lowers on the input side.
+
+Both lowerings satisfy ``<conv2d(x), y> == <x, conv_transpose2d(y)>`` for a
+shared kernel and mirrored geometry. They walk the batch in blocks of samples
+whose columns fit ``_COL_BUDGET`` elements (one sample when a single one does
+not fit); each block's GEMM writes into its slice of the result. No column
+matrix outlives its block: backward keeps the padded input (conv2d) or the
+input itself (conv_transpose2d) and rebuilds each block's columns.
 """
 
 from __future__ import annotations
@@ -32,8 +46,9 @@ from .engine import Tensor, _record
 __all__ = ["conv2d", "conv_transpose2d", "max_pool2d", "adaptive_avg_pool"]
 
 # Column-matrix elements per block; 2**18 float32 is 1 MB, inside L2. Timed over
-# forward plus backward of the four refine_step convs (float32, 2 cores), 2**18
-# and 2**19 tie at ~38 ms, while 2**14 to 2**17 and 2**20 or more take 41-44 ms.
+# forward plus backward of the four refine_step convs, the head on the output
+# side (float32, 2 cores, medians of 40-60 interleaved runs), 2**18 takes
+# 37-39 ms, while 2**14 to 2**17 and 2**19 to 2**21 take 39-44 ms.
 _COL_BUDGET = 2**18
 
 
@@ -51,6 +66,12 @@ def _conv_out(size, k, s, p):
     return (size + 2 * p - k) // s + 1
 
 
+def _channels(c_in, c_out):
+    """``ValueError`` unless both channel counts are positive."""
+    if c_in < 1 or c_out < 1:
+        raise ValueError(f"a conv needs at least one channel on each side, got {c_in} -> {c_out}")
+
+
 def _pad_nhwc(x, ph, pw):
     """Zero-padded NHWC copy of the NCHW array ``x``."""
     b, c, h, w = x.shape
@@ -65,14 +86,19 @@ def _crop_nchw(xp, ph, pw):
     return np.ascontiguousarray(xp[:, ph : hp - ph, pw : wp - pw].transpose(0, 3, 1, 2))
 
 
-def _rows(x):
-    """NCHW array as ``[b*h*w, c]`` rows, one per pixel."""
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).reshape(-1, x.shape[1])
+def _nchw(a):
+    """Contiguous NCHW copy of the NHWC array ``a``."""
+    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
+
+
+def _rows(a):
+    """NHWC array as ``[n*h*w, c]`` rows, one per pixel."""
+    return np.ascontiguousarray(a).reshape(-1, a.shape[-1])
 
 
 def _blocks(n, per_sample):
     """Slices of ``range(n)`` whose columns (``per_sample`` each) fit the budget."""
-    step = max(1, _COL_BUDGET // per_sample)
+    step = max(1, _COL_BUDGET // max(per_sample, 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
@@ -102,6 +128,83 @@ def _col2im(cols, xp, kh, kw, sh, sw):
         xp[win] += cols6[:, :, :, i, j]
 
 
+def _out2col(y, hp, wp, kh, kw, sh, sw):
+    """Column matrix ``[n*hp*wp, kh*kw*c]`` of the NHWC output-grid block ``y``:
+    slab ``(i, j)`` holds ``y`` at the padded pixels its kernel offset reads,
+    zeros elsewhere."""
+    n, ho, wo, c = y.shape
+    cols = np.zeros((n, hp, wp, kh, kw, c), dtype=y.dtype)
+    for i, j, win in _window_slices(kh, kw, sh, sw, ho, wo):
+        cols[win + (i, j)] = y
+    return cols.reshape(n * hp * wp, kh * kw * c)
+
+
+def _col2out(cols, y, hp, wp, kh, kw, sh, sw):
+    """Exact adjoint of :func:`_out2col`: add the shifted slabs of ``cols``
+    into the NHWC output-grid block ``y``."""
+    n, ho, wo, c = y.shape
+    cols6 = cols.reshape(n, hp, wp, kh, kw, c)
+    for i, j, win in _window_slices(kh, kw, sh, sw, ho, wo):
+        y += cols6[win + (i, j)]
+
+
+class _Lowering:
+    """The conv geometry ``C`` of the kernel ``k`` (``[c_out, c_in, kh, kw]``)
+    on a padded ``hp x wp`` grid of ``b`` samples, lowered on the side with
+    fewer column entries (see the module docstring)."""
+
+    def __init__(self, k, b, hp, wp, stride):
+        co, ci, kh, kw = k.shape
+        sh, sw = stride
+        ho, wo = _conv_out(hp, kh, sh, 0), _conv_out(wp, kw, sw, 0)
+        self.output_side = hp * wp * co < ho * wo * ci
+        self.win = (kh, kw, sh, sw)
+        self.grids = (b, hp, wp, ci), (b, ho, wo, co)
+        if self.output_side:
+            self.w = k.transpose(1, 2, 3, 0).reshape(ci, -1)
+            self.blocks = _blocks(b, hp * wp * self.w.shape[1])
+        else:
+            self.w = k.transpose(0, 2, 3, 1).reshape(co, -1)
+            self.blocks = _blocks(b, ho * wo * self.w.shape[1])
+
+    def products(self, xp, y, *, fwd=False, adj=False, kgrad=False):
+        """``(C xp, C^T y, d<y, C xp>/dk)``, each only where asked, else None.
+
+        ``xp`` is on the padded input grid and ``y`` on the output grid, both
+        NHWC; ``C xp`` and ``C^T y`` come back NHWC on those same grids, the
+        kernel gradient in ``k``'s layout. An operand no asked-for product
+        reads may be None.
+        """
+        (b, hp, wp, ci), (_, ho, wo, co) = self.grids
+        kh, kw = self.win[:2]
+        dtype = np.result_type(*(a for a in (xp, y, self.w) if a is not None))
+        # a GEMM writes its result whole; shifted adds need it zeroed first
+        cx = (np.zeros if self.output_side else np.empty)((b, ho, wo, co), dtype) if fwd else None
+        cty = (np.empty if self.output_side else np.zeros)((b, hp, wp, ci), dtype) if adj else None
+        gw = np.zeros(self.w.shape, dtype) if kgrad else None
+        for s in self.blocks:
+            if self.output_side:
+                cols = _out2col(y[s], hp, wp, *self.win) if adj or kgrad else None
+                rows = _rows(xp[s]) if fwd or kgrad else None
+                if fwd:
+                    _col2out(rows @ self.w, cx[s], hp, wp, *self.win)
+                if adj:
+                    np.matmul(cols, self.w.T, out=cty[s].reshape(-1, ci))
+            else:
+                rows = _rows(y[s]) if adj or kgrad else None
+                if adj:
+                    _col2im(rows @ self.w, cty[s], *self.win)
+                cols = _im2col(xp[s], *self.win) if fwd or kgrad else None
+                if fwd:
+                    np.matmul(cols, self.w.T, out=cx[s].reshape(-1, co))
+            if kgrad:
+                gw += rows.T @ cols
+        if kgrad:
+            gw = (gw.reshape(ci, kh, kw, co).transpose(3, 0, 1, 2) if self.output_side
+                  else gw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
+        return cx, cty, gw
+
+
 def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
     """Batched NCHW cross-correlation with kernel ``[c_out, c_in, kh, kw]``.
 
@@ -116,32 +219,20 @@ def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
     b, c, h, w = x.shape
     if c != ci:
         raise ValueError(f"input channels {c} != kernel channels {ci}")
+    _channels(ci, co)
     ho, wo = _conv_out(h, kh, sh, ph), _conv_out(w, kw, sw, pw)
     if ho < 1 or wo < 1:
         raise ValueError(f"empty output for input {h}x{w}, kernel {kh}x{kw}")
 
     xp = _pad_nhwc(x.data, ph, pw)
-    w2 = k.data.transpose(0, 2, 3, 1).reshape(co, -1)
-    blocks = _blocks(b, ho * wo * w2.shape[1])
-    out = np.empty((b, ho, wo, co), dtype=np.result_type(x.data, k.data))
-    for s in blocks:
-        np.matmul(_im2col(xp[s], kh, kw, sh, sw), w2.T, out=out[s].reshape(-1, co))
+    conv = _Lowering(k.data, b, h + 2 * ph, w + 2 * pw, (sh, sw))
+    out = conv.products(xp, None, fwd=True)[0]
 
     def bwd(g, needs):
-        gxp = np.zeros(xp.shape, dtype=g.dtype) if needs[0] else None
-        gk = np.zeros(w2.shape, dtype=g.dtype) if needs[1] else None
-        for s in blocks:
-            gf = _rows(g[s])
-            if needs[0]:
-                _col2im(gf @ w2, gxp[s], kh, kw, sh, sw)
-            if needs[1]:
-                gk += gf.T @ _im2col(xp[s], kh, kw, sh, sw)
-        return (
-            _crop_nchw(gxp, ph, pw) if needs[0] else None,
-            gk.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2) if needs[1] else None,
-        )
+        _, gxp, gk = conv.products(xp, g.transpose(0, 2, 3, 1), adj=needs[0], kgrad=needs[1])
+        return _crop_nchw(gxp, ph, pw) if needs[0] else None, gk
 
-    return _record(np.ascontiguousarray(out.transpose(0, 3, 1, 2)), (x, k), bwd)
+    return _record(_nchw(out), (x, k), bwd)
 
 
 def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, *, out_hw) -> Tensor:
@@ -158,32 +249,20 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, *, out_hw) -> Tensor
     b, c, h, w = x.shape
     if c != ci:
         raise ValueError(f"input channels {c} != kernel channels {ci}")
+    _channels(ci, co)
     ho, wo = _pair(out_hw, "out_hw", 1)
     if _conv_out(ho, kh, sh, ph) != h or _conv_out(wo, kw, sw, pw) != w:
         raise ValueError(
             f"output {ho}x{wo} is inconsistent with input {h}x{w} under the adjoint shape map"
         )
 
-    w2 = k.data.transpose(0, 2, 3, 1).reshape(ci, -1)
-    blocks = _blocks(b, h * w * w2.shape[1])
-    outp = np.zeros((b, ho + 2 * ph, wo + 2 * pw, co), dtype=np.result_type(x.data, k.data))
-    for s in blocks:
-        _col2im(_rows(x.data[s]) @ w2, outp[s], kh, kw, sh, sw)
+    xn = x.data.transpose(0, 2, 3, 1)
+    conv = _Lowering(k.data, b, ho + 2 * ph, wo + 2 * pw, (sh, sw))
+    outp = conv.products(None, xn, adj=True)[1]
 
     def bwd(g, needs):
-        gp = _pad_nhwc(g, ph, pw)
-        gx = np.empty((b, h, w, ci), dtype=g.dtype) if needs[0] else None
-        gk = np.zeros(w2.shape, dtype=g.dtype) if needs[1] else None
-        for s in blocks:
-            gcols = _im2col(gp[s], kh, kw, sh, sw)
-            if needs[0]:
-                np.matmul(gcols, w2.T, out=gx[s].reshape(-1, ci))
-            if needs[1]:
-                gk += _rows(x.data[s]).T @ gcols
-        return (
-            np.ascontiguousarray(gx.transpose(0, 3, 1, 2)) if needs[0] else None,
-            gk.reshape(ci, kh, kw, co).transpose(0, 3, 1, 2) if needs[1] else None,
-        )
+        gx, _, gk = conv.products(_pad_nhwc(g, ph, pw), xn, fwd=needs[0], kgrad=needs[1])
+        return _nchw(gx) if needs[0] else None, gk
 
     return _record(_crop_nchw(outp, ph, pw), (x, k), bwd)
 

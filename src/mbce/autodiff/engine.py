@@ -115,9 +115,11 @@ class Tape:
         """Accumulate dLoss/dLeaf into every requires_grad leaf, visiting
         each recorded node exactly once (reverse execution order).
 
-        The nodes are dropped afterwards, so the tape no longer keeps the
-        step's activations alive (a node's output refers back to its tape);
-        ``len`` still reports how many were recorded.
+        Each leaf's gradient is an array of its own, so changing one in
+        place changes no other. The nodes are dropped afterwards, so the
+        tape no longer keeps the step's activations alive (a node's output
+        refers back to its tape); ``len`` still reports how many were
+        recorded.
         """
         if self._consumed is not None:
             raise RuntimeError("stale tape: backward was already run")
@@ -129,11 +131,20 @@ class Tape:
         self._consumed = len(nodes)
         loss.grad = np.ones_like(loss.data)
         for out, parents, needs, backward_fn in reversed(nodes):
-            if out.grad is None:
+            g = out.grad
+            if g is None:
                 continue
-            for parent, need, pg in zip(parents, needs, backward_fn(out.grad, needs)):
-                if need and pg is not None:
-                    parent.grad = pg if parent.grad is None else parent.grad + pg
+            for parent, need, pg in zip(parents, needs, backward_fn(g, needs)):
+                if not need or pg is None:
+                    continue
+                if parent.grad is not None:
+                    parent.grad = parent.grad + pg
+                elif parent._tape is None and np.may_share_memory(pg, g):
+                    # an op may hand its own gradient, or a view of it, to
+                    # several parents; a leaf gets an array it owns
+                    parent.grad = pg.copy()
+                else:
+                    parent.grad = pg
             out.grad = None  # free intermediate storage
 
 

@@ -33,7 +33,7 @@ from mbce.autodiff import (
     sub,
     tensor_sum,
 )
-from mbce.autodiff.convops import _COL_BUDGET
+from mbce.autodiff.convops import _COL_BUDGET, _Lowering
 
 from archives import npy_bytes, npy_with_header, npz_bytes
 
@@ -165,7 +165,32 @@ def test_conv_geometry_rejected(op, stride, pad):
             conv_transpose2d(x, k, stride, pad, out_hw=(4, 4))
 
 
+@pytest.mark.parametrize(
+    "op,c_in,c_out",
+    [("conv2d", 0, 2), ("conv2d", 2, 0), ("conv_transpose2d", 0, 2), ("conv_transpose2d", 2, 0)],
+)
+def test_conv_without_channels_rejected(op, c_in, c_out):
+    x = Tensor(np.ones((1, c_in, 4, 4)))
+    with pytest.raises(ValueError, match=f"got {c_in} -> {c_out}"):
+        if op == "conv2d":
+            conv2d(x, Tensor(np.ones((c_out, c_in, 3, 3))), 1, 1)
+        else:
+            conv_transpose2d(x, Tensor(np.ones((c_in, c_out, 3, 3))), 1, 1, out_hw=(4, 4))
+
+
 class TestConvTranspose2d:
+    def test_empty_input_grid_gives_zeros(self):
+        # a 3x3 kernel at stride 2 reads no full window of a 1-row output
+        x = Tensor(np.ones((1, 1, 0, 4)), requires_grad=True)
+        k = Tensor(np.ones((1, 1, 3, 3)), requires_grad=True)
+        with Tape() as tape:
+            y = conv_transpose2d(x, k, 2, 0, out_hw=(1, 9))
+            loss = tensor_sum(y)
+        tape.backward(loss)
+        np.testing.assert_array_equal(y.data, np.zeros((1, 1, 1, 9)))
+        assert x.grad.shape == x.shape
+        np.testing.assert_array_equal(k.grad, np.zeros((1, 1, 3, 3)))
+
     def test_single_pixel_copies_kernel(self):
         x = Tensor(np.full((1, 1, 1, 1), 2.0))
         k = Tensor(np.arange(4.0).reshape(1, 1, 2, 2))
@@ -206,6 +231,20 @@ class TestConvTranspose2d:
             assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "kernel,grid,stride,output_side",
+    [((32, 2, 3, 3), 34, 1, False), ((64, 32, 3, 3), 18, 1, False),
+     ((64, 32, 3, 3), 34, 2, False), ((2, 32, 3, 3), 34, 1, True)],
+    ids=["enc1", "enc2", "up", "head"],
+)
+def test_refine_step_convs_pick_their_side(kernel, grid, stride, output_side):
+    # The bench's four convs at B=16 as conv2d geometries (kernel, padded
+    # grid, stride); "up" is conv_transpose2d 64 -> 32 onto 32x32, whose
+    # geometry maps the 32-channel 34x34 grid to the 64-channel 16x16 one.
+    lw = _Lowering(np.zeros(kernel, np.float32), 16, grid, grid, (stride, stride))
+    assert lw.output_side == output_side
+
+
 def conv_reference(x, k, y, stride, pad):
     """``conv2d(x, k)`` and the gradients of ``<y, conv2d(x, k)>`` with respect
     to ``x`` and ``k``, in float64 by einsum over sliding windows."""
@@ -237,8 +276,14 @@ def value_and_grads(op, x, k, y):
 
 class TestConvBlocks:
     """Shapes whose columns span several ``_COL_BUDGET`` blocks, or whose one
-    sample alone exceeds a block, against the einsum reference."""
+    sample alone exceeds a block, against the einsum reference, on both sides
+    of the lowering rule."""
 
+    # c_out << c_in: lowered on the output side, whose columns span >= 3 blocks
+    OUTPUT_SIDE = [
+        ((3, 8, 96, 96), 2, (1, 1), (1, 1)),
+        ((3, 8, 128, 128), 1, (2, 2), (1, 1)),
+    ]
     CASES = [
         # (input shape, c_out, stride, pad)
         ((1, 8, 72, 72), 3, (1, 1), (1, 1)),
@@ -246,7 +291,22 @@ class TestConvBlocks:
         ((4, 16, 34, 34), 4, (1, 1), (0, 0)),
         ((3, 8, 96, 96), 3, (2, 2), (1, 1)),
         ((3, 8, 96, 96), 3, (1, 2), (0, 0)),
-    ]
+        ((1, 16, 72, 72), 32, (1, 1), (1, 1)),  # input side, one sample over budget
+    ] + OUTPUT_SIDE
+
+    @staticmethod
+    def lowering(shape, co, stride, pad):
+        b, ci, h, w = shape
+        return _Lowering(np.zeros((co, ci, 3, 3)), b, h + 2 * pad[0], w + 2 * pad[1], stride)
+
+    @pytest.mark.parametrize("shape,co,stride,pad", OUTPUT_SIDE)
+    def test_output_side_columns_span_blocks(self, shape, co, stride, pad):
+        lw = self.lowering(shape, co, stride, pad)
+        assert lw.output_side and len(lw.blocks) >= 3
+
+    def test_cases_cover_both_sides(self):
+        sides = [self.lowering(*case).output_side for case in self.CASES]
+        assert True in sides and False in sides
 
     @staticmethod
     def crosses_blocks(per_sample, b):
@@ -293,8 +353,10 @@ class TestConvBlocks:
         np.testing.assert_allclose(gk, ref_gk, rtol=1e-10, atol=1e-12)
 
     def test_memory_peak_of_final_layer(self):
-        # The refine_step final conv: 32 -> 2 channels on [16, 32, 32, 32].
-        # Its full column matrix alone is 18.9 MB; one fwd+bwd stays well below.
+        # The refine_step final conv: 32 -> 2 channels on [16, 32, 32, 32],
+        # lowered on the output side. Its padded NHWC input (2.4 MB), the
+        # input gradient of the same size and 1 MB column blocks stay well
+        # below the bound.
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(16, 32, 32, 32)).astype(np.float32), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 32, 3, 3)).astype(np.float32), requires_grad=True)
@@ -556,6 +618,21 @@ class TestBackward:
             loss = tensor_sum(add(mul(x, x), x))
         tape.backward(loss)
         np.testing.assert_allclose(x.grad, [5.0])
+
+    @pytest.mark.parametrize(
+        "join", [add, lambda a, b: add(reshape(a, (3,)), b)], ids=["add", "reshape-add"]
+    )
+    def test_leaf_gradients_do_not_share_memory(self, join):
+        # add hands its incoming gradient to both parents, reshape a view of it
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        with Tape() as tape:
+            loss = tensor_sum(join(a, b))
+        tape.backward(loss)
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad *= 2
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
 
     def test_determinism_bit_identical_forward(self):
         rng1 = np.random.default_rng(33)
