@@ -66,10 +66,20 @@ def _conv_out(size, k, s, p):
     return (size + 2 * p - k) // s + 1
 
 
-def _channels(c_in, c_out):
-    """``ValueError`` unless both channel counts are positive."""
-    if c_in < 1 or c_out < 1:
-        raise ValueError(f"a conv needs at least one channel on each side, got {c_in} -> {c_out}")
+def _geometry(x, k, stride, pad, transposed):
+    """``stride`` and ``pad`` as ``(h, w)`` pairs, once ``x`` and ``k`` are 4-D
+    and ``x`` has the kernel's input channels (its axis 1, or axis 0 when
+    ``transposed``), with at least one channel on each side."""
+    pairs = _pair(stride, "stride", 1), _pair(pad, "pad", 0)
+    if x.ndim != 4 or k.ndim != 4:
+        op = "conv_transpose2d" if transposed else "conv2d"
+        raise ValueError(f"{op} expects 4-D input and kernel")
+    ci, co = k.shape[:2] if transposed else k.shape[1::-1]  # conv2d's is [c_out, c_in, ...]
+    if x.shape[1] != ci:
+        raise ValueError(f"input channels {x.shape[1]} != kernel channels {ci}")
+    if ci < 1 or co < 1:
+        raise ValueError(f"a conv needs at least one channel on each side, got {ci} -> {co}")
+    return pairs
 
 
 def _pad_nhwc(x, ph, pw):
@@ -84,11 +94,6 @@ def _crop_nchw(xp, ph, pw):
     """NCHW array of the interior of the padded NHWC array ``xp``."""
     _, hp, wp, _ = xp.shape
     return np.ascontiguousarray(xp[:, ph : hp - ph, pw : wp - pw].transpose(0, 3, 1, 2))
-
-
-def _nchw(a):
-    """Contiguous NCHW copy of the NHWC array ``a``."""
-    return np.ascontiguousarray(a.transpose(0, 3, 1, 2))
 
 
 def _rows(a):
@@ -210,16 +215,10 @@ def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
 
     ``stride`` (>= 1) and ``pad`` (>= 0) are integers or ``(h, w)`` pairs of them.
     """
-    (sh, sw), (ph, pw) = _pair(stride, "stride", 1), _pair(pad, "pad", 0)
-    if x.ndim != 4 or k.ndim != 4:
-        raise ValueError("conv2d expects 4-D input and kernel")
-    co, ci, kh, kw = k.shape
+    (sh, sw), (ph, pw) = _geometry(x, k, stride, pad, transposed=False)
+    (b, _, h, w), (kh, kw) = x.shape, k.shape[2:]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"kernel dims must be odd, got {kh}x{kw}")
-    b, c, h, w = x.shape
-    if c != ci:
-        raise ValueError(f"input channels {c} != kernel channels {ci}")
-    _channels(ci, co)
     ho, wo = _conv_out(h, kh, sh, ph), _conv_out(w, kw, sw, pw)
     if ho < 1 or wo < 1:
         raise ValueError(f"empty output for input {h}x{w}, kernel {kh}x{kw}")
@@ -232,7 +231,7 @@ def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:
         _, gxp, gk = conv.products(xp, g.transpose(0, 2, 3, 1), adj=needs[0], kgrad=needs[1])
         return _crop_nchw(gxp, ph, pw) if needs[0] else None, gk
 
-    return _record(_nchw(out), (x, k), bwd)
+    return _record(_crop_nchw(out, 0, 0), (x, k), bwd)
 
 
 def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, *, out_hw) -> Tensor:
@@ -242,14 +241,8 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, *, out_hw) -> Tensor
     ``out_hw`` must be a size that conv2d's shape map, with the same kernel,
     stride and pad, takes back to the input dims (stride > 1 leaves several).
     """
-    (sh, sw), (ph, pw) = _pair(stride, "stride", 1), _pair(pad, "pad", 0)
-    if x.ndim != 4 or k.ndim != 4:
-        raise ValueError("conv_transpose2d expects 4-D input and kernel")
-    ci, co, kh, kw = k.shape
-    b, c, h, w = x.shape
-    if c != ci:
-        raise ValueError(f"input channels {c} != kernel channels {ci}")
-    _channels(ci, co)
+    (sh, sw), (ph, pw) = _geometry(x, k, stride, pad, transposed=True)
+    (b, _, h, w), (kh, kw) = x.shape, k.shape[2:]
     ho, wo = _pair(out_hw, "out_hw", 1)
     if _conv_out(ho, kh, sh, ph) != h or _conv_out(wo, kw, sw, pw) != w:
         raise ValueError(
@@ -262,7 +255,7 @@ def conv_transpose2d(x: Tensor, k: Tensor, stride=1, pad=0, *, out_hw) -> Tensor
 
     def bwd(g, needs):
         gx, _, gk = conv.products(_pad_nhwc(g, ph, pw), xn, fwd=needs[0], kgrad=needs[1])
-        return _nchw(gx) if needs[0] else None, gk
+        return _crop_nchw(gx, 0, 0) if needs[0] else None, gk
 
     return _record(_crop_nchw(outp, ph, pw), (x, k), bwd)
 

@@ -115,11 +115,16 @@ class Tape:
         """Accumulate dLoss/dLeaf into every requires_grad leaf, visiting
         each recorded node exactly once (reverse execution order).
 
-        Each leaf's gradient is an array of its own, so changing one in
-        place changes no other. The nodes are dropped afterwards, so the
-        tape no longer keeps the step's activations alive (a node's output
-        refers back to its tape); ``len`` still reports how many were
-        recorded.
+        An op's backward returns one raw partial per parent, or None for a
+        parent that needs no gradient. A partial has its parent's shape or a
+        shape that shape broadcasts to; this loop sums it down to the
+        parent's shape (over extra leading axes, then over the parent's
+        size-1 axes) before adding it in. Each leaf's gradient is an array
+        of its own, so changing one in place changes no other. A leaf
+        gradient that is not finite after the replay raises
+        ``NumericFault``. The nodes are dropped afterwards, so the tape no
+        longer keeps the step's activations alive (a node's output refers
+        back to its tape); ``len`` still reports how many were recorded.
         """
         if self._consumed is not None:
             raise RuntimeError("stale tape: backward was already run")
@@ -130,6 +135,7 @@ class Tape:
         nodes, self._nodes = self._nodes, []
         self._consumed = len(nodes)
         loss.grad = np.ones_like(loss.data)
+        leaves = {}
         for out, parents, needs, backward_fn in reversed(nodes):
             g = out.grad
             if g is None:
@@ -137,15 +143,17 @@ class Tape:
             for parent, need, pg in zip(parents, needs, backward_fn(g, needs)):
                 if not need or pg is None:
                     continue
-                if parent.grad is not None:
-                    parent.grad = parent.grad + pg
-                elif parent._tape is None and np.may_share_memory(pg, g):
-                    # an op may hand its own gradient, or a view of it, to
-                    # several parents; a leaf gets an array it owns
-                    parent.grad = pg.copy()
-                else:
-                    parent.grad = pg
+                pg = _unbroadcast(pg, parent.shape)
+                if parent._tape is None:  # a leaf
+                    leaves[id(parent)] = parent
+                    if parent.grad is None and np.may_share_memory(pg, g):
+                        # an op may hand its own gradient, or a view of it, to
+                        # several parents; a leaf gets an array it owns
+                        pg = pg.copy()
+                parent.grad = pg if parent.grad is None else parent.grad + pg
             out.grad = None  # free intermediate storage
+        if not all(np.all(np.isfinite(leaf.grad)) for leaf in leaves.values()):
+            raise NumericFault("backward produced non-finite leaf gradients")
 
 
 def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -165,14 +173,13 @@ def _record(out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+    """Sum a broadcast gradient back down to ``shape``: over its extra leading
+    axes, then over the axes where ``shape`` has size 1; ``g`` itself if it has
+    ``shape`` already."""
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +191,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g, needs):
-        return (
-            _unbroadcast(g, a.shape) if needs[0] else None,
-            _unbroadcast(g, b.shape) if needs[1] else None,
-        )
+        return g, g
 
     return _record(out, (a, b), bwd)
 
@@ -196,10 +200,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def bwd(g, needs):
-        return (
-            _unbroadcast(g, a.shape) if needs[0] else None,
-            _unbroadcast(-g, b.shape) if needs[1] else None,
-        )
+        return g, -g if needs[1] else None
 
     return _record(out, (a, b), bwd)
 
@@ -208,10 +209,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bwd(g, needs):
-        return (
-            _unbroadcast(g * b.data, a.shape) if needs[0] else None,
-            _unbroadcast(g * a.data, b.shape) if needs[1] else None,
-        )
+        return g * b.data if needs[0] else None, g * a.data if needs[1] else None
 
     return _record(out, (a, b), bwd)
 
@@ -253,8 +251,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g, needs):
         return (
-            _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape) if needs[0] else None,
-            _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape) if needs[1] else None,
+            g @ np.swapaxes(b.data, -1, -2) if needs[0] else None,
+            np.swapaxes(a.data, -1, -2) @ g if needs[1] else None,
         )
 
     return _record(out, (a, b), bwd)
@@ -288,8 +286,7 @@ def concat(tensors, axis: int) -> Tensor:
     offsets = np.cumsum(sizes)[:-1]
 
     def bwd(g, needs):
-        pieces = np.split(g, offsets, axis=axis)
-        return tuple(p if need else None for p, need in zip(pieces, needs))
+        return np.split(g, offsets, axis=axis)
 
     return _record(out, tensors, bwd)
 
@@ -356,18 +353,14 @@ def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
     out = xhat * gain.data + bias.data
 
     def bwd(g, needs):
-        ga = ggain = gbias = None
+        ga = None
         if needs[0]:
             dxhat = g * gain.data
             # standard layer-norm backward over the normalized axes
             s1 = np.sum(dxhat, axis=axes, keepdims=True)
             s2 = np.sum(dxhat * xhat, axis=axes, keepdims=True)
             ga = inv_std * (dxhat - s1 / m - xhat * s2 / m)
-        if needs[1]:
-            ggain = _unbroadcast(g * xhat, gain.shape)
-        if needs[2]:
-            gbias = _unbroadcast(g, bias.shape)
-        return ga, ggain, gbias
+        return ga, g * xhat if needs[1] else None, g
 
     return _record(out, (a, gain, bias), bwd)
 

@@ -158,24 +158,27 @@ def steering_vector(theta, n: int) -> np.ndarray:
     """Linear-array steering vectors for direction cosines ``theta``.
 
     Element ``k`` (0-based) is ``exp(-1j * pi * k * theta)``; all entries have
-    unit magnitude. ``theta`` is a scalar or an array; the result has shape
-    ``shape(theta) + (n,)``. The element count ``n`` is an integer ``>= 1``.
+    unit magnitude. ``theta`` is a finite real scalar or array; the result has
+    shape ``shape(theta) + (n,)``. The element count ``n`` is an integer ``>= 1``.
     """
     k = np.arange(count(n, "element count", 1), dtype=np.float64)
-    return np.exp(np.multiply.outer(theta, -1j * np.pi * k))
+    return np.exp(np.multiply.outer(finite_array(theta, "theta"), -1j * np.pi * k))
 
 
 def ura_from_cosines(ux, uy, geom: ArrayGeometry) -> np.ndarray:
     """URA responses ``[..., nx*ny]``, the Kronecker products of the x-axis
     steering vector for cosine ``ux`` (the slow index) and the y-axis one for
-    ``uy``. Accepts scalars or broadcastable arrays."""
+    ``uy``. Accepts finite real scalars or broadcastable arrays."""
+    ux, uy = finite_array(ux, "ux"), finite_array(uy, "uy")
     outer = steering_vector(ux, geom.nx)[..., :, None] * steering_vector(uy, geom.ny)[..., None, :]
     return outer.reshape(outer.shape[:-2] + (geom.size,))
 
 
 def ura_response(az, el, geom: ArrayGeometry) -> np.ndarray:
     """:func:`ura_from_cosines` at the x-axis direction cosine ``cos(el) *
-    sin(az)`` and the y-axis one ``sin(el)``. Accepts scalars or arrays."""
+    sin(az)`` and the y-axis one ``sin(el)``. Accepts finite real scalars or
+    arrays."""
+    az, el = finite_array(az, "az"), finite_array(el, "el")
     return ura_from_cosines(np.cos(el) * np.sin(az), np.sin(el), geom)
 
 
@@ -196,9 +199,9 @@ def raised_cosine(t, cfg: PulseConfig):
     ``(pi/4) * sinc(1/(2*beta))``. Values at integer multiples of ``ts`` are
     snapped to their exact Nyquist values (1 at zero, 0 elsewhere).
 
-    Accepts scalars or arrays.
+    Accepts finite real scalars or arrays.
     """
-    x = np.asarray(t, dtype=np.float64) / cfg.ts
+    x = finite_array(t, "t") / cfg.ts
     beta = cfg.beta
 
     num = np.sinc(x) * np.cos(np.pi * beta * x)

@@ -85,11 +85,11 @@ class Box:
 class Scene:
     """Static propagation environment: buildings, ground plane at z=0, one tx.
 
-    ``buildings`` is a sequence of :class:`Box`, stored as a tuple so that a
-    scene stays hashable. ``tx_position`` is 3 finite values, ``carrier_freq``
-    finite and > 0, ``max_bounces`` the integer 0, 1 or 2. Every facet, the
-    ground included, reflects with Gamma = -0.7, whatever the carrier and the
-    incidence angle.
+    ``buildings`` is a sequence of :class:`Box` and ``tx_position`` 3 finite
+    values, stored as a tuple of boxes and a tuple of floats so that a scene
+    stays hashable and compares by value. ``carrier_freq`` is finite and > 0,
+    ``max_bounces`` the integer 0, 1 or 2. Every facet, the ground included,
+    reflects with Gamma = -0.7, whatever the carrier and the incidence angle.
     """
 
     buildings: tuple[Box, ...]
@@ -105,7 +105,8 @@ class Scene:
         if buildings is None or not all(isinstance(b, Box) for b in buildings):
             raise ValueError(f"buildings must be a sequence of Box, got {self.buildings!r}")
         object.__setattr__(self, "buildings", buildings)
-        point(self.tx_position, "tx_position")
+        tx = point(self.tx_position, "tx_position")
+        object.__setattr__(self, "tx_position", tuple(tx.tolist()))
         count_fields(self, "max_bounces")
         real(self.carrier_freq, "carrier_freq", positive=True)
         if self.max_bounces not in (0, 1, 2):

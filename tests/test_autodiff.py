@@ -634,6 +634,27 @@ class TestBackward:
         np.testing.assert_array_equal(a.grad, [2.0, 2.0, 2.0])
         np.testing.assert_array_equal(b.grad, [1.0, 1.0, 1.0])
 
+    def test_raw_partial_is_summed_to_the_leaf_shape(self):
+        # An op whose backward returns its partial at the output's shape, with
+        # an extra leading axis and the leaf's size-1 axis broadcast.
+        from mbce.autodiff.engine import _record
+
+        def spread(a):
+            out = np.broadcast_to(a.data, (2, 3, 4)).copy()
+
+            def bwd(g, needs):
+                return (g,)
+
+            return _record(out, (a,), bwd)
+
+        x = Tensor(RNG.normal(size=(3, 1)), requires_grad=True)
+        w = t64(2, 3, 4)
+        with Tape() as tape:
+            loss = tensor_sum(mul(spread(x), w))
+        tape.backward(loss)
+        assert x.grad.shape == (3, 1)
+        np.testing.assert_allclose(x.grad, w.data.sum(axis=(0, 2))[:, None], rtol=1e-12)
+
     def test_determinism_bit_identical_forward(self):
         rng1 = np.random.default_rng(33)
         rng2 = np.random.default_rng(33)
@@ -649,6 +670,15 @@ class TestNumericFault:
         x = Tensor(np.array([1e30], dtype=np.float32))
         with pytest.raises(NumericFault), pytest.warns(RuntimeWarning, match="overflow"):
             mul(mul(x, x), x)
+
+    def test_non_finite_leaf_gradient_trips_fault(self):
+        # a finite forward whose gradient, 3e38 * 1e-30 * 3e38, overflows float32
+        x = Tensor(np.array([1e-30], dtype=np.float32), requires_grad=True)
+        big, small = Tensor(np.float32(3e38)), Tensor(np.float32(1e-30))
+        with Tape() as tape:
+            loss = tensor_sum(mul(mul(mul(x, big), small), big))
+        with pytest.raises(NumericFault), pytest.warns(RuntimeWarning, match="overflow"):
+            tape.backward(loss)
 
     def test_constructor_rejects_nan(self):
         with pytest.raises(NumericFault):

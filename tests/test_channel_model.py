@@ -14,6 +14,7 @@ from mbce.channel_model import (
     rank_one_taps,
     steering_vector,
     synth_channel,
+    ura_from_cosines,
     ura_response,
 )
 
@@ -43,6 +44,24 @@ class TestSteeringVector:
     def test_rejects_empty_array(self):
         with pytest.raises(ValueError):
             steering_vector(0.0, 0)
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [(lambda: steering_vector("0.5", 2), "theta"),
+     (lambda: steering_vector(np.nan, 2), "theta"),
+     (lambda: ura_from_cosines([0.1, np.inf], 0.0, ArrayGeometry(2, 1)), "ux"),
+     (lambda: ura_from_cosines(0.0, "0", ArrayGeometry(2, 1)), "uy"),
+     (lambda: ura_response(["0.1"], 0.0, ArrayGeometry(2, 1)), "az"),
+     (lambda: ura_response(0.0, np.nan, ArrayGeometry(2, 1)), "el"),
+     (lambda: raised_cosine("1", PulseConfig(ts=1e-9)), "t"),
+     (lambda: raised_cosine([0.0, -np.inf], PulseConfig(ts=1e-9)), "t")],
+    ids=["steering-text", "steering-nan", "ura-cosine-inf", "ura-cosine-text", "ura-angle-text",
+         "ura-angle-nan", "pulse-text", "pulse-inf"],
+)
+def test_array_arguments_must_be_finite_numbers(call, name):
+    with pytest.raises(ValueError, match=rf"^{name}[ \[=]"):
+        call()
 
 
 class TestUraResponse:

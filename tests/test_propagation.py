@@ -96,6 +96,14 @@ class TestInputChecks:
         assert scene.buildings == (wall,)
         assert hash(scene) == hash(Scene((wall,), (0.0, 0.0, 25.0), CARRIER))
 
+    def test_scene_position_compares_by_value(self):
+        # a list is unhashable and ndarrays compare elementwise unless stored as a tuple
+        scenes = [Scene((), tx, CARRIER)
+                  for tx in ([0.0, 0.0, 25.0], np.array([0.0, 0.0, 25.0]), (0, 0, 25.0))]
+        assert all(scene == scenes[0] for scene in scenes)
+        assert len({hash(scene) for scene in scenes}) == 1
+        assert scenes[0].tx_position == (0.0, 0.0, 25.0)
+
     @pytest.mark.parametrize(
         "bounds",
         [(10.0, np.inf, 10.0, 20.0, 0.0, 10.0), (10.0, 20.0, -np.inf, 20.0, 0.0, 10.0),
