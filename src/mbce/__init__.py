@@ -13,7 +13,10 @@ number. So does a malformed file given to a loader; a missing one raises
 ``FileNotFoundError``. A saver writes only what its loader accepts: it checks
 the map or tensors it is given again, since their arrays may have changed after
 construction, and raises ``ValueError`` naming the bad entry and writes nothing.
-Non-finite tensor data in ``mbce.autodiff`` raises ``NumericFault``.
+Non-finite tensor data in ``mbce.autodiff`` raises ``NumericFault``. Each
+check runs once, at the public entry point: the underscore cores that entry
+points share, such as the URA response under ``synth_channel`` and the OMP
+dictionary, check nothing and take what their callers have checked.
 """
 
 __version__ = "0.1.0"

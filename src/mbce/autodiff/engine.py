@@ -21,11 +21,9 @@ __all__ = [
     "reshape",
     "permute",
     "concat",
-    "tensor_sum",
     "mean",
     "softmax",
     "layer_norm",
-    "grad_check",
 ]
 
 _FLOAT_TYPES = (np.float32, np.float64)
@@ -291,7 +289,7 @@ def concat(tensors, axis: int) -> Tensor:
     return _record(out, tensors, bwd)
 
 
-def tensor_sum(a: Tensor) -> Tensor:
+def _tensor_sum(a: Tensor) -> Tensor:
     """Sum of every element, as a 0-d tensor of ``a``'s dtype."""
     # float64 accumulator regardless of storage dtype
     out = np.asarray(np.sum(a.data, dtype=np.float64).astype(a.dtype))
@@ -307,7 +305,7 @@ def mean(a: Tensor) -> Tensor:
     not be empty."""
     if a.size == 0:
         raise ValueError("mean of an empty tensor")
-    return scale(tensor_sum(a), 1.0 / a.size)
+    return scale(_tensor_sum(a), 1.0 / a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -363,45 +361,3 @@ def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
         return ga, g * xhat if needs[1] else None, g
 
     return _record(out, (a, gain, bias), bwd)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-def grad_check(f, inputs) -> float:
-    """Max relative error between tape gradients and central differences of
-    step ``1e-5 * max(1, |x|)``.
-
-    ``f`` maps the given tensors to a scalar Tensor. Inputs should be float64
-    for tight comparisons. Returns ``max |g_ad - g_fd| / max(|g_ad|, |g_fd|,
-    1e-8)`` over every coordinate of every input.
-    """
-    if isinstance(inputs, Tensor):
-        inputs = (inputs,)
-    xs = [Tensor(t.data.astype(np.float64).copy(), requires_grad=True) for t in inputs]
-
-    with Tape() as tape:
-        out = f(*xs)
-    if out.size != 1:
-        raise ValueError("grad_check requires a scalar-valued function")
-    tape.backward(out)
-    analytic = [np.zeros_like(x.data) if x.grad is None else x.grad.copy() for x in xs]
-
-    worst = 0.0
-    for x, ga in zip(xs, analytic):
-        flat = x.data.ravel()
-        gflat = ga.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            h = 1e-5 * max(1.0, abs(orig))
-            flat[i] = orig + h
-            f_plus = float(f(*xs).data)
-            flat[i] = orig - h
-            f_minus = float(f(*xs).data)
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            denom = max(abs(gflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, abs(gflat[i] - numeric) / denom)
-    return worst

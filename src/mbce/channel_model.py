@@ -29,7 +29,6 @@ __all__ = [
     "rank_one_taps",
     "raised_cosine",
     "synth_channel",
-    "channel_frequency_response",
 ]
 
 PULSE_SUPPORT = 8.0  # pulse half-width in samples; beyond it, below 1e-4 for beta >= 0.1
@@ -142,10 +141,6 @@ class ChannelTensor:
         return self.taps.shape[0]
 
     @property
-    def nr(self) -> int:
-        return self.taps.shape[1]
-
-    @property
     def nt(self) -> int:
         return self.taps.shape[2]
 
@@ -161,25 +156,37 @@ def steering_vector(theta, n: int) -> np.ndarray:
     unit magnitude. ``theta`` is a finite real scalar or array; the result has
     shape ``shape(theta) + (n,)``. The element count ``n`` is an integer ``>= 1``.
     """
-    k = np.arange(count(n, "element count", 1), dtype=np.float64)
-    return np.exp(np.multiply.outer(finite_array(theta, "theta"), -1j * np.pi * k))
+    n = count(n, "element count", 1)
+    return _steer(finite_array(theta, "theta"), n)
 
 
 def ura_from_cosines(ux, uy, geom: ArrayGeometry) -> np.ndarray:
     """URA responses ``[..., nx*ny]``, the Kronecker products of the x-axis
     steering vector for cosine ``ux`` (the slow index) and the y-axis one for
     ``uy``. Accepts finite real scalars or broadcastable arrays."""
-    ux, uy = finite_array(ux, "ux"), finite_array(uy, "uy")
-    outer = steering_vector(ux, geom.nx)[..., :, None] * steering_vector(uy, geom.ny)[..., None, :]
-    return outer.reshape(outer.shape[:-2] + (geom.size,))
+    return _ura(finite_array(ux, "ux"), finite_array(uy, "uy"), geom)
 
 
 def ura_response(az, el, geom: ArrayGeometry) -> np.ndarray:
     """:func:`ura_from_cosines` at the x-axis direction cosine ``cos(el) *
     sin(az)`` and the y-axis one ``sin(el)``. Accepts finite real scalars or
     arrays."""
-    az, el = finite_array(az, "az"), finite_array(el, "el")
-    return ura_from_cosines(np.cos(el) * np.sin(az), np.sin(el), geom)
+    return _ura_at(finite_array(az, "az"), finite_array(el, "el"), geom)
+
+
+# The unchecked cores of the three functions above, for float64 arrays of
+# finite cosines or angles; synth_channel and the OMP dictionary call them.
+def _steer(theta: np.ndarray, n: int) -> np.ndarray:
+    return np.exp(np.multiply.outer(theta, -1j * np.pi * np.arange(n, dtype=np.float64)))
+
+
+def _ura(ux: np.ndarray, uy: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    outer = _steer(ux, geom.nx)[..., :, None] * _steer(uy, geom.ny)[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (geom.size,))
+
+
+def _ura_at(az: np.ndarray, el: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
+    return _ura(np.cos(el) * np.sin(az), np.sin(el), geom)
 
 
 def rank_one_taps(w: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> ChannelTensor:
@@ -239,18 +246,5 @@ def synth_channel(
 
     arg = np.arange(d)[:, None] * cfg.ts - (paths.toas - cfg.t_off)  # [D, L]
     pulse = np.where(np.abs(arg) <= PULSE_SUPPORT * cfg.ts, raised_cosine(arg, cfg), 0.0)
-    a_r = ura_response(paths.aoa_az, paths.aoa_el, rx)
-    return rank_one_taps(pulse * paths.alphas, a_r, ura_response(paths.aod_az, paths.aod_el, tx))
-
-
-def channel_frequency_response(h: ChannelTensor, n_sc: int) -> np.ndarray:
-    """DFT across taps: subcarrier k holds ``sum_d H_d exp(-2j*pi*k*d/n_sc)``.
-
-    Returns an ``n_sc x Nr x Nt`` complex array. Inverse of
-    :func:`mbce.estimation.to_time_domain` on noise-free full-band data.
-    ``n_sc`` is an integer no smaller than the tap count.
-    """
-    n_sc = count(n_sc, "subcarrier count")
-    if n_sc < h.d:
-        raise ValueError(f"subcarrier count {n_sc} must be >= tap count {h.d}")
-    return np.fft.fft(h.taps, n=n_sc, axis=0)
+    a_r = _ura_at(paths.aoa_az, paths.aoa_el, rx)
+    return rank_one_taps(pulse * paths.alphas, a_r, _ura_at(paths.aod_az, paths.aod_el, tx))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import count, count_fields, finite_array, real
-from .channel_model import ArrayGeometry, ChannelTensor, rank_one_taps, ura_from_cosines
+from .channel_model import ArrayGeometry, ChannelTensor, _ura, rank_one_taps
 
 __all__ = [
     "PilotConfig",
@@ -378,8 +378,8 @@ class OmpDictionary:
             raise ValueError("empty dictionary")
         if np.any(self.delays < 0):
             raise ValueError(f"dictionary delays must be >= 0, got {self.delays.min()}")
-        self._a_r = ura_from_cosines(*self.rx_dirs.T, self.rx_geom)  # [Gr, Nr]
-        self._a_t = ura_from_cosines(*self.tx_dirs.T, self.tx_geom)  # [Gt, Nt]
+        self._a_r = _ura(*self.rx_dirs.T, self.rx_geom)  # [Gr, Nr]
+        self._a_t = _ura(*self.tx_dirs.T, self.tx_geom)  # [Gt, Nt]
         self._norm = np.sqrt(self.rx_geom.size * self.tx_geom.size)
 
     @property

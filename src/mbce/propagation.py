@@ -141,7 +141,11 @@ class RssMap:
     def nearest_cell(self, xy) -> tuple[int, int]:
         """``(row, col)`` of the cell nearest the finite point ``xy[:2]``, which
         must be a cell of the map."""
-        pos = point(xy[:2], "position", 2)
+        try:
+            xy = xy[:2]
+        except (TypeError, IndexError):  # a scalar or None, which point() rejects by name
+            pass
+        pos = point(xy, "position", 2)
         # Far off a fine grid the offset overflows to inf, which is off the map too.
         with np.errstate(over="ignore"):
             col, row = np.rint((pos - self.origin) / self.spacing)
@@ -449,7 +453,11 @@ def generate_rss_map(
     cell's fields are summed in path order, as :func:`trace_paths` lists them.
     ``shape`` is two integers ``(rows, cols)``, each ``>= 1``.
     """
-    rows, cols = (count(n, "grid shape", 1) for n in shape)
+    try:
+        rows, cols = shape
+    except (TypeError, ValueError):
+        raise ValueError(f"grid shape must be two counts (rows, cols), got {shape!r}") from None
+    rows, cols = count(rows, "grid shape", 1), count(cols, "grid shape", 1)
     rss = RssMap(origin=origin, spacing=spacing, values=np.zeros((rows, cols)), rx_height=rx_height)
     origin, values = rss.origin, rss.values
     g = _geometry(scene)

@@ -4,12 +4,12 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from mbce import _checks, channel_model, estimation
 from mbce.channel_model import (
     ArrayGeometry,
     ChannelTensor,
     PathSet,
     PulseConfig,
-    channel_frequency_response,
     raised_cosine,
     rank_one_taps,
     steering_vector,
@@ -17,6 +17,8 @@ from mbce.channel_model import (
     ura_from_cosines,
     ura_response,
 )
+
+from references import channel_frequency_response
 
 
 def broadside_path(alpha=1.0 + 0j, toa=0.0):
@@ -62,6 +64,26 @@ class TestSteeringVector:
 def test_array_arguments_must_be_finite_numbers(call, name):
     with pytest.raises(ValueError, match=rf"^{name}[ \[=]"):
         call()
+
+
+def test_synthesis_and_dictionary_check_their_arrays_once(monkeypatch):
+    # the public entry points check; the URA cores they share check nothing
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _checks.finite_array(*args, **kwargs)
+
+    for module in (channel_model, estimation):
+        monkeypatch.setattr(module, "finite_array", counted)
+    geom = ArrayGeometry(4, 2)
+    paths = PathSet([1.0, 0.5j], [0.0, 2e-9], [0.1, -0.4], [0.2, 0.0], [0.3, 1.0], [-0.1, 0.5])
+    calls.clear()
+    synth_channel(paths, 8, PulseConfig(ts=1e-9), geom, geom)
+    assert len(calls) <= 4, calls
+    calls.clear()
+    estimation.OmpDictionary.build(8, geom, geom)
+    assert len(calls) <= 2, calls
 
 
 class TestUraResponse:

@@ -10,7 +10,6 @@ from mbce.channel_model import (
     ChannelTensor,
     PathSet,
     PulseConfig,
-    channel_frequency_response,
     steering_vector,
     synth_channel,
 )
@@ -27,7 +26,7 @@ from mbce.estimation import (
     transmit_pilots,
 )
 
-from references import interp_reference
+from references import channel_frequency_response, interp_reference
 
 
 def random_channel(rng, d=4, nr=2, nt=4):
@@ -47,8 +46,6 @@ class TestTransmitPilots:
         h = random_channel(rng)
         cfg = PilotConfig(n_sc=16, n_pilot=4, nt=4)
         obs = transmit_pilots(h, cfg, 1)
-        from mbce.channel_model import channel_frequency_response
-
         hk = channel_frequency_response(h, 16)[list(cfg.placement)]
         np.testing.assert_allclose(obs.y, hk @ cfg.pilot_matrix, rtol=1e-12)
 
@@ -180,8 +177,6 @@ class TestLsEstimate:
         cfg = PilotConfig(n_sc=16, n_pilot=16, nt=4)
         obs = transmit_pilots(h, cfg, 0)
         est = ls_estimate(obs, cfg)
-        from mbce.channel_model import channel_frequency_response
-
         np.testing.assert_allclose(est, channel_frequency_response(h, 16), atol=1e-10)
 
     def test_rejects_config_for_other_tx_array(self):
@@ -210,8 +205,6 @@ class TestLsEstimate:
             )
             obs = transmit_pilots(h, cfg, trial)
             est = ls_estimate(obs, cfg)
-            from mbce.channel_model import channel_frequency_response
-
             hk = channel_frequency_response(h, 8)
             ratios.append(
                 np.sum(np.abs(est - hk) ** 2) / np.sum(np.abs(hk) ** 2)
@@ -246,8 +239,6 @@ class TestInterpolation:
         assert nmse_db(est, h) < -40.0
 
         # Frequency-domain error equals the closed-form edge-hold loss.
-        from mbce.channel_model import channel_frequency_response
-
         obs = transmit_pilots(h, cfg, 0)
         full = interpolate_full_band(ls_estimate(obs, cfg), cfg)
         hf = channel_frequency_response(h, 512)
@@ -363,8 +354,6 @@ class TestToTimeDomain:
     def test_inverse_pair(self):
         rng = np.random.default_rng(10)
         h = random_channel(rng, d=4)
-        from mbce.channel_model import channel_frequency_response
-
         back = to_time_domain(channel_frequency_response(h, 16), 4)
         np.testing.assert_allclose(back.taps, h.taps, atol=1e-10)
 
@@ -373,8 +362,6 @@ class TestToTimeDomain:
         # the full-length inverse transform.
         rng = np.random.default_rng(11)
         h = random_channel(rng, d=6, nr=1, nt=1)
-        from mbce.channel_model import channel_frequency_response
-
         freq = channel_frequency_response(h, 12)
         full = np.fft.ifft(freq, axis=0)
         trunc = to_time_domain(freq, 3)

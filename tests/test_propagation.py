@@ -11,7 +11,6 @@ from mbce.channel_model import (
     ChannelTensor,
     PathSet,
     PulseConfig,
-    channel_frequency_response,
     steering_vector,
     synth_channel,
 )
@@ -35,6 +34,7 @@ from mbce.propagation import (
 )
 
 from archives import npy_bytes, npz_bytes
+from references import channel_frequency_response
 
 CARRIER = 15e9
 
@@ -164,11 +164,18 @@ class TestInputChecks:
             (lambda m: m.nearest_cell(("x", 1.0)), "position"),
             (lambda m: m.nearest_cell(("1", 2.0)), "position"),
             (lambda m: ChannelTensor([[["1"]]]), "channel taps"),
+            (lambda m: m.nearest_cell(1.0), "position"),
+            (lambda m: m.nearest_cell(None), "position"),
+            (lambda m: m.nearest_cell(np.float64(1.0)), "position"),
+            (lambda m: rss_patch_at(m, 1.0, 3), "position"),
+            (lambda m: rss_patch_at(m, None, 3), "position"),
         ],
         ids=["patch-inf", "patch-minus-inf", "patch-nan", "fields-nan", "fields-inf",
              "channel-nan", "channel-inf", "field-value-nan", "wavelength-string",
              "wavelength-none", "field-value-string", "channel-none", "channel-string",
-             "cell-none", "cell-string", "cell-numeric-string", "taps-numeric-string"],
+             "cell-none", "cell-string", "cell-numeric-string", "taps-numeric-string",
+             "cell-scalar", "cell-bare-none", "cell-numpy-scalar", "patch-scalar",
+             "patch-bare-none"],
     )
     def test_non_finite_scalar_rejected(self, call, match):
         m = RssMap(origin=(0.0, 0.0), spacing=1.0, values=np.ones((4, 4)), rx_height=1.5)
@@ -198,6 +205,11 @@ class TestInputChecks:
         m = RssMap(origin=(0.0, 0.0), spacing=1.0, values=np.ones((4, 4)), rx_height=1.5)
         with pytest.raises(ValueError, match=match):
             call(m)
+
+    @pytest.mark.parametrize("shape", [2, (2, 2, 2), (2,), None], ids=["int", "three", "one", "none"])
+    def test_grid_shape_must_be_two_counts(self, shape):
+        with pytest.raises(ValueError, match="grid shape"):
+            generate_rss_map(free_space(), (10.0, 0.0), 1.0, shape, 1.5)
 
     def test_rss_from_channel_takes_only_a_channel_tensor(self):
         with pytest.raises(TypeError, match="ChannelTensor"):

@@ -18,7 +18,6 @@ from mbce.channel_model import (
     ChannelTensor,
     PathSet,
     PulseConfig,
-    channel_frequency_response,
     raised_cosine,
     synth_channel,
     ura_response,
@@ -36,7 +35,7 @@ from mbce.estimation import (
 )
 from mbce.propagation import RssMap, load_rss_map, save_rss_map
 
-from references import interp_reference
+from references import channel_frequency_response, interp_reference
 
 PROPS = settings(max_examples=40, deadline=None)
 
