@@ -11,11 +11,13 @@ bounces. Facets are arrays (normal axis, plane value, outward sign, 3-D
 bounds, unbounded along the normal and for the ground). Once per scene, the
 tx images of every facet and ordered facet pair are built, and the chains
 that no receiver can use are dropped: a first facet that does not face tx,
-or a pair with one facet wholly behind the other's plane. The hit-point,
-facing and occlusion tests are then masks over a batch of receivers times
-the live chains of a bounce order: one receiver for :func:`trace_paths`,
-chunks of grid cells for :func:`generate_rss_map`. Scenes are immutable;
-every function here is pure and safe to call concurrently.
+or a pair with one facet wholly behind the other's plane. One batch tracer
+then runs the hit-point, facing and occlusion tests as masks over receivers
+times the live chains of each bounce order, and returns one flat record of
+per-path columns (receiver, length, Gamma^b, segment geometry): for one
+receiver in :func:`trace_paths`, for every outdoor grid cell in
+:func:`generate_rss_map`. Scenes are immutable; every function here is
+pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ class GainCalibration:
 
 _EPS = 1e-9
 _GAMMA = -0.7  # every facet's reflection coefficient; as a float, the fields keep their rounding
-# Lanes (receivers times live chains) that generate_rss_map traces at once. A lane's
+# Lanes (receivers times live chains) that _trace runs at once. A lane's
 # temporaries take ~150 B, so 2**13 lanes cost ~1 MB of peak memory; each doubling
 # beyond saves under 5% of a map's time and adds as much memory again.
 _LANE_BUDGET = 2**13
@@ -325,31 +327,42 @@ def _blocked(g: _Geometry, verts: np.ndarray) -> np.ndarray:
     return np.any((enter < leave) & (leave > _EPS) & (enter < 1.0 - _EPS), axis=(1, 2))
 
 
-def _trace(g: _Geometry, rx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """For receivers ``rx [m, 3]``, one ``(verts, idx)`` pair per bounce order
-    ``b``: the vertices ``[n, b+2, 3]`` (tx, reflection points, rx) of the
-    unblocked paths and the index into ``rx`` of each path's receiver, listed
-    receiver-major, then in chain order. Reflection points are found from rx
-    backwards, each where the ray from its image to the next point crosses its
-    facet; each facet must face both neighbouring vertices."""
-    orders = []
-    for facets, images in g.chains:
-        n, bounces = facets.shape
-        idx = np.repeat(np.arange(len(rx)), n)
-        chain = np.tile(np.arange(n), len(rx))
-        points = [rx[idx]]
-        for j in reversed(range(bounces)):
-            r, hit = _hit(g, facets[chain, j], images[chain, j], points[0])
-            idx, chain = idx[hit], chain[hit]
-            points = [r[hit]] + [p[hit] for p in points]
-        verts = np.stack([np.broadcast_to(g.tx, (len(idx), 3)), *points], axis=1)
-        ok = np.ones(len(idx), dtype=bool)
-        for j in range(bounces):
-            f = facets[chain, j]
-            ok &= _outside(g, f, verts[:, j]) & _outside(g, f, verts[:, j + 2])
-        ok[ok] = ~_blocked(g, verts[ok])
-        orders.append((verts[ok], idx[ok]))
-    return orders
+def _trace(g: _Geometry, rx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The unblocked paths to receivers ``rx [m, 3]`` as one record of flat
+    per-path columns: the index into ``rx`` of the path's receiver, its length
+    ``d`` (m), ``Gamma^b`` for its ``b`` reflections, the summed magnitudes of
+    its segments' components ``[3]``, and its first and last segments ``[3]``.
+
+    The receivers are traced in chunks of about ``_LANE_BUDGET`` chain lanes;
+    paths are listed by chunk, then bounce order, then receiver, then chain.
+    Reflection points are found from rx backwards, each where the ray from its
+    image to the next point crosses its facet; each facet must face both
+    neighbouring vertices. No length is divided by, so a receiver at tx traces
+    too."""
+    per_chunk = max(1, _LANE_BUDGET // sum(len(facets) for facets, _ in g.chains))
+    record = []
+    for start in range(0, max(len(rx), 1), per_chunk):
+        chunk = rx[start : start + per_chunk]
+        for facets, images in g.chains:
+            n, bounces = facets.shape
+            idx = np.repeat(np.arange(len(chunk)), n)
+            chain = np.tile(np.arange(n), len(chunk))
+            points = [chunk[idx]]
+            for j in reversed(range(bounces)):
+                r, hit = _hit(g, facets[chain, j], images[chain, j], points[0])
+                idx, chain = idx[hit], chain[hit]
+                points = [r[hit]] + [p[hit] for p in points]
+            verts = np.stack([np.broadcast_to(g.tx, (len(idx), 3)), *points], axis=1)
+            ok = np.ones(len(idx), dtype=bool)
+            for j in range(bounces):
+                f = facets[chain, j]
+                ok &= _outside(g, f, verts[:, j]) & _outside(g, f, verts[:, j + 2])
+            ok[ok] = ~_blocked(g, verts[ok])
+            segs = np.diff(verts[ok], axis=1)
+            record.append((start + idx[ok], np.linalg.norm(segs, axis=2).sum(axis=1),
+                           np.full(len(segs), _GAMMA**bounces), np.abs(segs).sum(axis=1),
+                           segs[:, 0], segs[:, -1]))
+    return tuple(map(np.concatenate, zip(*record)))
 
 
 def _gain_scale(wavelength: float, calib: GainCalibration) -> float:
@@ -357,15 +370,11 @@ def _gain_scale(wavelength: float, calib: GainCalibration) -> float:
     return wavelength / math.sqrt(8.0 * math.pi * ETA0 * calib.p_t * calib.nr * calib.nt)
 
 
-def _unfold(verts: np.ndarray, scene: Scene):
-    """Segments, total lengths and fields ``E = Gamma^b * exp(-2j*pi*d/lambda) / d``
-    (V/m, for a 1 V/m reference field at 1 m) of same-order paths, Gamma being -0.7
-    at every facet whatever the carrier and the incidence angle."""
-    segs = np.diff(verts, axis=1)
-    dist = np.linalg.norm(segs, axis=2).sum(axis=1)
-    gamma = _GAMMA ** (verts.shape[1] - 2)
-    efield = gamma * np.exp(-2j * np.pi * dist / scene.wavelength) / dist
-    return segs, dist, efield
+def _fields(gamma: np.ndarray, dist: np.ndarray, wavelength: float) -> np.ndarray:
+    """Fields ``E = Gamma^b * exp(-2j*pi*d/lambda) / d`` (V/m, for a 1 V/m reference
+    field at 1 m) of paths of length ``d``, Gamma being -0.7 at every facet whatever
+    the carrier and the incidence angle."""
+    return gamma * np.exp(-2j * np.pi * dist / wavelength) / dist
 
 
 def trace_paths(scene: Scene, rx_position) -> PathSet:
@@ -385,23 +394,19 @@ def trace_paths(scene: Scene, rx_position) -> PathSet:
     g = _geometry(scene)
     if _inside(g, rx)[0]:
         raise ValueError("receiver position lies inside a building")
+    _, dist, gamma, span, first, last = _trace(g, rx)
+    efield = _fields(gamma, dist, scene.wavelength)
+    # Facets are axis-aligned, so each segment runs along the unfolded path up to
+    # the signs of its components. Their summed magnitudes give that direction
+    # without the rounding of a short first or last segment (an endpoint next to
+    # a wall); the end segments give only the signs.
+    span /= np.linalg.norm(span, axis=1, keepdims=True)
+    # u[0]: direction the wave arrives from, seen at rx; u[1]: departure from tx
+    u = np.stack([np.copysign(span, -last), np.copysign(span, first)])
+    az = np.arctan2(u[..., 1], u[..., 0])
+    el = np.arcsin(np.clip(u[..., 2], -1.0, 1.0))
     scale = _gain_scale(scene.wavelength, GainCalibration())
-    orders = []
-    for verts, _ in _trace(g, rx):
-        segs, dist, efield = _unfold(verts, scene)
-        # Facets are axis-aligned, so each segment runs along the unfolded path up to
-        # the signs of its components. Their summed magnitudes give that direction
-        # without the rounding of a short first or last segment (an endpoint next to
-        # a wall); the end segments give only the signs.
-        span = np.abs(segs).sum(axis=1)
-        span /= np.linalg.norm(span, axis=1, keepdims=True)
-        # u[0]: direction the wave arrives from, seen at rx; u[1]: departure from tx
-        u = np.stack([np.copysign(span, -segs[:, -1]), np.copysign(span, segs[:, 0])])
-        az = np.arctan2(u[..., 1], u[..., 0])
-        el = np.arcsin(np.clip(u[..., 2], -1.0, 1.0))
-        orders.append((efield, dist / C0, az[0], el[0], az[1], el[1]))
-    efield, toas, *angles = map(np.concatenate, zip(*orders))
-    return PathSet(efield * scale, toas, *angles, fields=efield)
+    return PathSet(efield * scale, dist / C0, az[0], el[0], az[1], el[1], fields=efield)
 
 
 def calibrate_alphas(paths: PathSet, wavelength: float, calib: GainCalibration) -> PathSet:
@@ -448,10 +453,9 @@ def generate_rss_map(
 
     Cells whose receiver point is occluded (or strictly inside a building, as
     :meth:`Box.contains` has it) hold 0. The grid geometry is checked as
-    :class:`RssMap` checks it, before any cell is traced. The outdoor cells
-    are traced in chunks of about ``_LANE_BUDGET`` chain lanes, and each
-    cell's fields are summed in path order, as :func:`trace_paths` lists them.
-    ``shape`` is two integers ``(rows, cols)``, each ``>= 1``.
+    :class:`RssMap` checks it, before any cell is traced. Each cell's fields
+    are summed in path order, as :func:`trace_paths` lists them. ``shape`` is
+    two integers ``(rows, cols)``, each ``>= 1``.
     """
     try:
         rows, cols = shape
@@ -465,14 +469,11 @@ def generate_rss_map(
     cells = np.stack([origin[0] + c * spacing, origin[1] + r * spacing,
                       np.full(r.size, float(rx_height))], axis=1)
     outdoor = np.flatnonzero(~_inside(g, cells))
-    per_chunk = max(1, _LANE_BUDGET // sum(len(facets) for facets, _ in g.chains))
-    for start in range(0, len(outdoor), per_chunk):
-        chunk = outdoor[start : start + per_chunk]
-        orders = [(_unfold(verts, scene)[2], idx) for verts, idx in _trace(g, cells[chunk])]
-        efield, idx = map(np.concatenate, zip(*orders))
-        total = (np.bincount(idx, efield.real, len(chunk))
-                 + 1j * np.bincount(idx, efield.imag, len(chunk)))
-        values.flat[chunk] = _coherent_power(total, scene.wavelength)
+    idx, dist, gamma, *_ = _trace(g, cells[outdoor])
+    efield = _fields(gamma, dist, scene.wavelength)
+    total = (np.bincount(idx, efield.real, len(outdoor))
+             + 1j * np.bincount(idx, efield.imag, len(outdoor)))
+    values.flat[outdoor] = _coherent_power(total, scene.wavelength)
     return rss
 
 
