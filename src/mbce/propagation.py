@@ -16,14 +16,17 @@ then runs the hit-point, facing and occlusion tests as masks over receivers
 times the live chains of each bounce order, and returns one flat record of
 per-path columns (receiver, length, Gamma^b, segment geometry): for one
 receiver in :func:`trace_paths`, for every outdoor grid cell in
-:func:`generate_rss_map`. Scenes are immutable; every function here is
-pure and safe to call concurrently.
+:func:`generate_rss_map`. Every tolerance of the tracer is one length,
+``_EPS`` = 1e-9 m, never a fraction of a segment, so a path traced either
+way between two points meets the same tests. Scenes are immutable; every
+function here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +121,12 @@ class Scene:
     def wavelength(self) -> float:
         return C0 / self.carrier_freq
 
+    @cached_property
+    def _tracer(self) -> _Geometry:
+        """:func:`_geometry` of this scene, built on first use and shared by its
+        traces; not a field, so it takes no part in ``==`` or ``hash``."""
+        return _geometry(self)
+
 
 @dataclass
 class RssMap:
@@ -193,7 +202,7 @@ class GainCalibration:
 # image-method tracer
 # ---------------------------------------------------------------------------
 
-_EPS = 1e-9
+_EPS = 1e-9  # m; every tolerance of the tracer is this length
 _GAMMA = -0.7  # every facet's reflection coefficient; as a float, the fields keep their rounding
 # Lanes (receivers times live chains) that _trace runs at once. A lane's
 # temporaries take ~150 B, so 2**13 lanes cost ~1 MB of peak memory; each doubling
@@ -296,7 +305,8 @@ def _inside(g: _Geometry, p: np.ndarray) -> np.ndarray:
 
 def _hit(g: _Geometry, f: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Where segments ``a[i] -> b[i]`` cross facets ``f[i]``, and a mask of the
-    strict crossings that land inside the facet's bounds."""
+    strict crossings that land within ``_EPS`` of the facet's bounds. A crossing
+    next to an endpoint is left to :func:`_trace`'s facing tests."""
     rows = np.arange(len(f))
     ax = g.axis[f]
     da = a[rows, ax] - g.value[f]
@@ -304,27 +314,28 @@ def _hit(g: _Geometry, f: np.ndarray, a: np.ndarray, b: np.ndarray):
     cross = da * db < 0
     t = np.divide(da, da - db, out=np.zeros_like(da), where=cross)
     r = a + t[:, None] * (b - a)
-    ok = cross & (t > _EPS) & (t < 1.0 - _EPS)
-    ok &= np.all((r >= g.lo[f] - _EPS) & (r <= g.hi[f] + _EPS), axis=1)
+    ok = cross & np.all((r >= g.lo[f] - _EPS) & (r <= g.hi[f] + _EPS), axis=1)
     return r, ok
 
 
 def _blocked(g: _Geometry, verts: np.ndarray) -> np.ndarray:
     """Slab test of every segment of the polylines ``verts [n, k, 3]`` against
-    every box, segment endpoints excluded; true where any segment is blocked."""
+    every box shrunk by ``_EPS`` on each side, over the open range ``0 < t < 1``;
+    true where any segment is blocked."""
+    lo, hi = g.boxes_lo + _EPS, g.boxes_hi - _EPS
     p0 = verts[:, :-1, None]            # [n, k-1, 1, 3] against boxes [B, 3]
     d = verts[:, 1:, None] - p0
     par = d == 0.0
     step = np.where(par, 1.0, d)
     with np.errstate(over="ignore"):    # a near-parallel axis sends t to +-inf: its slab limit
-        t0 = (g.boxes_lo - p0) / step
-        t1 = (g.boxes_hi - p0) / step
+        t0 = (lo - p0) / step
+        t1 = (hi - p0) / step
     # Parallel axes: inside the slab -> (-inf, inf), outside -> empty.
-    inside = (p0 >= g.boxes_lo) & (p0 <= g.boxes_hi)
+    inside = (p0 >= lo) & (p0 <= hi)
     tmin = np.where(par, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
     tmax = np.where(par, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
     enter, leave = tmin.max(axis=-1), tmax.min(axis=-1)
-    return np.any((enter < leave) & (leave > _EPS) & (enter < 1.0 - _EPS), axis=(1, 2))
+    return np.any((enter < leave) & (leave > 0.0) & (enter < 1.0), axis=(1, 2))
 
 
 def _trace(g: _Geometry, rx: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -337,8 +348,8 @@ def _trace(g: _Geometry, rx: np.ndarray) -> tuple[np.ndarray, ...]:
     paths are listed by chunk, then bounce order, then receiver, then chain.
     Reflection points are found from rx backwards, each where the ray from its
     image to the next point crosses its facet; each facet must face both
-    neighbouring vertices. No length is divided by, so a receiver at tx traces
-    too."""
+    neighbouring vertices, by more than ``_EPS``. No length is divided by, so a
+    receiver at tx traces too."""
     per_chunk = max(1, _LANE_BUDGET // sum(len(facets) for facets, _ in g.chains))
     record = []
     for start in range(0, max(len(rx), 1), per_chunk):
@@ -388,12 +399,15 @@ def trace_paths(scene: Scene, rx_position) -> PathSet:
     Gamma = -0.7 at every facet whatever the carrier and the incidence angle,
     and ``alphas`` the channel gains for the default :class:`GainCalibration`;
     :func:`calibrate_alphas` recomputes them for another transmit power or
-    other array sizes. ``rx_position`` must be 3 finite values.
+    other array sizes. ``rx_position`` must be 3 finite values, outside every
+    building and not at the transmitter.
     """
     rx = point(rx_position, "rx_position")[None]
-    g = _geometry(scene)
+    g = scene._tracer
     if _inside(g, rx)[0]:
         raise ValueError("receiver position lies inside a building")
+    if np.array_equal(rx[0], g.tx):
+        raise ValueError(f"rx_position {scene.tx_position} lies at the transmitter")
     _, dist, gamma, span, first, last = _trace(g, rx)
     efield = _fields(gamma, dist, scene.wavelength)
     # Facets are axis-aligned, so each segment runs along the unfolded path up to
@@ -453,9 +467,10 @@ def generate_rss_map(
 
     Cells whose receiver point is occluded (or strictly inside a building, as
     :meth:`Box.contains` has it) hold 0. The grid geometry is checked as
-    :class:`RssMap` checks it, before any cell is traced. Each cell's fields
-    are summed in path order, as :func:`trace_paths` lists them. ``shape`` is
-    two integers ``(rows, cols)``, each ``>= 1``.
+    :class:`RssMap` checks it, and no outdoor cell may lie at the transmitter,
+    before any cell is traced. Each cell's fields are summed in path order, as
+    :func:`trace_paths` lists them. ``shape`` is two integers ``(rows, cols)``,
+    each ``>= 1``.
     """
     try:
         rows, cols = shape
@@ -464,11 +479,14 @@ def generate_rss_map(
     rows, cols = count(rows, "grid shape", 1), count(cols, "grid shape", 1)
     rss = RssMap(origin=origin, spacing=spacing, values=np.zeros((rows, cols)), rx_height=rx_height)
     origin, values = rss.origin, rss.values
-    g = _geometry(scene)
+    g = scene._tracer
     r, c = np.indices((rows, cols)).reshape(2, -1)
     cells = np.stack([origin[0] + c * spacing, origin[1] + r * spacing,
                       np.full(r.size, float(rx_height))], axis=1)
     outdoor = np.flatnonzero(~_inside(g, cells))
+    at_tx = outdoor[np.all(cells[outdoor] == g.tx, axis=1)]
+    if len(at_tx):
+        raise ValueError(f"grid cell {divmod(int(at_tx[0]), cols)} lies at the transmitter")
     idx, dist, gamma, *_ = _trace(g, cells[outdoor])
     efield = _fields(gamma, dist, scene.wavelength)
     total = (np.bincount(idx, efield.real, len(outdoor))

@@ -147,6 +147,17 @@ class TestMatmul:
         with pytest.raises(ValueError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
+    @pytest.mark.parametrize(
+        "a_shape,b_shape,match",
+        [((3,), (3, 2), "at least 2-D"), ((2, 3), (3,), "at least 2-D"),
+         ((2, 2, 3, 4), (2, 4, 5), "equal leading dims"),
+         ((2, 3, 4), (3, 4, 5), "leading dims differ")],
+        ids=["1-d-left", "1-d-right", "batch-ranks", "batch-dims"],
+    )
+    def test_rejects_operand_shapes(self, a_shape, b_shape, match):
+        with pytest.raises(ValueError, match=match):
+            matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
+
 
 class TestConv2d:
     def test_one_by_one_kernel_equals_matmul(self):
@@ -212,6 +223,30 @@ def test_conv_without_channels_rejected(op, c_in, c_out):
             conv2d(x, Tensor(np.ones((c_out, c_in, 3, 3))), 1, 1)
         else:
             conv_transpose2d(x, Tensor(np.ones((c_in, c_out, 3, 3))), 1, 1, out_hw=(4, 4))
+
+
+@pytest.mark.parametrize(
+    "op,x_shape,k_shape,out_hw,match",
+    [
+        ("conv2d", (1, 4, 4), (1, 1, 3, 3), None, "conv2d expects 4-D"),
+        ("conv2d", (1, 1, 4, 4), (1, 3, 3), None, "conv2d expects 4-D"),
+        ("conv_transpose2d", (4, 4), (1, 1, 3, 3), (6, 6), "conv_transpose2d expects 4-D"),
+        ("conv2d", (1, 2, 4, 4), (1, 1, 3, 3), None, "input channels 2 != kernel channels 1"),
+        ("conv_transpose2d", (1, 2, 4, 4), (1, 1, 3, 3), (6, 6),
+         "input channels 2 != kernel channels 1"),
+        ("conv2d", (1, 1, 2, 2), (1, 1, 3, 3), None, "empty output for input 2x2"),
+        ("conv_transpose2d", (1, 1, 4, 4), (1, 1, 3, 3), (5, 4), "5x4 is inconsistent"),
+    ],
+    ids=["conv-3d-input", "conv-3d-kernel", "transpose-2d-input", "conv-channels",
+         "transpose-channels", "conv-empty-output", "transpose-out-hw"],
+)
+def test_conv_operands_rejected(op, x_shape, k_shape, out_hw, match):
+    x, k = Tensor(np.ones(x_shape)), Tensor(np.ones(k_shape))
+    with pytest.raises(ValueError, match=match):
+        if op == "conv2d":
+            conv2d(x, k)
+        else:
+            conv_transpose2d(x, k, out_hw=out_hw)
 
 
 class TestConvTranspose2d:
@@ -464,6 +499,19 @@ class TestPooling:
         with pytest.raises(ValueError):
             max_pool2d(Tensor(np.ones((1, 1, 1, 4))))
 
+    @pytest.mark.parametrize(
+        "call,match",
+        [(lambda: max_pool2d(Tensor(np.ones((4, 4)))), "max_pool2d expects a 4-D"),
+         (lambda: adaptive_avg_pool(Tensor(np.ones((1, 4, 4))), (2, 2)),
+          "adaptive_avg_pool expects a 4-D"),
+         (lambda: adaptive_avg_pool(Tensor(np.ones((1, 1, 4, 4))), (5, 2)), "target 5x2"),
+         (lambda: adaptive_avg_pool(Tensor(np.ones((1, 1, 4, 4))), (2, 5)), "target 2x5")],
+        ids=["max-2d", "adaptive-3d", "adaptive-taller", "adaptive-wider"],
+    )
+    def test_pools_reject_malformed_input(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
 
 class TestSoftmaxLayerNorm:
     def test_softmax_constant_vector(self):
@@ -568,6 +616,25 @@ class TestBackward:
             y = mul(x, x)
         with pytest.raises(ValueError):
             tape.backward(y)
+
+    def test_loss_from_another_tape_rejected(self):
+        x = Tensor(np.ones((3,)), requires_grad=True)
+        with Tape():
+            loss = tensor_sum(mul(x, x))
+        with Tape() as other:
+            tensor_sum(x)
+        with pytest.raises(RuntimeError, match="not recorded on this tape"):
+            other.backward(loss)
+
+    def test_op_off_the_loss_path_is_skipped(self):
+        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        y = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        with Tape() as tape:
+            unused = mul(y, y)  # recorded, but the loss does not depend on it
+            loss = tensor_sum(scale(x, 2.0))
+        tape.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        assert y.grad is None and unused.grad is None
 
     def test_double_backward_rejected(self):
         x = Tensor(np.ones((3,)), requires_grad=True)

@@ -208,6 +208,11 @@ class TestPathAndPulseChecks:
         with pytest.raises(ValueError, match="finite"):
             PulseConfig(**kw)
 
+    @pytest.mark.parametrize("beta", [-0.1, 1.5])
+    def test_pulse_rejects_roll_off_outside_unit_range(self, beta):
+        with pytest.raises(ValueError, match=r"roll-off must be in \[0, 1\]"):
+            PulseConfig(ts=1e-9, beta=beta)
+
 
 class TestRaisedCosine:
     def test_peak_is_one(self):
@@ -371,6 +376,12 @@ def test_rank_one_taps_matches_per_term_sum(n_terms):
         for l in range(n_terms):
             expect[d] += w[d, l] * np.outer(a_r[l], a_t[l])
     np.testing.assert_allclose(rank_one_taps(w, a_r, a_t).taps, expect, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 2), (1, 2, 2, 2)])
+def test_channel_tensor_must_be_3d(shape):
+    with pytest.raises(ValueError, match="channel tensor must be 3-D"):
+        ChannelTensor(np.zeros(shape))
 
 
 def test_channel_tensor_validates_finiteness():

@@ -62,6 +62,11 @@ class TestTransmitPilots:
         with pytest.raises(ValueError):
             transmit_pilots(h, PilotConfig(n_sc=4, n_pilot=2, nt=2), 0)
 
+    def test_rejects_config_for_other_tx_array(self):
+        h = ChannelTensor(np.zeros((2, 2, 4)))
+        with pytest.raises(ValueError, match="Nt=2, channel has Nt=4"):
+            transmit_pilots(h, PilotConfig(n_sc=8, n_pilot=4, nt=2), 0)
+
     def test_snr_sets_noise_level(self):
         rng = np.random.default_rng(3)
         h = random_channel(rng, d=2, nr=2, nt=2)
@@ -89,9 +94,15 @@ class TestPilotConfigChecks:
             (dict(nt="2"), "nt"),
             (dict(snr_db="10"), "snr_db"),
             (dict(snr_db="x"), "snr_db"),
+            (dict(n_pilot=17), "n_pilot <= n_sc"),
+            (dict(placement=(0, 4, 4, 12)), "strictly increasing"),
+            (dict(placement=(0, 8, 4, 12)), "strictly increasing"),
+            (dict(placement=(0, 4, 8)), "one per pilot"),
+            (dict(placement=(0, 4, 8, 16)), "outside subcarrier range"),
         ],
         ids=["snr-nan", "snr-inf", "nt-zero", "nt-negative", "n_sc-float", "n_pilot-float",
-             "nt-float", "nt-string", "snr-numeric-string", "snr-string"],
+             "nt-float", "nt-string", "snr-numeric-string", "snr-string", "more-pilots",
+             "repeated-pilot", "unsorted-pilots", "too-few-pilots", "pilot-past-band"],
     )
     def test_rejects(self, kw, match):
         with pytest.raises(ValueError, match=match):
@@ -408,6 +419,11 @@ class TestNmse:
             nmse(est, ref)
         assert str(est_shape) in str(info.value)
 
+    def test_rejects_zero_norm_reference(self):
+        est, ref = ChannelTensor(np.ones((2, 2, 2))), ChannelTensor(np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="reference channel has zero norm"):
+            nmse(est, ref)
+
 
 class TestCoarsePipeline:
     def test_noiseless_full_pilots_lossless(self):
@@ -464,6 +480,18 @@ class TestOmpDictionaryChecks:
         geom = ArrayGeometry(2, 1)
         good = dict(delays=[0, 1], rx_dirs=[[0.0, 0.0]], tx_dirs=[[0.0, 0.0]])
         with pytest.raises(ValueError, match="delays|cosine"):
+            OmpDictionary(**{**good, **kw}, rx_geom=geom, tx_geom=geom)
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(delays=np.array([], dtype=int)), dict(rx_dirs=np.zeros((0, 2))),
+         dict(tx_dirs=np.zeros((0, 2)))],
+        ids=["no-delays", "no-rx-dirs", "no-tx-dirs"],
+    )
+    def test_rejects_empty_axis(self, kw):
+        geom = ArrayGeometry(2, 1)
+        good = dict(delays=[0, 1], rx_dirs=[[0.0, 0.0]], tx_dirs=[[0.0, 0.0]])
+        with pytest.raises(ValueError, match="empty dictionary"):
             OmpDictionary(**{**good, **kw}, rx_geom=geom, tx_geom=geom)
 
     @pytest.mark.parametrize("oversample", [0, -1, 1.5])

@@ -64,6 +64,29 @@ BOXES = st.builds(
 ENDPOINTS = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0), st.floats(0.5, 40.0))
 
 
+RECIPROCITY = dict(buildings=st.lists(BOXES, min_size=1, max_size=2), a=ENDPOINTS, b=ENDPOINTS)
+
+
+def assert_reciprocal(buildings, a, b):
+    """Tracing a -> b and b -> a gives the same paths, departure and arrival swapped."""
+    assume(math.dist(a[:2], b[:2]) > 1.0)
+    assume(not any(box.contains(p) for box in buildings for p in (a, b)))
+    kwargs = dict(buildings=tuple(buildings), carrier_freq=CARRIER, max_bounces=2)
+    fwd = trace_paths(Scene(tx_position=a, **kwargs), b)
+    rev = trace_paths(Scene(tx_position=b, **kwargs), a)
+    assert len(fwd) == len(rev)
+    np.testing.assert_allclose(np.sort(fwd.toas), np.sort(rev.toas), rtol=1e-12)
+    # Departure and arrival swap when the endpoints swap. Angles are
+    # compared as unit vectors, which have no azimuth wrap at +-pi.
+    f_dep, f_arr = unit_vectors(fwd.aod_az, fwd.aod_el), unit_vectors(fwd.aoa_az, fwd.aoa_el)
+    r_dep, r_arr = unit_vectors(rev.aod_az, rev.aod_el), unit_vectors(rev.aoa_az, rev.aoa_el)
+    for i in range(len(fwd)):
+        same_length = np.isclose(rev.toas, fwd.toas[i], rtol=1e-12, atol=0.0)
+        swapped = np.all(np.abs(r_arr - f_dep[i]) < 1e-9, axis=1)
+        swapped &= np.all(np.abs(r_dep - f_arr[i]) < 1e-9, axis=1)
+        assert np.any(same_length & swapped)
+
+
 class TestInputChecks:
     @pytest.mark.parametrize(
         "name,bad,match",
@@ -83,6 +106,7 @@ class TestInputChecks:
             ("buildings", ("x",), "buildings"),
             ("buildings", (Box(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), None), "buildings"),
             ("buildings", None, "buildings"),
+            ("max_bounces", 3, "max_bounces must be 0, 1 or 2"),
         ],
     )
     def test_scene_rejects(self, name, bad, match):
@@ -114,9 +138,19 @@ class TestInputChecks:
             Box(*bounds)
 
     @pytest.mark.parametrize(
+        "bounds",
+        [(10.0, 10.0, 10.0, 20.0, 0.0, 10.0), (10.0, 20.0, 20.0, 10.0, 0.0, 10.0),
+         (10.0, 20.0, 10.0, 20.0, 5.0, 5.0)],
+        ids=["flat-x", "inverted-y", "flat-z"],
+    )
+    def test_box_rejects_degenerate_bounds(self, bounds):
+        with pytest.raises(ValueError, match="degenerate box"):
+            Box(*bounds)
+
+    @pytest.mark.parametrize(
         "rx",
         [(np.nan, 0.0, 1.5), (10.0, -np.inf, 1.5), (10.0, 0.0), (10.0, 0.0, 1.5, 0.0),
-         ("x", 0.0, 1.5)],
+         ("x", 0.0, 1.5), (0.0, 0.0, 20.0)],  # the last one is free_space()'s tx
     )
     def test_trace_paths_rejects_receiver(self, rx):
         with pytest.raises(ValueError, match="rx_position"):
@@ -143,6 +177,15 @@ class TestInputChecks:
         good = dict(origin=(10.0, 0.0), spacing=1.0, shape=(2, 2), rx_height=1.5)
         with pytest.raises(ValueError, match="origin|spacing|rx_height"):
             generate_rss_map(free_space(), **{**good, name: bad})
+
+    def test_rss_map_cell_at_the_transmitter_rejected_before_tracing(self, monkeypatch):
+        def no_trace(*args):
+            raise AssertionError("traced a grid with a cell at the transmitter")
+
+        monkeypatch.setattr(propagation, "_trace", no_trace)
+        # row 1, column 2 sits at (0, 0, 20), the transmitter of free_space()
+        with pytest.raises(ValueError, match=r"grid cell \(1, 2\) lies at the transmitter"):
+            generate_rss_map(free_space(), (-2.0, -1.0), 1.0, (3, 4), 20.0)
 
     @pytest.mark.parametrize(
         "call,match",
@@ -301,33 +344,44 @@ class TestTracePaths:
         assert any(abs(d - d_expect) < 1e-9 for d in dists)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        buildings=st.lists(BOXES, min_size=1, max_size=2),
-        a=ENDPOINTS,
-        b=ENDPOINTS,
-    )
+    @given(**RECIPROCITY)
     @example(buildings=[Box(30.0, 40.0, -60.0, 60.0, 0.0, 50.0)], a=(0.0, -20.0, 10.0),
              b=(5.0, 25.0, 3.0))
     # An endpoint a hair off a wall: its reflected paths' end segments are ~1e-7 m long.
     @example(buildings=[Box(0.0, 2.0, 0.0, 2.0, 0.0, 3.0)], a=(-3.0, 0.0, 1.0),
              b=(-5.960464477539063e-08, 0.0, 2.0))
+    # a wall-ground corner next to a: one reflection point rounds 1 ulp into the box,
+    # and the ~3e-8 m segment to it must not count as occluded one way only
+    @example(buildings=[Box(0.0, 2.0, 17.0, 19.0, 0.0, 3.0)],
+             a=(0.0, 5.960464477539063e-08, 1.0), b=(1.0, 0.0, 1.0))
+    # a lies a hair off the y-min wall's plane, so a reflection there lands on a: the
+    # facing test at tx rejects it when a transmits, the one at rx when b does
+    @example(buildings=[Box(0.0, 2.0, 6.939001068508432e-166, 2.0, 0.0, 3.0)],
+             a=(0.0, 0.0, 1.0), b=(0.0, -2.0, 1.0))
     def test_reciprocity_of_geometry(self, buildings, a, b):
-        assume(math.dist(a[:2], b[:2]) > 1.0)
-        assume(not any(box.contains(p) for box in buildings for p in (a, b)))
-        kwargs = dict(buildings=tuple(buildings), carrier_freq=CARRIER, max_bounces=2)
-        fwd = trace_paths(Scene(tx_position=a, **kwargs), b)
-        rev = trace_paths(Scene(tx_position=b, **kwargs), a)
-        assert len(fwd) == len(rev)
-        np.testing.assert_allclose(np.sort(fwd.toas), np.sort(rev.toas), rtol=1e-12)
-        # Departure and arrival swap when the endpoints swap. Angles are
-        # compared as unit vectors, which have no azimuth wrap at +-pi.
-        f_dep, f_arr = unit_vectors(fwd.aod_az, fwd.aod_el), unit_vectors(fwd.aoa_az, fwd.aoa_el)
-        r_dep, r_arr = unit_vectors(rev.aod_az, rev.aod_el), unit_vectors(rev.aoa_az, rev.aoa_el)
-        for i in range(len(fwd)):
-            same_length = np.isclose(rev.toas, fwd.toas[i], rtol=1e-12, atol=0.0)
-            swapped = np.all(np.abs(r_arr - f_dep[i]) < 1e-9, axis=1)
-            swapped &= np.all(np.abs(r_dep - f_arr[i]) < 1e-9, axis=1)
-            assert np.any(same_length & swapped)
+        assert_reciprocal(buildings, a, b)
+
+    # the same property searched deeper for near-degenerate geometry (~10 s)
+    @pytest.mark.slow
+    @settings(max_examples=2000, deadline=None)
+    @given(**RECIPROCITY)
+    def test_reciprocity_of_geometry_deep(self, buildings, a, b):
+        assert_reciprocal(buildings, a, b)
+
+    def test_geometry_is_built_once_per_scene_and_not_compared(self, monkeypatch):
+        built = []
+        geometry = propagation._geometry
+        monkeypatch.setattr(propagation, "_geometry", lambda s: built.append(s) or geometry(s))
+        kwargs = dict(buildings=(Box(30.0, 40.0, -60.0, 60.0, 0.0, 50.0),),
+                      tx_position=(0.0, 0.0, 20.0), carrier_freq=CARRIER, max_bounces=2)
+        scene = Scene(**kwargs)
+        first = trace_paths(scene, (10.0, 5.0, 1.5))
+        again = trace_paths(scene, (10.0, 5.0, 1.5))
+        generate_rss_map(scene, (0.0, 0.0), 5.0, (2, 2), 1.5)
+        assert built == [scene]
+        np.testing.assert_array_equal(again.fields, first.fields)
+        twin = Scene(**kwargs)  # never traced
+        assert twin == scene and hash(twin) == hash(scene)
 
     def test_rejects_receiver_inside_building(self):
         wall = Box(30.0, 40.0, -60.0, 60.0, 0.0, 50.0)
