@@ -17,6 +17,13 @@ Non-finite tensor data in ``mbce.autodiff`` raises ``NumericFault``. Each
 check runs once, at the public entry point: the underscore cores that entry
 points share, such as the URA response under ``synth_channel`` and the OMP
 dictionary, check nothing and take what their callers have checked.
+
+Configs are values: ``ArrayGeometry``, ``PulseConfig``, ``PilotConfig``,
+``GainCalibration``, ``Box``, ``Scene`` and ``OmpDictionary`` are frozen
+dataclasses, checked once when made, that compare and hash by their fields.
+What they derive from those fields is not a field and takes no part in ``==``
+or ``hash``; an array they derive and keep, such as ``PilotConfig.pilot_matrix``
+or ``OmpDictionary.rx_dirs``, is read-only.
 """
 
 __version__ = "0.1.0"

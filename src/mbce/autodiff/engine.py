@@ -256,8 +256,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
+def _ints(value, name: str) -> tuple[int, ...]:
+    """``value``, an integer or a sequence of integers, as a tuple of ints."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        return (count(value, name),)
+    return tuple(count(v, name) for v in value)
+
+
 def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
+    out = a.data.reshape(_ints(shape, "shape"))
 
     def bwd(g, needs):
         return (g.reshape(a.shape),)
@@ -266,7 +273,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def permute(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
+    axes = _ints(axes, "axes")
     inv = tuple(np.argsort(axes))
     out = np.ascontiguousarray(a.data.transpose(axes))
 
@@ -336,7 +343,7 @@ def layer_norm(a: Tensor, axes, gain: Tensor, bias: Tensor) -> Tensor:
     ``gain``/``bias`` must broadcast against the input (e.g. per-channel
     ``[C, 1, 1]`` for NCHW feature maps, ``[D]`` for token embeddings).
     """
-    axes = tuple(count(ax, "axes") for ax in ((axes,) if np.isscalar(axes) else axes))
+    axes = _ints(axes, "axes")
     x = a.data
     if not all(-x.ndim <= ax < x.ndim for ax in axes):
         raise ValueError(f"axes {axes} out of range for a {x.ndim}-D input")

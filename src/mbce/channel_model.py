@@ -26,7 +26,6 @@ __all__ = [
     "steering_vector",
     "ura_response",
     "ura_from_cosines",
-    "rank_one_taps",
     "raised_cosine",
     "synth_channel",
 ]
@@ -189,9 +188,10 @@ def _ura_at(az: np.ndarray, el: np.ndarray, geom: ArrayGeometry) -> np.ndarray:
     return _ura(np.cos(el) * np.sin(az), np.sin(el), geom)
 
 
-def rank_one_taps(w: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> ChannelTensor:
+def _rank_one_taps(w: np.ndarray, a_r: np.ndarray, a_t: np.ndarray) -> ChannelTensor:
     """Taps ``H[d] = sum_l w[d, l] * outer(a_r[l], a_t[l])`` for weights
-    ``w [D, L]`` and array responses ``a_r [L, Nr]``, ``a_t [L, Nt]``."""
+    ``w [D, L]`` and array responses ``a_r [L, Nr]``, ``a_t [L, Nt]``: the
+    unchecked tap sum of synth_channel and the OMP dictionary."""
     # D small [Nr, L] @ [L, Nt] GEMMs, one per tap: each stays below OpenBLAS's
     # threading threshold, unlike one big GEMM, and none runs einsum's naive
     # D*L*Nr*Nt loop.
@@ -247,4 +247,4 @@ def synth_channel(
     arg = np.arange(d)[:, None] * cfg.ts - (paths.toas - cfg.t_off)  # [D, L]
     pulse = np.where(np.abs(arg) <= PULSE_SUPPORT * cfg.ts, raised_cosine(arg, cfg), 0.0)
     a_r = _ura_at(paths.aoa_az, paths.aoa_el, rx)
-    return rank_one_taps(pulse * paths.alphas, a_r, _ura_at(paths.aod_az, paths.aod_el, tx))
+    return _rank_one_taps(pulse * paths.alphas, a_r, _ura_at(paths.aod_az, paths.aod_el, tx))

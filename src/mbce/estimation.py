@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import count, count_fields, finite_array, real
-from .channel_model import ArrayGeometry, ChannelTensor, _ura, rank_one_taps
+from .channel_model import ArrayGeometry, ChannelTensor, _rank_one_taps, _ura
 
 __all__ = [
     "PilotConfig",
@@ -53,6 +53,11 @@ __all__ = [
 
 def _comb_indices(n_sc: int, n_pilot: int) -> tuple[int, ...]:
     return tuple(int(i * n_sc // n_pilot) for i in range(n_pilot))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -97,9 +102,7 @@ class PilotConfig:
     @functools.cached_property
     def pilot_matrix(self) -> np.ndarray:
         """Unitary ``[Nt, Nt]`` DFT pilot matrix, one column per symbol slot."""
-        dft = np.fft.fft(np.eye(self.nt)) / np.sqrt(self.nt)
-        dft.flags.writeable = False
-        return dft
+        return _read_only(np.fft.fft(np.eye(self.nt)) / np.sqrt(self.nt))
 
 
 @dataclass
@@ -140,8 +143,10 @@ def _pilot_response(h: ChannelTensor, cfg: PilotConfig) -> np.ndarray:
 def transmit_pilots(h: ChannelTensor, cfg: PilotConfig, rng_seed) -> PilotObservation:
     """Simulate pilot reception: ``Y_k = H_k S + V_k`` at each pilot subcarrier.
 
-    Deterministic given ``rng_seed``.
+    Deterministic given ``rng_seed``, an integer ``>= 0``, checked whether or
+    not ``cfg`` adds noise.
     """
+    rng_seed = count(rng_seed, "rng_seed", 0)
     y = _pilot_response(h, cfg)
 
     sigma2 = 0.0
@@ -334,141 +339,160 @@ def nmse_db(h_hat: ChannelTensor, h: ChannelTensor) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+def _direction_grid(geom: ArrayGeometry, oversample: int) -> np.ndarray:
+    """Read-only ``[G, 2]`` cosine grid of ``geom``, as :class:`OmpDictionary`
+    describes it."""
+
+    def axis_grid(n):
+        g = oversample * n if n > 1 else 1
+        return np.arange(g) * (2.0 / g) - 1.0
+
+    return _read_only(np.array([(a, b) for a in axis_grid(geom.nx) for b in axis_grid(geom.ny)]))
+
+
+@dataclass(frozen=True)
 class OmpDictionary:
     """Separable angle/delay dictionary for greedy sparse recovery, and the
     linear operator it defines.
 
-    Atom ``(d, r, t)`` of the grid :attr:`shape` ``(Nd, Gr, Gt)`` has flat
-    index ``(d*Gr + r)*Gt + t`` and is the tap tensor ``delta(tap=delays[d])
-    x outer(a_r[r], a_t[t]) / sqrt(Nr*Nt)``, of unit Frobenius norm.
-    Delays are a 1-D integer array of taps ``>= 0``. Direction grids are
-    ``[G, 2]`` arrays of finite direction-cosine pairs, one row per atom
-    direction, steered by :func:`~mbce.channel_model.ura_from_cosines`.
+    The dictionary is its grid, fixed by four fields: the tap count ``d``,
+    the receive and transmit arrays, and ``oversample``, the cosine points
+    per array element per axis (``d`` and ``oversample`` are integers
+    ``>= 1``, the arrays :class:`ArrayGeometry`). It is frozen and compares
+    and hashes by these fields.
+    Atom ``(t, r, s)`` of the grid :attr:`shape` ``(d, Gr, Gt)`` has flat
+    index ``(t*Gr + r)*Gt + s`` and is the tap tensor ``delta(tap=t) x
+    outer(a_r[r], a_t[s]) / sqrt(Nr*Nt)``, of unit Frobenius norm, where
+    ``a_r[r]`` is the receive array's response at :attr:`rx_dirs` row ``r``
+    and ``a_t[s]`` the transmit array's at :attr:`tx_dirs` row ``s``.
 
-    :meth:`synthesize` maps atom indices and gains to taps (one-hot delay
-    weights in :func:`~mbce.channel_model.rank_one_taps`), :meth:`forward`
+    :attr:`rx_dirs` and :attr:`tx_dirs` are derived, not set: read-only
+    ``[G, 2]`` grids of direction-cosine pairs ``(ux, uy)``, ``ux`` the slow
+    index, with ``oversample`` points per element on each axis spread evenly
+    over ``[-1, 1)``. An axis of one element gets the one cosine -1 whatever
+    ``oversample``: its steering vector is 1 at every cosine, so more points
+    would only repeat each atom. The derived arrays take no part in ``==`` or
+    ``hash``.
+
+    :meth:`synthesize` maps atom indices and gains to taps (one-hot tap
+    weights in the rank-one tap sum of ``synth_channel``), :meth:`forward`
     gives their channel at the pilots, the noise-free :func:`ls_estimate`
     (pilot DFT weights in the same tap sum), and :meth:`adjoint` correlates
     an LS-domain residual with every atom through the pilot DFT rows,
     conjugate-transposed. The two are adjoint:
     ``vdot(forward(x), r) == vdot(x, adjoint(r))`` for every sparse ``x`` and
     residual ``r``. Their Gram matrix ``adjoint(forward(.))`` is separable in
-    delay, rx direction and tx direction; :meth:`gram_factors` gives its three
+    tap, rx direction and tx direction; :meth:`gram_factors` gives its three
     factors.
     """
 
-    delays: np.ndarray            # [Nd] integer taps
-    rx_dirs: np.ndarray           # [Gr, 2] (cos-x, cos-y)
-    tx_dirs: np.ndarray           # [Gt, 2]
+    d: int
     rx_geom: ArrayGeometry
     tx_geom: ArrayGeometry
+    oversample: int = 2
 
     def __post_init__(self):
-        delays = np.asarray(self.delays)
-        if delays.ndim != 1 or not np.issubdtype(delays.dtype, np.integer):
-            raise ValueError(f"dictionary delays must be a 1-D integer array, got {self.delays!r}")
-        self.delays = delays.astype(np.int64)
-        self.rx_dirs = np.atleast_2d(finite_array(self.rx_dirs, "rx_dirs direction cosines"))
-        self.tx_dirs = np.atleast_2d(finite_array(self.tx_dirs, "tx_dirs direction cosines"))
-        for name, dirs in (("rx_dirs", self.rx_dirs), ("tx_dirs", self.tx_dirs)):
-            if dirs.ndim != 2 or dirs.shape[1] != 2:
-                raise ValueError(f"{name} must be [G, 2] direction-cosine pairs, got {dirs.shape}")
-        if self.delays.size == 0 or self.rx_dirs.size == 0 or self.tx_dirs.size == 0:
-            raise ValueError("empty dictionary")
-        if np.any(self.delays < 0):
-            raise ValueError(f"dictionary delays must be >= 0, got {self.delays.min()}")
-        self._a_r = _ura(*self.rx_dirs.T, self.rx_geom)  # [Gr, Nr]
-        self._a_t = _ura(*self.tx_dirs.T, self.tx_geom)  # [Gt, Nt]
-        self._norm = np.sqrt(self.rx_geom.size * self.tx_geom.size)
+        count_fields(self, "d", "oversample", low=1)
+        for name in ("rx_geom", "tx_geom"):
+            if not isinstance(getattr(self, name), ArrayGeometry):
+                raise ValueError(f"{name} must be an ArrayGeometry, got {getattr(self, name)!r}")
+
+    @classmethod
+    def build(cls, d: int, rx_geom: ArrayGeometry, tx_geom: ArrayGeometry,
+              oversample: int = 2) -> "OmpDictionary":
+        """The dictionary of these fields; the same as calling the class."""
+        return cls(d, rx_geom, tx_geom, oversample)
+
+    @functools.cached_property
+    def rx_dirs(self) -> np.ndarray:
+        """Read-only ``[Gr, 2]`` receive direction-cosine grid."""
+        return _direction_grid(self.rx_geom, self.oversample)
+
+    @functools.cached_property
+    def tx_dirs(self) -> np.ndarray:
+        """Read-only ``[Gt, 2]`` transmit direction-cosine grid."""
+        return _direction_grid(self.tx_geom, self.oversample)
+
+    @functools.cached_property
+    def _a_r(self) -> np.ndarray:
+        return _read_only(_ura(*self.rx_dirs.T, self.rx_geom))  # [Gr, Nr]
+
+    @functools.cached_property
+    def _a_t(self) -> np.ndarray:
+        return _read_only(_ura(*self.tx_dirs.T, self.tx_geom))  # [Gt, Nt]
+
+    @functools.cached_property
+    def _norm(self) -> float:
+        return np.sqrt(self.rx_geom.size * self.tx_geom.size)
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        """Atom grid ``(Nd, Gr, Gt)``; flat atom indices run over it in C order."""
-        return (self.delays.size, self.rx_dirs.shape[0], self.tx_dirs.shape[0])
+        """Atom grid ``(d, Gr, Gt)``; flat atom indices run over it in C order."""
+        return (self.d, len(self.rx_dirs), len(self.tx_dirs))
 
     @property
     def n_atoms(self) -> int:
         return int(np.prod(self.shape))
 
-    @classmethod
-    def build(
-        cls,
-        d: int,
-        rx_geom: ArrayGeometry,
-        tx_geom: ArrayGeometry,
-        oversample: int = 2,
-    ) -> "OmpDictionary":
-        """Default grid: delays at tap resolution, cosine grids of
-        ``oversample`` points per array element per axis, an integer ``>= 1``.
-
-        An axis of one element gets the one cosine -1 whatever ``oversample``:
-        its steering vector is 1 at every cosine, so more points would only
-        repeat each atom."""
-        oversample = count(oversample, "oversample", 1)
-
-        def axis_grid(n):
-            g = oversample * n if n > 1 else 1
-            return np.arange(g) * (2.0 / g) - 1.0
-
-        def dir_pairs(geom):
-            gx, gy = axis_grid(geom.nx), axis_grid(geom.ny)
-            return np.array([(a, b) for a in gx for b in gy])
-
-        return cls(
-            delays=np.arange(d),
-            rx_dirs=dir_pairs(rx_geom),
-            tx_dirs=dir_pairs(tx_geom),
-            rx_geom=rx_geom,
-            tx_geom=tx_geom,
-        )
+    def _atoms(self, atoms, gains):
+        """Grid indices ``(t, r, s)`` of ``atoms``, a 1-D sequence of integer
+        flat indices below :attr:`n_atoms`, and ``gains`` as complex, one
+        finite number per atom."""
+        idx = np.asarray(atoms)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise ValueError(f"atoms must be a 1-D sequence of integer indices, got {atoms!r}")
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n_atoms):
+            raise ValueError(
+                f"atoms must be indices in [0, {self.n_atoms}), got {idx.min()}..{idx.max()}")
+        gains = finite_array(gains, "gains", np.complex128, idx.shape)
+        return np.unravel_index(idx.astype(np.int64), self.shape), gains
 
     def synthesize(self, atoms, gains) -> ChannelTensor:
-        """Taps ``sum_j gains[j] * atom[atoms[j]]``, ``max(delays) + 1`` of them."""
-        di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
-        w = np.zeros((int(self.delays.max()) + 1, di.size), dtype=np.complex128)
-        w[self.delays[di], np.arange(di.size)] = np.asarray(gains) / self._norm
-        return rank_one_taps(w, self._a_r[ri], self._a_t[ti])
+        """Taps ``sum_j gains[j] * atom[atoms[j]]``, ``d`` of them."""
+        (ti, ri, si), gains = self._atoms(atoms, gains)
+        w = np.zeros((self.d, ti.size), dtype=np.complex128)
+        w[ti, np.arange(ti.size)] = gains / self._norm
+        return _rank_one_taps(w, self._a_r[ri], self._a_t[si])
 
     def forward(self, atoms, gains, cfg: PilotConfig) -> np.ndarray:
         """``[P, Nr, Nt]`` channel of :meth:`synthesize` at ``cfg``'s pilot
         subcarriers: the noise-free LS estimate.
 
-        Each atom's pilot DFT row at its delay weighs its rank-one term, so the
+        Each atom's pilot DFT row at its tap weighs its rank-one term, so the
         tap tensor is never formed.
         """
-        di, ri, ti = np.unravel_index(np.asarray(atoms, dtype=np.int64), self.shape)
-        w = _dft_rows(cfg.placement, self.delays[di], cfg.n_sc) * (np.asarray(gains) / self._norm)
-        return rank_one_taps(w, self._a_r[ri], self._a_t[ti]).taps
+        (ti, ri, si), gains = self._atoms(atoms, gains)
+        w = _dft_rows(cfg.placement, ti, cfg.n_sc) * (gains / self._norm)
+        return _rank_one_taps(w, self._a_r[ri], self._a_t[si]).taps
 
     def adjoint(self, residual: np.ndarray, cfg: PilotConfig) -> np.ndarray:
-        """Correlation ``[Nd, Gr, Gt]`` of a finite ``[P, Nr, Nt]`` LS-domain
+        """Correlation ``[d, Gr, Gt]`` of a finite ``[P, Nr, Nt]`` LS-domain
         residual with every atom.
 
         The small axes are contracted first: the pilot axis,
-        ``F^H [Nd, P] @ R [P, Nr*Nt]`` with ``F`` the pilot DFT rows at
-        :attr:`delays`, then the rx axis, ``conj(A_r) Z_d`` per delay. One
-        ``[Nd*Gr, Nt] @ [Nt, Gt]`` GEMM against ``A_t^H / sqrt(Nr*Nt)`` then
+        ``F^H [d, P] @ R [P, Nr*Nt]`` with ``F`` the pilot DFT rows at taps
+        ``0..d-1``, then the rx axis, ``conj(A_r) Z_t`` per tap. One
+        ``[d*Gr, Nt] @ [Nt, Gt]`` GEMM against ``A_t^H / sqrt(Nr*Nt)`` then
         writes the grid, so the returned array is the only one of the full
         grid's size and no other pass touches it.
         """
         shape = (len(cfg.placement), self.rx_geom.size, self.tx_geom.size)
         residual = finite_array(residual, "residual", np.complex128, shape)
-        f = _dft_rows(cfg.placement, self.delays, cfg.n_sc)
-        z = f.conj().T @ residual.reshape(len(residual), -1)  # [Nd, Nr*Nt]
-        z = np.conj(self._a_r) @ z.reshape(len(z), *residual.shape[1:])  # [Nd, Gr, Nt]
+        f = _dft_rows(cfg.placement, np.arange(self.d), cfg.n_sc)
+        z = f.conj().T @ residual.reshape(len(residual), -1)  # [d, Nr*Nt]
+        z = np.conj(self._a_r) @ z.reshape(len(z), *residual.shape[1:])  # [d, Gr, Nt]
         a_t = np.conj(self._a_t).T / self._norm  # [Nt, Gt]
         return (z.reshape(-1, shape[2]) @ a_t).reshape(self.shape)
 
     def gram_factors(self, cfg: PilotConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Factors ``kd [Nd, Nd]``, ``kr [Gr, Gr]``, ``kt [Gt, Gt]`` of the Gram
-        matrix: for atom ``j = (d_j, r_j, t_j)``,
-        ``adjoint(forward([j], [1]))[d, r, t] == kd[d, d_j] * kr[r, r_j] * kt[t, t_j]``.
+        """Factors ``kd [d, d]``, ``kr [Gr, Gr]``, ``kt [Gt, Gt]`` of the Gram
+        matrix: for atom ``j = (t_j, r_j, s_j)``,
+        ``adjoint(forward([j], [1]))[t, r, s] == kd[t, t_j] * kr[r, r_j] * kt[s, s_j]``.
 
-        ``kd = F^H F / (Nr*Nt)`` with ``F`` the pilot DFT rows at :attr:`delays`,
-        ``kr = conj(A_r) A_r^T`` and ``kt = conj(A_t) A_t^T``.
+        ``kd = F^H F / (Nr*Nt)`` with ``F`` the pilot DFT rows at taps
+        ``0..d-1``, ``kr = conj(A_r) A_r^T`` and ``kt = conj(A_t) A_t^T``.
         """
-        f = _dft_rows(cfg.placement, self.delays, cfg.n_sc)
+        f = _dft_rows(cfg.placement, np.arange(self.d), cfg.n_sc)
         kd = f.conj().T @ f / self._norm**2
         kr = np.conj(self._a_r) @ self._a_r.T
         kt = np.conj(self._a_t) @ self._a_t.T

@@ -586,6 +586,19 @@ class TestShapeOps:
 
         assert grad_check(f, (a, b)) < 1e-5
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda a: reshape(a, "x"), "shape"),
+         (lambda a: reshape(a, (3, 2.0)), "shape"),
+         (lambda a: permute(a, (1.0, 0)), "axes"),
+         (lambda a: permute(a, None), "axes"),
+         (lambda a: layer_norm(a, None, t64(3), t64(3)), "axes")],
+        ids=["reshape-text", "reshape-float", "permute-float", "permute-none", "layer-norm-none"],
+    )
+    def test_integer_arguments_rejected_by_name(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            call(t64(2, 3))
+
     def test_concat_rejects_non_integer_axis(self):
         with pytest.raises(ValueError, match="axis"):
             concat((t64(2, 3), t64(2, 3)), 1.5)

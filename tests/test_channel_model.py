@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from mbce import _checks, channel_model, estimation
+from mbce.channel_model import _rank_one_taps as rank_one_taps
 from mbce.channel_model import (
     ArrayGeometry,
     ChannelTensor,
     PathSet,
     PulseConfig,
     raised_cosine,
-    rank_one_taps,
     steering_vector,
     synth_channel,
     ura_from_cosines,
@@ -82,8 +82,8 @@ def test_synthesis_and_dictionary_check_their_arrays_once(monkeypatch):
     synth_channel(paths, 8, PulseConfig(ts=1e-9), geom, geom)
     assert len(calls) <= 4, calls
     calls.clear()
-    estimation.OmpDictionary.build(8, geom, geom)
-    assert len(calls) <= 2, calls
+    estimation.OmpDictionary.build(8, geom, geom).gram_factors(estimation.PilotConfig(16, 4, 8))
+    assert calls == []
 
 
 class TestUraResponse:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -61,6 +62,13 @@ class TestTransmitPilots:
         h = ChannelTensor(np.zeros((8, 2, 2)))
         with pytest.raises(ValueError):
             transmit_pilots(h, PilotConfig(n_sc=4, n_pilot=2, nt=2), 0)
+
+    @pytest.mark.parametrize("snr_db", [None, 10.0], ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("seed", ["a", 1.5, -1, None], ids=["text", "float", "negative", "none"])
+    def test_rejects_seed_that_is_not_a_count(self, seed, snr_db):
+        h = random_channel(np.random.default_rng(0), nt=2)
+        with pytest.raises(ValueError, match="^rng_seed must be"):
+            transmit_pilots(h, PilotConfig(n_sc=8, n_pilot=4, nt=2, snr_db=snr_db), seed)
 
     def test_rejects_config_for_other_tx_array(self):
         h = ChannelTensor(np.zeros((2, 2, 4)))
@@ -460,45 +468,52 @@ class TestCoarsePipeline:
 
 
 class TestOmpDictionaryChecks:
-    @pytest.mark.parametrize(
-        "kw",
-        [
-            dict(delays=[0, -1]),
-            dict(rx_dirs=[[0.0, np.nan]]),
-            dict(tx_dirs=[[np.inf, 0.0]]),
-            dict(tx_dirs=[[0.0, 0.0], [-np.inf, 0.0]]),
-            dict(delays=[0.5, 1.7]),
-            dict(delays=[[0, 1]]),
-            dict(rx_dirs=np.zeros((2, 3))),
-            dict(tx_dirs=np.zeros((2, 1))),
-            dict(rx_dirs=[["x", 0.0]]),
-        ],
-        ids=["negative-delay", "rx-nan", "tx-inf", "tx-minus-inf", "float-delays",
-             "2d-delays", "rx-triples", "tx-singles", "rx-string"],
-    )
-    def test_rejects(self, kw):
-        geom = ArrayGeometry(2, 1)
-        good = dict(delays=[0, 1], rx_dirs=[[0.0, 0.0]], tx_dirs=[[0.0, 0.0]])
-        with pytest.raises(ValueError, match="delays|cosine"):
-            OmpDictionary(**{**good, **kw}, rx_geom=geom, tx_geom=geom)
-
-    @pytest.mark.parametrize(
-        "kw",
-        [dict(delays=np.array([], dtype=int)), dict(rx_dirs=np.zeros((0, 2))),
-         dict(tx_dirs=np.zeros((0, 2)))],
-        ids=["no-delays", "no-rx-dirs", "no-tx-dirs"],
-    )
-    def test_rejects_empty_axis(self, kw):
-        geom = ArrayGeometry(2, 1)
-        good = dict(delays=[0, 1], rx_dirs=[[0.0, 0.0]], tx_dirs=[[0.0, 0.0]])
-        with pytest.raises(ValueError, match="empty dictionary"):
-            OmpDictionary(**{**good, **kw}, rx_geom=geom, tx_geom=geom)
-
     @pytest.mark.parametrize("oversample", [0, -1, 1.5])
     def test_build_rejects_bad_oversample(self, oversample):
         geom = ArrayGeometry(2, 1)
         with pytest.raises(ValueError, match="oversample"):
             OmpDictionary.build(2, geom, geom, oversample=oversample)
+
+    @pytest.mark.parametrize("d", ["3", None, 2.5, 0])
+    def test_build_rejects_bad_tap_count(self, d):
+        geom = ArrayGeometry(2, 1)
+        with pytest.raises(ValueError, match="^d must be"):
+            OmpDictionary.build(d, geom, geom)
+
+    @pytest.mark.parametrize("field", ["rx_geom", "tx_geom"])
+    def test_rejects_geometry_that_is_not_an_array(self, field):
+        geoms = dict(rx_geom=ArrayGeometry(2, 1), tx_geom=ArrayGeometry(2, 1))
+        with pytest.raises(ValueError, match=f"^{field} must be an ArrayGeometry"):
+            OmpDictionary(4, **{**geoms, field: (2, 1)})
+
+    def test_is_a_frozen_value_with_read_only_grids(self):
+        rx, tx = ArrayGeometry(2, 2), ArrayGeometry(4, 1)
+        dc = OmpDictionary.build(4, rx, tx)
+        assert dc == OmpDictionary(4, rx, tx, 2)
+        assert hash(dc) == hash(OmpDictionary(4, ArrayGeometry(2, 2), ArrayGeometry(4, 1)))
+        assert dc != OmpDictionary.build(4, rx, tx, oversample=1)
+        dc.synthesize([0], [1.0])  # the derived arrays exist and still compare by fields
+        assert dc == OmpDictionary(4, rx, tx)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dc.d = 5
+        for grid in (dc.rx_dirs, dc.tx_dirs):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "atoms, gains, name",
+        [([0.9], [1.0], "atoms"), ([True], [1.0], "atoms"), ([[0]], [1.0], "atoms"),
+         ([-1], [1.0], "atoms"), ([64], [1.0], "atoms"), (["0"], [1.0], "atoms"),
+         ([0], ["a"], "gains"), ([0], [np.nan], "gains"), ([0, 1], [1.0], "gains")],
+        ids=["float-atom", "bool-atom", "2d-atoms", "negative-atom", "atom-past-grid",
+             "text-atom", "text-gain", "nan-gain", "gain-count"],
+    )
+    @pytest.mark.parametrize("method", ["synthesize", "forward"])
+    def test_atoms_and_gains_rejected_by_name(self, atoms, gains, name, method):
+        dc = OmpDictionary.build(4, ArrayGeometry(2, 1), ArrayGeometry(2, 1))  # 4 x 4 x 4 atoms
+        cfg = () if method == "synthesize" else (PilotConfig(n_sc=16, n_pilot=4, nt=2),)
+        with pytest.raises(ValueError, match=f"^{name}"):
+            getattr(dc, method)(atoms, gains, *cfg)
 
     def test_build_gives_a_one_element_axis_one_cosine(self):
         dc = OmpDictionary.build(2, ArrayGeometry(1, 2), ArrayGeometry(1, 1), oversample=2)
@@ -599,13 +614,7 @@ class TestOmp:
         # adjoint(r) must equal A^H r for a full residual, not only at a few picks.
         rng = np.random.default_rng(41)
         cfg = PilotConfig(n_sc=16, n_pilot=5, nt=4, placement=(0, 2, 3, 9, 14))
-        dc = OmpDictionary(
-            delays=[3, 0, 5],
-            rx_dirs=rng.uniform(-1, 1, size=(3, 2)),
-            tx_dirs=rng.uniform(-1, 1, size=(5, 2)),
-            rx_geom=self.rx,
-            tx_geom=self.tx,
-        )
+        dc = OmpDictionary.build(6, self.rx, self.tx)
         a = np.stack([dc.forward([j], [1.0], cfg).ravel() for j in range(dc.n_atoms)], axis=1)
         r = rng.normal(size=(5, 2, 4)) + 1j * rng.normal(size=(5, 2, 4))
         expect = (a.conj().T @ r.ravel()).reshape(dc.shape)
@@ -613,14 +622,14 @@ class TestOmp:
         np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * np.abs(expect).max())
 
     def test_synthesis_matches_atom_convention(self):
-        # atom (d, r, t) = delta(tap=delays[d]) x outer(a_r[r], a_t[t]) / sqrt(Nr*Nt)
+        # atom (t, r, s) = delta(tap=t) x outer(a_r[r], a_t[s]) / sqrt(Nr*Nt)
         def steer(dirs, geom):
             return np.kron(steering_vector(dirs[0], geom.nx), steering_vector(dirs[1], geom.ny))
 
         for flat in (0, 5, self.dict.n_atoms - 1):
             di, ri, ti = np.unravel_index(flat, self.dict.shape)
             expect = np.zeros((4, 2, 4), dtype=np.complex128)
-            expect[self.dict.delays[di]] = np.outer(
+            expect[di] = np.outer(
                 steer(self.dict.rx_dirs[ri], self.rx), steer(self.dict.tx_dirs[ti], self.tx)
             ) / np.sqrt(8.0)
             taps = self.dict.synthesize([flat], [1.0]).taps
@@ -639,38 +648,35 @@ class TestOmp:
         assert res.estimate.energy() == 0.0
 
     def test_rank_deficient_refit_drops_newest_atom_and_stops(self):
-        # Comb pilots 0 and 4 of 8 subcarriers see taps d and d + 2 alike, so
-        # once taps 0 and 1 are fitted every other atom repeats a selected one.
-        # One rx direction over two rx antennas spans half the observation
-        # space, so the residual stays nonzero and the rank test stops the pursuit.
+        # One tap seen on two pilots spans one pilot pattern, and the rx
+        # directions span the two rx antennas: two atoms fit the whole span,
+        # so the third pick repeats them. The other half of the observation
+        # space keeps the residual nonzero, and the rank test stops the pursuit.
         cfg = PilotConfig(n_sc=8, n_pilot=2, nt=1)
-        dc = OmpDictionary(delays=np.arange(4), rx_dirs=[[0.0, 0.0]], tx_dirs=[[0.0, 0.0]],
-                           rx_geom=ArrayGeometry(2, 1), tx_geom=ArrayGeometry(1, 1))
+        dc = OmpDictionary.build(1, ArrayGeometry(2, 1), ArrayGeometry(1, 1), oversample=2)
         rng = np.random.default_rng(0)
         y = rng.normal(size=(2, 2, 1)) + 1j * rng.normal(size=(2, 2, 1))
         obs = PilotObservation(y=y, placement=cfg.placement)
         res = omp_estimate(obs, cfg, dc, k_max=4, return_info=True)
-        assert sorted(res.selected) == [0, 1]
+        assert len(set(res.selected)) == 2
         assert len(res.gains) == 2
         assert len(res.residual_norms) == 3
         assert res.residual_norms[-1] > 1e-3 * res.residual_norms[0]
 
     def test_repeated_delay_ties_go_to_the_lower_index(self):
-        # Delays [1, 1] make slab 1 a copy of slab 0, so every pick ties an atom
-        # with its twin; once both directions are fitted, only twins remain and
-        # the next pick is rank-deficient.
-        cfg = PilotConfig(n_sc=8, n_pilot=4, nt=1)
-        dc = OmpDictionary(delays=[1, 1], rx_dirs=[[-1.0, 0.0], [0.0, 0.0]],
-                           tx_dirs=[[0.0, 0.0]], rx_geom=ArrayGeometry(2, 1),
-                           tx_geom=ArrayGeometry(1, 1))
-        # noise outside the atoms' span keeps the residual nonzero to the end
-        noise = 0.1 * np.random.default_rng(1).normal(size=(4, 2, 1))
+        # Comb pilots 0 and 4 of 8 subcarriers see taps t and t + 2 alike, so
+        # slabs 2 and 3 are bit-equal copies of slabs 0 and 1 and every pick
+        # ties an atom with its twin four atoms on; the lower index must win.
+        cfg = PilotConfig(n_sc=8, n_pilot=2, nt=1)
+        dc = OmpDictionary.build(4, ArrayGeometry(2, 1), ArrayGeometry(1, 1), oversample=1)
+        noise = 0.1 * np.random.default_rng(1).normal(size=(2, 2, 1))
         obs = PilotObservation(y=dc.forward([0, 1], [2.0, 1.0], cfg) + noise,
                                placement=cfg.placement)
+        alpha0 = dc.adjoint(ls_estimate(obs, cfg), cfg)
+        np.testing.assert_array_equal(alpha0[2:], alpha0[:2])
         res = omp_estimate(obs, cfg, dc, k_max=4, return_info=True)
-        assert res.selected == [0, 1]
-        assert len(res.residual_norms) == 3
-        assert res.residual_norms[-1] > 0.0
+        assert res.selected[:2] == [0, 1]
+        assert max(res.selected) < 4  # no atom of taps 2-3
 
     def test_refit_holding_more_energy_than_y_raises(self):
         # An adjoint twice too large gives the one-atom projection of an exact
@@ -679,7 +685,7 @@ class TestOmp:
             def adjoint(self, residual, cfg):
                 return 2.0 * super().adjoint(residual, cfg)
 
-        dc = Doubled(self.dict.delays, self.dict.rx_dirs, self.dict.tx_dirs, self.rx, self.tx)
+        dc = Doubled(self.dict.d, self.rx, self.tx, self.dict.oversample)
         obs = transmit_pilots(dc.synthesize([5], [1.0]), self.cfg, 0)
         with pytest.raises(FloatingPointError, match="more energy"):
             omp_estimate(obs, self.cfg, dc, k_max=1)
