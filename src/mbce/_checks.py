@@ -19,8 +19,11 @@ __all__ = ["count", "count_fields", "real", "finite_array", "point", "write_arra
 
 
 def count(value, name: str, low: int | None = None) -> int:
-    """``value`` as the int that ``operator.index`` gives, at least ``low`` if given."""
+    """``value`` as the int that ``operator.index`` gives, at least ``low`` if given.
+    A bool, Python's or numpy's, is a flag, not a count."""
     try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

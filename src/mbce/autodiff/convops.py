@@ -7,20 +7,29 @@ kw]``: conv2d applies ``C``, conv_transpose2d applies ``C^T`` (its kernel
 ``[c_in, c_out, kh, kw]`` is ``C``'s kernel read with the channel roles
 swapped). Each geometry is lowered to GEMMs once, by :class:`_Lowering`, and
 that one decision serves ``C x``, ``C^T g`` and the kernel gradient, so both
-ops and both their backward passes run on the same side:
+ops and both their backward passes run on the same side. A side reads one of
+the two grids as rows, ``[n*h*w, c]`` with one row per pixel, and builds from
+the other grid a column matrix with ``kh*kw`` slabs of channels per row pixel:
 
-- **Input side** builds ``kh*kw*c_in`` columns per output pixel.
-  ``_im2col(xp, ...)`` turns a padded ``[n, hp, wp, c]`` block into the
-  ``[n*ho*wo, kh*kw*c]`` column matrix with ``kh*kw`` shifted-slice copies,
-  each row holding its window in ``(kh, kw, c)`` order with ``c`` fastest;
-  ``_col2im`` is its exact adjoint, ``kh*kw`` shifted-slice adds into a padded
-  NHWC buffer. The kernel matrix is ``[c_out, kh*kw*c_in]``.
-- **Output side** builds ``kh*kw*c_out`` columns per padded input pixel: one
-  GEMM of the padded rows ``[n*hp*wp, c_in]`` by the ``[c_in, kh*kw*c_out]``
-  kernel matrix, then ``_col2out`` adds the ``kh*kw`` slabs of those columns,
-  each shifted by its kernel offset, into the output. Its exact adjoint
-  ``_out2col`` spreads an output-grid array into the slabs, which one GEMM
-  each turns into ``C^T g`` and the kernel gradient.
+- **Input side:** the rows are the output grid ``[n, ho, wo, c_out]``, the
+  columns come from the padded input grid. ``_im2col`` turns a padded
+  ``[n, hp, wp, c]`` block into the ``[n*ho*wo, kh*kw*c]`` column matrix with
+  ``kh*kw`` shifted-slice copies, each row holding its window in ``(kh, kw,
+  c)`` order with ``c`` fastest; ``_col2im`` is its exact adjoint, ``kh*kw``
+  shifted-slice adds into a padded NHWC buffer.
+- **Output side:** the same with the grids' roles swapped. The rows are the
+  padded input grid ``[n, hp, wp, c_in]``, the columns come from the output
+  grid. ``_out2col`` spreads an ``[n, ho, wo, c]`` block into the ``kh*kw``
+  slabs of an ``[n*hp*wp, kh*kw*c]`` column matrix, slab ``(i, j)`` at the
+  padded pixels its kernel offset reads; ``_col2out`` is its exact adjoint,
+  ``kh*kw`` shifted-slab adds into the output grid.
+
+All four builders take the rows' grid. The kernel matrix is ``[rows'
+channels, kh*kw*columns' channels]``, and one loop serves both sides: rows
+times the kernel matrix go through the adjoint builder onto the columns' grid,
+the columns times its transpose land whole on the rows' grid, and rows^T
+times columns is the kernel gradient. The first of those products is ``C^T g``
+on the input side and ``C x`` on the output side; the second is the other one.
 
 The rule is computed, not an option: the side with fewer column entries,
 ``ho*wo*c_in`` against ``hp*wp*c_out`` per sample and kernel offset, the input
@@ -114,20 +123,18 @@ def _window_slices(kh, kw, sh, sw, ho, wo):
             yield i, j, (slice(None), slice(i, i + sh * ho, sh), slice(j, j + sw * wo, sw))
 
 
-def _im2col(xp, kh, kw, sh, sw):
+def _im2col(xp, ho, wo, kh, kw, sh, sw):
     """Column matrix ``[n*ho*wo, kh*kw*c]`` of the padded NHWC block ``xp``."""
-    n, hp, wp, c = xp.shape
-    ho, wo = _conv_out(hp, kh, sh, 0), _conv_out(wp, kw, sw, 0)
+    n, _, _, c = xp.shape
     cols = np.empty((n, ho, wo, kh, kw, c), dtype=xp.dtype)
     for i, j, win in _window_slices(kh, kw, sh, sw, ho, wo):
         cols[:, :, :, i, j] = xp[win]
     return cols.reshape(n * ho * wo, kh * kw * c)
 
 
-def _col2im(cols, xp, kh, kw, sh, sw):
+def _col2im(cols, xp, ho, wo, kh, kw, sh, sw):
     """Exact adjoint of :func:`_im2col`: add ``cols`` into the padded NHWC ``xp``."""
-    n, hp, wp, c = xp.shape
-    ho, wo = _conv_out(hp, kh, sh, 0), _conv_out(wp, kw, sw, 0)
+    n, _, _, c = xp.shape
     cols6 = cols.reshape(n, ho, wo, kh, kw, c)
     for i, j, win in _window_slices(kh, kw, sh, sw, ho, wo):
         xp[win] += cols6[:, :, :, i, j]
@@ -156,7 +163,15 @@ def _col2out(cols, y, hp, wp, kh, kw, sh, sw):
 class _Lowering:
     """The conv geometry ``C`` of the kernel ``k`` (``[c_out, c_in, kh, kw]``)
     on a padded ``hp x wp`` grid of ``b`` samples, lowered on the side with
-    fewer column entries (see the module docstring)."""
+    fewer column entries (see the module docstring).
+
+    A side is one row of data: which of the padded input ``xp`` and the output
+    ``y`` gives the rows and which the columns (``y`` and ``xp`` on the input
+    side, ``xp`` and ``y`` on the output side), the column builder with its
+    exact adjoint (:func:`_im2col` and :func:`_col2im`, or :func:`_out2col` and
+    :func:`_col2out`), and the axes of ``k`` that make the ``[rows' channels,
+    kh*kw*columns' channels]`` kernel matrix. Each builder takes the rows' grid.
+    """
 
     def __init__(self, k, b, hp, wp, stride):
         co, ci, kh, kw = k.shape
@@ -164,13 +179,13 @@ class _Lowering:
         ho, wo = _conv_out(hp, kh, sh, 0), _conv_out(wp, kw, sw, 0)
         self.output_side = hp * wp * co < ho * wo * ci
         self.win = (kh, kw, sh, sw)
-        self.grids = (b, hp, wp, ci), (b, ho, wo, co)
-        if self.output_side:
-            self.w = k.transpose(1, 2, 3, 0).reshape(ci, -1)
-            self.blocks = _blocks(b, hp * wp * self.w.shape[1])
-        else:
-            self.w = k.transpose(0, 2, 3, 1).reshape(co, -1)
-            self.blocks = _blocks(b, ho * wo * self.w.shape[1])
+        # `step` orders (xp, y) as (rows, columns): 1 on the output side, -1 on the input side
+        self.step, self.to_cols, self.add_cols, self.axes = (
+            (1, _out2col, _col2out, (1, 2, 3, 0)) if self.output_side
+            else (-1, _im2col, _col2im, (0, 2, 3, 1)))
+        self.grids = ((b, hp, wp, ci), (b, ho, wo, co))[:: self.step]
+        self.w = k.transpose(self.axes).reshape(k.shape[self.axes[0]], -1)
+        self.blocks = _blocks(b, self.grids[0][1] * self.grids[0][2] * self.w.shape[1])
 
     def products(self, xp, y, *, fwd=False, adj=False, kgrad=False):
         """``(C xp, C^T y, d<y, C xp>/dk)``, each only where asked, else None.
@@ -180,34 +195,28 @@ class _Lowering:
         kernel gradient in ``k``'s layout. An operand no asked-for product
         reads may be None.
         """
-        (b, hp, wp, ci), (_, ho, wo, co) = self.grids
-        kh, kw = self.win[:2]
+        rgrid, cgrid = self.grids
+        _, rh, rw, rc = rgrid
         dtype = np.result_type(*(a for a in (xp, y, self.w) if a is not None))
+        # the rows land on the columns' grid through the adjoint, the columns on the rows' grid
+        r, c = (xp, y)[:: self.step]
+        ask_c, ask_r = (fwd, adj)[:: self.step]
         # a GEMM writes its result whole; shifted adds need it zeroed first
-        cx = (np.zeros if self.output_side else np.empty)((b, ho, wo, co), dtype) if fwd else None
-        cty = (np.empty if self.output_side else np.zeros)((b, hp, wp, ci), dtype) if adj else None
+        out_c = np.zeros(cgrid, dtype) if ask_c else None
+        out_r = np.empty(rgrid, dtype) if ask_r else None
         gw = np.zeros(self.w.shape, dtype) if kgrad else None
         for s in self.blocks:
-            if self.output_side:
-                cols = _out2col(y[s], hp, wp, *self.win) if adj or kgrad else None
-                rows = _rows(xp[s]) if fwd or kgrad else None
-                if fwd:
-                    _col2out(rows @ self.w, cx[s], hp, wp, *self.win)
-                if adj:
-                    np.matmul(cols, self.w.T, out=cty[s].reshape(-1, ci))
-            else:
-                rows = _rows(y[s]) if adj or kgrad else None
-                if adj:
-                    _col2im(rows @ self.w, cty[s], *self.win)
-                cols = _im2col(xp[s], *self.win) if fwd or kgrad else None
-                if fwd:
-                    np.matmul(cols, self.w.T, out=cx[s].reshape(-1, co))
+            rows = _rows(r[s]) if ask_c or kgrad else None
+            if ask_c:
+                self.add_cols(rows @ self.w, out_c[s], rh, rw, *self.win)
+            cols = self.to_cols(c[s], rh, rw, *self.win) if ask_r or kgrad else None
+            if ask_r:
+                np.matmul(cols, self.w.T, out=out_r[s].reshape(-1, rc))
             if kgrad:
                 gw += rows.T @ cols
         if kgrad:
-            gw = (gw.reshape(ci, kh, kw, co).transpose(3, 0, 1, 2) if self.output_side
-                  else gw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))
-        return cx, cty, gw
+            gw = gw.reshape(rc, *self.win[:2], -1).transpose(np.argsort(self.axes))
+        return (*(out_c, out_r)[:: self.step], gw)
 
 
 def conv2d(x: Tensor, k: Tensor, stride=1, pad=0) -> Tensor:

@@ -88,7 +88,11 @@ class PilotConfig:
             raise ValueError(f"need n_pilot <= n_sc, got {self.n_pilot}/{self.n_sc}")
         if self.snr_db is not None:
             real(self.snr_db, "snr_db")
-        if np.ndim(self.placement) != 1:
+        try:
+            ndim = np.ndim(self.placement)
+        except ValueError:  # a ragged sequence, of which numpy makes no array
+            ndim = None
+        if ndim != 1:
             raise ValueError(f"pilot placement must be a sequence, got {self.placement!r}")
         placement = tuple(count(k, "pilot placement") for k in self.placement)
         object.__setattr__(self, "placement", placement or _comb_indices(self.n_sc, self.n_pilot))
@@ -438,8 +442,11 @@ class OmpDictionary:
         """Grid indices ``(t, r, s)`` of ``atoms``, a 1-D sequence of integer
         flat indices below :attr:`n_atoms`, and ``gains`` as complex, one
         finite number per atom."""
-        idx = np.asarray(atoms)
-        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        try:
+            idx = np.asarray(atoms)
+        except ValueError:  # a ragged sequence, of which numpy makes no array
+            idx = None
+        if idx is None or idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
             raise ValueError(f"atoms must be a 1-D sequence of integer indices, got {atoms!r}")
         if idx.size and not (0 <= idx.min() and idx.max() < self.n_atoms):
             raise ValueError(

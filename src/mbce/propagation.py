@@ -451,7 +451,7 @@ def rss_from_fields(fields, wavelength: float) -> float:
 def rss_from_channel(h: ChannelTensor, p_t: float) -> float:
     """Channel-side received power ``P_T * sum_d ||H_d||_F^2`` of a :class:`ChannelTensor`."""
     if not isinstance(h, ChannelTensor):
-        raise TypeError(f"h must be a ChannelTensor, got {type(h).__name__}")
+        raise ValueError(f"h must be a ChannelTensor, got {type(h).__name__}")
     real(p_t, "transmit power p_t", positive=True)
     return float(p_t * np.sum(np.abs(h.taps) ** 2))
 

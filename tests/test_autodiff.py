@@ -316,6 +316,27 @@ def test_refine_step_convs_pick_their_side(kernel, grid, stride, output_side):
     assert lw.output_side == output_side
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,output_side", [((2, 32, 3, 3), True), ((32, 2, 3, 3), False)],
+                         ids=["head", "enc1"])
+def test_products_asked_together_equal_products_asked_one_at_a_time(kernel, output_side, dtype):
+    # One block loop serves all three products; asking for them together must
+    # not change any of them by a bit.
+    rng = np.random.default_rng(3)
+    (co, ci), b, grid = kernel[:2], 3, 34
+    lw = _Lowering(rng.normal(size=kernel).astype(dtype), b, grid, grid, (1, 1))
+    assert lw.output_side == output_side
+    xp = rng.normal(size=(b, grid, grid, ci)).astype(dtype)
+    y = rng.normal(size=(b, grid - 2, grid - 2, co)).astype(dtype)
+    together = lw.products(xp, y, fwd=True, adj=True, kgrad=True)
+    for i, asked in enumerate(("fwd", "adj", "kgrad")):
+        alone = lw.products(xp, y, **{asked: True})
+        assert [a is None for a in alone] == [j != i for j in range(3)]
+        assert together[i].dtype == alone[i].dtype == dtype
+        assert together[i].shape == alone[i].shape
+        assert together[i].tobytes() == alone[i].tobytes()
+
+
 def conv_reference(x, k, y, stride, pad):
     """``conv2d(x, k)`` and the gradients of ``<y, conv2d(x, k)>`` with respect
     to ``x`` and ``k``, in float64 by einsum over sliding windows."""

@@ -188,7 +188,7 @@ class TestPathAndPulseChecks:
     @pytest.mark.parametrize(
         "dims,match",
         [((0, 2), "nx"), ((2, -1), "ny"), ((2.5, 2), "nx"),
-         ((2, "2"), "ny"), ((2, None), "ny")],
+         ((2, "2"), "ny"), ((2, None), "ny"), ((True, 2), "nx")],
     )
     def test_array_geometry_rejects(self, dims, match):
         with pytest.raises(ValueError, match=match):

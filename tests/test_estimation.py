@@ -118,8 +118,8 @@ class TestPilotConfigChecks:
 
     @pytest.mark.parametrize(
         "placement",
-        [(0.5, 4, 8, 12), "abcd", 3, np.array(0), np.zeros((4, 1), dtype=int)],
-        ids=["float", "string", "scalar", "0-d", "2-d"],
+        [(0.5, 4, 8, 12), "abcd", 3, np.array(0), np.zeros((4, 1), dtype=int), [0, [1]]],
+        ids=["float", "string", "scalar", "0-d", "2-d", "ragged"],
     )
     def test_rejects_non_integer_placement(self, placement):
         with pytest.raises(ValueError, match="placement"):
@@ -504,9 +504,10 @@ class TestOmpDictionaryChecks:
         "atoms, gains, name",
         [([0.9], [1.0], "atoms"), ([True], [1.0], "atoms"), ([[0]], [1.0], "atoms"),
          ([-1], [1.0], "atoms"), ([64], [1.0], "atoms"), (["0"], [1.0], "atoms"),
+         ([0, [1]], [1.0, 1.0], "atoms"),
          ([0], ["a"], "gains"), ([0], [np.nan], "gains"), ([0, 1], [1.0], "gains")],
         ids=["float-atom", "bool-atom", "2d-atoms", "negative-atom", "atom-past-grid",
-             "text-atom", "text-gain", "nan-gain", "gain-count"],
+             "text-atom", "ragged-atoms", "text-gain", "nan-gain", "gain-count"],
     )
     @pytest.mark.parametrize("method", ["synthesize", "forward"])
     def test_atoms_and_gains_rejected_by_name(self, atoms, gains, name, method):

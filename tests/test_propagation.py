@@ -255,7 +255,7 @@ class TestInputChecks:
             generate_rss_map(free_space(), (10.0, 0.0), 1.0, shape, 1.5)
 
     def test_rss_from_channel_takes_only_a_channel_tensor(self):
-        with pytest.raises(TypeError, match="ChannelTensor"):
+        with pytest.raises(ValueError, match="ChannelTensor"):
             rss_from_channel(np.full((1, 1, 1), np.inf), 1.0)
 
 
