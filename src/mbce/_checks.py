@@ -40,9 +40,11 @@ def count_fields(obj, *names: str, low: int | None = None) -> None:
 
 def real(value, name: str, positive: bool = False):
     """``value``, unchanged, if ``math.isfinite`` accepts it (no str, ``None`` or
-    complex) and, when ``positive``, it is > 0."""
+    complex) and, when ``positive``, it is > 0. A bool, Python's or numpy's, is a
+    flag, not a real, as :func:`count` has it."""
     try:
-        ok = math.isfinite(value) and (not positive or value > 0)
+        ok = (not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+              and (not positive or value > 0))
     except (TypeError, OverflowError):
         ok = False
     if not ok:

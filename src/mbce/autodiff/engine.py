@@ -44,7 +44,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
+        try:
+            arr = np.asarray(data)
+        except ValueError:  # a ragged sequence, which has no shape
+            raise ValueError("tensor data must be a rectangular array of real numbers") from None
         if arr.dtype.kind not in "biuf":
             raise ValueError(f"tensor data must be real numbers, got dtype {arr.dtype}")
         if arr.dtype not in _FLOAT_TYPES:

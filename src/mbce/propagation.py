@@ -12,14 +12,20 @@ bounds, unbounded along the normal and for the ground). Once per scene, the
 tx images of every facet and ordered facet pair are built, and the chains
 that no receiver can use are dropped: a first facet that does not face tx,
 or a pair with one facet wholly behind the other's plane. One batch tracer
-then runs the hit-point, facing and occlusion tests as masks over receivers
-times the live chains of each bounce order, and returns one flat record of
-per-path columns (receiver, length, Gamma^b, segment geometry): for one
+then bisects its receivers into spatially compact leaves and, for each bounce
+order, drops each (leaf, chain) pair that no receiver of the leaf can use: the
+leaf's bounding box, projected through the chain's images onto its facets,
+misses a facet's bounds or never crosses its plane (the beam-tracing cull of
+Heckbert & Hanrahan, 1984, on a group of receivers). It runs the hit-point,
+facing and occlusion tests as masks over the surviving (receiver, chain) lanes
+and returns one flat record of per-path columns (receiver, length, Gamma^b,
+segment geometry), each receiver's paths in bounce order, then chain: for one
 receiver in :func:`trace_paths`, for every outdoor grid cell in
 :func:`generate_rss_map`. Every tolerance of the tracer is one length,
 ``_EPS`` = 1e-9 m, never a fraction of a segment, so a path traced either
-way between two points meets the same tests. Scenes are immutable; every
-function here is pure and safe to call concurrently.
+way between two points meets the same tests; the cull only widens what it
+keeps by its own rounding, so it drops no lane that the tests accept. Scenes
+are immutable; every function here is pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -204,9 +210,11 @@ class GainCalibration:
 
 _EPS = 1e-9  # m; every tolerance of the tracer is this length
 _GAMMA = -0.7  # every facet's reflection coefficient; as a float, the fields keep their rounding
-# Lanes (receivers times live chains) that _trace runs at once. A lane's
-# temporaries take ~150 B, so 2**13 lanes cost ~1 MB of peak memory; each doubling
-# beyond saves under 5% of a map's time and adds as much memory again.
+# Lanes ((receiver, chain) pairs) that _trace runs at once, over whole leaves of at
+# most _LANE_BUDGET // chains receivers; half as many (leaf, chain) pairs are culled
+# at once, and _blocked tests as many (box, segment) pairs. A lane's temporaries take
+# ~150 B, so 2**13 lanes cost ~1 MB of peak memory; each doubling beyond saves under
+# 5% of a map's time and adds as much memory again.
 _LANE_BUDGET = 2**13
 
 
@@ -304,38 +312,152 @@ def _inside(g: _Geometry, p: np.ndarray) -> np.ndarray:
 
 
 def _hit(g: _Geometry, f: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Where segments ``a[i] -> b[i]`` cross facets ``f[i]``, and a mask of the
-    strict crossings that land within ``_EPS`` of the facet's bounds. A crossing
-    next to an endpoint is left to :func:`_trace`'s facing tests."""
+    """The indices of the segments ``a[i] -> b[i]`` that strictly cross facets
+    ``f[i]`` within ``_EPS`` of the facet's bounds, and where they cross. A
+    crossing next to an endpoint is left to :func:`_trace`'s facing tests."""
     rows = np.arange(len(f))
-    ax = g.axis[f]
-    da = a[rows, ax] - g.value[f]
-    db = b[rows, ax] - g.value[f]
-    cross = da * db < 0
-    t = np.divide(da, da - db, out=np.zeros_like(da), where=cross)
-    r = a + t[:, None] * (b - a)
-    ok = cross & np.all((r >= g.lo[f] - _EPS) & (r <= g.hi[f] + _EPS), axis=1)
-    return r, ok
+    ax, v = g.axis[f], g.value[f]
+    da = a[rows, ax] - v
+    db = b[rows, ax] - v
+    i = np.flatnonzero(da * db < 0)
+    f, a, b, da = f[i], np.take(a, i, axis=0), np.take(b, i, axis=0), da[i]
+    r = a + (da / (da - db[i]))[:, None] * (b - a)
+    within = (r >= np.take(g.lo, f, axis=0) - _EPS) & (r <= np.take(g.hi, f, axis=0) + _EPS)
+    ok = within[:, 0] & within[:, 1] & within[:, 2]
+    return i[ok], r[ok]
 
 
 def _blocked(g: _Geometry, verts: np.ndarray) -> np.ndarray:
     """Slab test of every segment of the polylines ``verts [n, k, 3]`` against
     every box shrunk by ``_EPS`` on each side, over the open range ``0 < t < 1``;
-    true where any segment is blocked."""
-    lo, hi = g.boxes_lo + _EPS, g.boxes_hi - _EPS
-    p0 = verts[:, :-1, None]            # [n, k-1, 1, 3] against boxes [B, 3]
-    d = verts[:, 1:, None] - p0
-    par = d == 0.0
-    step = np.where(par, 1.0, d)
-    with np.errstate(over="ignore"):    # a near-parallel axis sends t to +-inf: its slab limit
-        t0 = (lo - p0) / step
-        t1 = (hi - p0) / step
-    # Parallel axes: inside the slab -> (-inf, inf), outside -> empty.
-    inside = (p0 >= lo) & (p0 <= hi)
-    tmin = np.where(par, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
-    tmax = np.where(par, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
-    enter, leave = tmin.max(axis=-1), tmax.min(axis=-1)
-    return np.any((enter < leave) & (leave > 0.0) & (enter < 1.0), axis=(1, 2))
+    true where any segment is blocked. It runs coordinate-major, on
+    ``[3, boxes, k-1, lanes]``, so that each reduction over x, y and z is
+    elementwise over contiguous lanes, and over about ``_LANE_BUDGET``
+    (box, segment) pairs at once."""
+    n, k = verts.shape[:2]
+    lo = (g.boxes_lo + _EPS).T[:, :, None, None]
+    hi = (g.boxes_hi - _EPS).T[:, :, None, None]
+    blocked = np.empty(n, dtype=bool)
+    lanes = max(1, _LANE_BUDGET // max(1, lo.shape[1] * (k - 1)))
+    for s in range(0, n, lanes):
+        v = np.ascontiguousarray(verts[s : s + lanes].transpose(2, 1, 0))[:, None]
+        p0 = v[:, :, :-1]
+        d = v[:, :, 1:] - p0
+        par = d == 0.0
+        step = np.where(par, 1.0, d)
+        with np.errstate(over="ignore"):    # a near-parallel axis sends t to +-inf: its slab limit
+            t0 = (lo - p0) / step
+            t1 = (hi - p0) / step
+        tmin, tmax = np.minimum(t0, t1), np.maximum(t0, t1)
+        if par.any():
+            # Parallel axes: inside the slab -> (-inf, inf), outside -> empty.
+            inside = (p0 >= lo) & (p0 <= hi)
+            tmin = np.where(par, np.where(inside, -np.inf, np.inf), tmin)
+            tmax = np.where(par, np.where(inside, np.inf, -np.inf), tmax)
+        enter, leave = tmin.max(axis=0), tmax.min(axis=0)
+        blocked[s : s + lanes] = np.any((enter < leave) & (leave > 0.0) & (enter < 1.0), axis=(0, 1))
+    return blocked
+
+
+def _leaves(rx: np.ndarray, size: int) -> list[np.ndarray]:
+    """Indices into receivers ``rx [m, 3]``, in spatially compact leaves of at
+    most ``size``: a set is halved at the median of its bounding box's longest axis."""
+    leaves, todo = [], [np.arange(len(rx))]
+    while todo:
+        idx = todo.pop()
+        if len(idx) <= size:
+            leaves.append(idx)
+            continue
+        p = np.take(rx, idx, axis=0)
+        idx = idx[np.argsort(p[:, np.argmax(p.max(axis=0) - p.min(axis=0))], kind="stable")]
+        todo += [idx[len(idx) // 2 :], idx[: len(idx) // 2]]
+    return leaves
+
+
+def _crossings(g: _Geometry, f: np.ndarray, a: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Whether a segment from image ``a[:, i]`` to some point ``b`` of the box
+    ``lo[:, i]..hi[:, i]`` may cross facet ``f[i]`` where :func:`_hit` accepts
+    it, and a box that holds every crossing it accepts; all coordinate-major
+    ``[3, n]``.
+
+    The pair is dead if no point of the box lies strictly beyond the plane from
+    ``a``, as ``_hit``'s crossing needs. If the whole box lies beyond the plane
+    or on it, the crossings are the central projection of the box from ``a``,
+    which lies in the hull of its 8 projected corners. There each corner's ratio
+    ``t`` of offsets from the plane is in (0, 1], so along each axis the hull runs
+    from the lower of the box's low coordinate projected at the 2 corner ratios
+    to the higher of its high one. Both that hull and ``_hit``'s crossing round
+    by under 5 eps * s per coordinate, s being the largest coordinate of ``a``
+    plus that of the box, so the hull is widened by ``16 * eps * s``: no fixed
+    length covers the rounding of coordinates of every size, though at city
+    scale (s < 1e3 m) this slack is under 4e-12 m, far below ``_EPS``. The pair
+    is dead too if the widened hull misses the facet's bounds widened by
+    ``_EPS``, as ``_hit`` has them. The box of crossings is the widened hull
+    clipped to those bounds, and the plane value widened by the slack along the
+    normal. A box that straddles the plane keeps its pair, and its crossings'
+    box is the facet's bounds alone, which for the ground are not finite; a
+    box that is not finite keeps its pair."""
+    rows = np.arange(len(f))
+    ax, v = g.axis[f], g.value[f]
+    da, dlo, dhi = a[ax, rows] - v, lo[ax, rows] - v, hi[ax, rows] - v
+    cross = ((da > 0) & (dlo < 0)) | ((da < 0) & (dhi > 0))
+    beyond = ((da > 0) & (dhi <= 0)) | ((da < 0) & (dlo >= 0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_lo, t_hi = da / (da - dlo), da / (da - dhi)
+        to_lo, to_hi = lo - a, hi - a
+        slack = 16 * np.finfo(np.float64).eps * (
+            np.abs(a).max(axis=0) + np.maximum(np.abs(lo), np.abs(hi)).max(axis=0))
+        plo = np.minimum(a + t_lo * to_lo, a + t_hi * to_lo) - slack
+        phi = np.maximum(a + t_lo * to_hi, a + t_hi * to_hi) + slack
+        plo[:, ~beyond], phi[:, ~beyond] = -np.inf, np.inf
+        plo[ax, rows], phi[ax, rows] = v - slack, v + slack
+        plo = np.maximum(plo, np.take(g.lo, f, axis=0).T - _EPS)
+        phi = np.minimum(phi, np.take(g.hi, f, axis=0).T + _EPS)
+        finite = np.isfinite(lo).all(axis=0) & np.isfinite(hi).all(axis=0)
+        return ~finite | (cross & ~(plo > phi).any(axis=0)), plo, phi
+
+
+def _live(g: _Geometry, facets: np.ndarray, images: np.ndarray, rx: np.ndarray,
+          leaves: list[np.ndarray]) -> list[np.ndarray]:
+    """For each leaf of receivers ``rx[leaf]``, the indices of the chains of
+    ``facets [n, b]`` and ``images [n, b, 3]`` that its receivers may use. A leaf
+    of one receiver keeps every chain, since :func:`_hit` tests its one lane per
+    chain exactly. Other leaves keep the chains that :func:`_crossings` passes
+    from the leaf's bounding box backwards, over at most ``_LANE_BUDGET // 2``
+    (leaf, chain) pairs at once, since a pair's temporaries take about twice a
+    lane's."""
+    n, bounces = facets.shape
+    live = [np.arange(n)] * len(leaves)
+    many = [i for i, leaf in enumerate(leaves) if len(leaf) > 1] if bounces and n else []
+    step = max(1, _LANE_BUDGET // (2 * max(n, 1)))
+    for part in (many[s : s + step] for s in range(0, len(many), step)):
+        sizes = [len(leaves[i]) for i in part]
+        p = np.take(rx, np.concatenate([leaves[i] for i in part]), axis=0)
+        starts = np.cumsum(sizes) - sizes
+        lo = np.repeat(np.minimum.reduceat(p, starts).T, n, axis=1)
+        hi = np.repeat(np.maximum.reduceat(p, starts).T, n, axis=1)
+        alive = np.ones(len(part) * n, dtype=bool)
+        for j in reversed(range(bounces)):
+            ok, lo, hi = _crossings(g, np.tile(facets[:, j], len(part)),
+                                    np.tile(images[:, j].T, len(part)), lo, hi)
+            alive &= ok
+        for i, mask in zip(part, alive.reshape(-1, n)):
+            live[i] = np.flatnonzero(mask)
+    return live
+
+
+def _lanes(leaves: list[np.ndarray], live: list[np.ndarray]):
+    """Each leaf's receivers times its ``live`` chains, receiver-major, as
+    (receiver, chain) index arrays over whole leaves, at most ``_LANE_BUDGET``
+    lanes at once unless one leaf holds more."""
+    idx, chain = [], []
+    for leaf, chains in zip(leaves, live):
+        if idx and sum(map(len, idx)) + len(leaf) * len(chains) > _LANE_BUDGET:
+            yield np.concatenate(idx), np.concatenate(chain)
+            idx, chain = [], []
+        idx.append(leaf.repeat(len(chains)))
+        chain.append(np.tile(chains, len(leaf)))
+    yield np.concatenate(idx), np.concatenate(chain)
 
 
 def _trace(g: _Geometry, rx: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -344,33 +466,35 @@ def _trace(g: _Geometry, rx: np.ndarray) -> tuple[np.ndarray, ...]:
     ``d`` (m), ``Gamma^b`` for its ``b`` reflections, the summed magnitudes of
     its segments' components ``[3]``, and its first and last segments ``[3]``.
 
-    The receivers are traced in chunks of about ``_LANE_BUDGET`` chain lanes;
-    paths are listed by chunk, then bounce order, then receiver, then chain.
+    :func:`_leaves` splits the receivers into leaves of at most
+    ``_LANE_BUDGET // chains``. Each bounce order drops the (leaf, chain) pairs
+    that :func:`_live` finds dead, then traces the rest as (receiver, chain)
+    lanes. Paths are listed by bounce order, then leaf, receiver and chain, so
+    within a receiver by bounce order, then chain, as :func:`trace_paths` lists
+    them; the record of a receiver traced among others is the one it has alone.
     Reflection points are found from rx backwards, each where the ray from its
     image to the next point crosses its facet; each facet must face both
     neighbouring vertices, by more than ``_EPS``. No length is divided by, so a
     receiver at tx traces too."""
-    per_chunk = max(1, _LANE_BUDGET // sum(len(facets) for facets, _ in g.chains))
+    leaves = _leaves(rx, max(1, _LANE_BUDGET // sum(len(facets) for facets, _ in g.chains)))
     record = []
-    for start in range(0, max(len(rx), 1), per_chunk):
-        chunk = rx[start : start + per_chunk]
-        for facets, images in g.chains:
-            n, bounces = facets.shape
-            idx = np.repeat(np.arange(len(chunk)), n)
-            chain = np.tile(np.arange(n), len(chunk))
-            points = [chunk[idx]]
+    for facets, images in g.chains:
+        bounces = facets.shape[1]
+        for idx, chain in _lanes(leaves, _live(g, facets, images, rx, leaves)):
+            points = [np.take(rx, idx, axis=0)]
             for j in reversed(range(bounces)):
-                r, hit = _hit(g, facets[chain, j], images[chain, j], points[0])
+                hit, r = _hit(g, facets[chain, j], np.take(images[:, j], chain, axis=0), points[0])
                 idx, chain = idx[hit], chain[hit]
-                points = [r[hit]] + [p[hit] for p in points]
-            verts = np.stack([np.broadcast_to(g.tx, (len(idx), 3)), *points], axis=1)
+                points = [r] + [np.take(p, hit, axis=0) for p in points]
+            verts = np.concatenate([g.tx[None, None].repeat(len(idx), axis=0)]
+                                   + [p[:, None] for p in points], axis=1)
             ok = np.ones(len(idx), dtype=bool)
             for j in range(bounces):
                 f = facets[chain, j]
                 ok &= _outside(g, f, verts[:, j]) & _outside(g, f, verts[:, j + 2])
             ok[ok] = ~_blocked(g, verts[ok])
             segs = np.diff(verts[ok], axis=1)
-            record.append((start + idx[ok], np.linalg.norm(segs, axis=2).sum(axis=1),
+            record.append((idx[ok], np.linalg.norm(segs, axis=2).sum(axis=1),
                            np.full(len(segs), _GAMMA**bounces), np.abs(segs).sum(axis=1),
                            segs[:, 0], segs[:, -1]))
     return tuple(map(np.concatenate, zip(*record)))

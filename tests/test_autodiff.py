@@ -688,15 +688,23 @@ class TestBackward:
             tape.backward(loss)
             assert len(tape) > 0 and w.grad is not None
 
-        was_enabled = gc.isenabled()
+        # A line tracer (a pure-Python coverage run) can tie each frame it traces
+        # into a cycle with its trace function: suspend it for the step, and
+        # collect until no cycle is left (a finalized generator's frame may only
+        # go in a second pass) before the step is measured.
+        tracer, was_enabled = sys.gettrace(), gc.isenabled()
         gc.disable()
+        sys.settrace(None)
         try:
-            gc.collect()
+            while gc.collect():
+                pass
             step()
-            assert gc.collect() == 0
+            cycles = gc.collect()
         finally:
+            sys.settrace(tracer)
             if was_enabled:
                 gc.enable()
+        assert cycles == 0
 
     def test_tapes_in_concurrent_threads_stay_separate(self):
         # Each thread records chains of 20 multiplications, y = x^21, on its
@@ -836,10 +844,11 @@ class TestTensor:
         "make, match",
         [(lambda: Tensor([1 + 2j]), "tensor data"),
          (lambda: Tensor(["a"]), "tensor data"),
+         (lambda: Tensor([[1, 2], [3]]), "tensor data"),
          (lambda: mean(Tensor(np.ones(0))), "empty tensor"),
          (lambda: scale(Tensor(np.ones(2)), "2"), "scale factor"),
          (lambda: scale(Tensor(np.ones(2)), np.nan), "scale factor")],
-        ids=["complex", "text", "empty-mean", "text-scale", "nan-scale"],
+        ids=["complex", "text", "ragged", "empty-mean", "text-scale", "nan-scale"],
     )
     def test_malformed_input_raises_value_error(self, make, match):
         with pytest.raises(ValueError, match=match):

@@ -202,7 +202,8 @@ class TestPathAndPulseChecks:
         "kw",
         [dict(ts=np.nan), dict(ts=np.inf), dict(ts=1e-9, t_off=np.nan), dict(ts="1"),
          dict(ts=None), dict(ts=1e-9, beta="0.3"), dict(ts=1e-9, beta=None),
-         dict(ts=1e-9, t_off="0"), dict(ts=1e-9, t_off=None)],
+         dict(ts=1e-9, t_off="0"), dict(ts=1e-9, t_off=None), dict(ts=True),
+         dict(ts=1e-9, beta=np.False_)],
     )
     def test_pulse_rejects_non_finite(self, kw):
         with pytest.raises(ValueError, match="finite"):

@@ -102,6 +102,7 @@ class TestPilotConfigChecks:
             (dict(nt="2"), "nt"),
             (dict(snr_db="10"), "snr_db"),
             (dict(snr_db="x"), "snr_db"),
+            (dict(snr_db=True), "snr_db"),
             (dict(n_pilot=17), "n_pilot <= n_sc"),
             (dict(placement=(0, 4, 4, 12)), "strictly increasing"),
             (dict(placement=(0, 8, 4, 12)), "strictly increasing"),
@@ -109,7 +110,8 @@ class TestPilotConfigChecks:
             (dict(placement=(0, 4, 8, 16)), "outside subcarrier range"),
         ],
         ids=["snr-nan", "snr-inf", "nt-zero", "nt-negative", "n_sc-float", "n_pilot-float",
-             "nt-float", "nt-string", "snr-numeric-string", "snr-string", "more-pilots",
+             "nt-float", "nt-string", "snr-numeric-string", "snr-string", "snr-bool",
+             "more-pilots",
              "repeated-pilot", "unsorted-pilots", "too-few-pilots", "pilot-past-band"],
     )
     def test_rejects(self, kw, match):

@@ -200,6 +200,7 @@ class TestInputChecks:
             (lambda m: rss_from_fields([1e-3, np.nan], 0.02), "fields"),
             (lambda m: rss_from_fields([1e-3], "1"), "wavelength"),
             (lambda m: rss_from_fields([1e-3], None), "wavelength"),
+            (lambda m: rss_from_fields([1j], True), "wavelength"),
             (lambda m: rss_from_fields([1e-3, "x"], 0.02), "fields"),
             (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), None), "power"),
             (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), "x"), "power"),
@@ -215,7 +216,7 @@ class TestInputChecks:
         ],
         ids=["patch-inf", "patch-minus-inf", "patch-nan", "fields-nan", "fields-inf",
              "channel-nan", "channel-inf", "field-value-nan", "wavelength-string",
-             "wavelength-none", "field-value-string", "channel-none", "channel-string",
+             "wavelength-none", "wavelength-bool", "field-value-string", "channel-none", "channel-string",
              "cell-none", "cell-string", "cell-numeric-string", "taps-numeric-string",
              "cell-scalar", "cell-bare-none", "cell-numpy-scalar", "patch-scalar",
              "patch-bare-none"],

@@ -17,18 +17,23 @@ import json
 import pathlib
 import sys
 from dataclasses import astuple
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from mbce import propagation
 from mbce.propagation import (
     _LANE_BUDGET,
     Box,
     Scene,
     _candidates,
     _geometry,
+    _inside,
+    _leaves,
+    _live,
     _trace,
     generate_rss_map,
     rss_from_fields,
@@ -229,6 +234,12 @@ def test_map_spanning_several_chunks_matches_per_cell_traces():
     assert np.count_nonzero(m.values) * lanes > 3 * _LANE_BUDGET
 
 
+def test_map_without_buildings_matches_per_cell_traces():
+    # no walls, so the 2-bounce order has no chain at all
+    scene = Scene((), TX, CARRIER, max_bounces=2)
+    assert_cells_are_traced_sums(scene, (-40.0, -40.0), 10.0, (9, 9))
+
+
 def test_all_indoor_map_is_zero():
     scene = Scene((Box(-50.0, 50.0, 20.0, 60.0, 0.0, 30.0),), TX, CARRIER, max_bounces=2)
     m = generate_rss_map(scene, (-40.0, 25.0), 5.0, (6, 9), RX_HEIGHT)
@@ -303,6 +314,117 @@ def test_pair_reflecting_just_past_a_plane_is_kept(reach, x):
     assert len(corner) == 1 and corner[0][0] == pytest.approx(x, rel=1e-3)
     for w, g in zip(want, got, strict=True):
         np.testing.assert_array_equal(g, w)
+
+
+def assert_traced_alone(scene, rx, budget):
+    """_trace of all of ``rx``, with ``budget`` lanes at once, split by receiver in
+    traced order, equals _trace of each receiver alone, column for column."""
+    g = scene._tracer
+    with patch.object(propagation, "_LANE_BUDGET", budget):
+        got = _trace(g, rx)
+    for i in range(len(rx)):
+        alone, mine = _trace(g, rx[i : i + 1]), got[0] == i
+        for want, col in zip(alone[1:], got[1:], strict=True):
+            np.testing.assert_array_equal(col[mine], want)
+
+
+# receiver heights on and below the ground as well as above it, so that a leaf's
+# box may lie on the ground's plane or straddle it
+HEIGHTS = st.one_of(st.floats(0.5, 45.0), st.sampled_from([0.0, -1e-12, -1e-9, -2e-9, -0.5]),
+                    st.floats(-20.0, 0.0))
+
+
+@st.composite
+def culled_traces(draw):
+    """A scene of 1-5 boxes, 1 or 2 bounces and tx anywhere outdoors; 1-60 receivers
+    at mixed heights, many of them within 3 m of one point, others anywhere, next to
+    walls or at tx; and a lane budget that gives leaves of one receiver, of a few, or
+    of up to ``_LANE_BUDGET`` lanes."""
+    buildings = draw(st.lists(st.one_of(boxes, aligned_boxes), min_size=1, max_size=5))
+    xy = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
+    tx = draw(st.one_of(st.builds(lambda p, z: (*p, z), xy, st.floats(0.5, 45.0)),
+                        near_wall(buildings)), label="tx")
+    assume(not any(b.contains(tx) for b in buildings))
+    scene = Scene(tuple(buildings), tx, CARRIER, max_bounces=draw(st.sampled_from([1, 2])))
+    cx, cy = draw(xy, label="cluster")
+    near = st.builds(lambda dx, dy, z: (cx + dx, cy + dy, z), st.floats(-3.0, 3.0),
+                     st.floats(-3.0, 3.0), HEIGHTS)
+    points = st.one_of(st.builds(lambda p, z: (*p, z), xy, HEIGHTS), near, near,
+                       near_wall(buildings), st.just(tx))
+    rx = np.array(draw(st.lists(points, min_size=1, max_size=60), label="rx"))
+    chains = sum(len(facets) for facets, _ in scene._tracer.chains)
+    budget = draw(st.sampled_from([_LANE_BUDGET, 2 * chains, 7 * chains, chains]), label="budget")
+    return scene, rx, budget
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=culled_traces())
+def test_culled_leaves_trace_as_each_receiver_alone(case):
+    """The leaves' cull drops no lane that _hit accepts, and the record keeps each
+    receiver's paths in bounce order, then chain: a receiver traced among others
+    gives the columns it gives alone, for receivers on, below or above the ground."""
+    assert_traced_alone(*case)
+
+
+# the same property searched deeper (~1,000 examples)
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=culled_traces())
+def test_culled_leaves_trace_as_each_receiver_alone_deep(case):
+    assert_traced_alone(*case)
+
+
+def test_receivers_straddling_the_ground_keep_every_path():
+    # One leaf holds receivers above, on and below the ground, so its box straddles
+    # the ground's plane, and the box of its last reflection points, on the ground,
+    # is not finite: the (wall, ground) pairs must be kept, not dropped.
+    wall = Box(10.0, 20.0, -10.0, 10.0, 0.0, 30.0)
+    scene = Scene((wall,), (0.0, 0.0, 12.0), CARRIER, max_bounces=2)
+    rx = np.array([[-5.0, 3.0, 2.0], [-6.0, 2.0, -3.0], [-4.0, 4.0, 0.0], [-7.0, 1.0, 1.0]])
+    _, _, gamma, _, first, last = _trace(scene._tracer, rx)
+    assert np.any((gamma == (-0.7) ** 2) & (first[:, 0] > 0) & (last[:, 2] > 0))
+    assert_traced_alone(scene, rx, _LANE_BUDGET)
+
+
+def test_leaf_reflecting_within_eps_of_a_facet_edge_keeps_the_pair():
+    # tx and the first receiver sit at the wall's top, 30 m, so the receiver's
+    # reflection point lands 0.5e-9 m above it, where _hit still accepts it; the
+    # other receiver's lands 5 m above. The cull must widen the wall's bounds by _EPS.
+    wall = Box(10.0, 20.0, -10.0, 10.0, 0.0, 30.0)
+    scene = Scene((wall,), (0.0, 0.0, 30.0), CARRIER, max_bounces=1)
+    rx = np.array([[0.0, 0.0, 30.0 + 1e-9], [0.0, 5.0, 40.0]])
+    _, _, gamma, _, first, _ = _trace(scene._tracer, rx[:1])
+    assert np.any((gamma == -0.7) & (first[:, 0] > 0))  # the wall's reflection
+    assert_traced_alone(scene, rx, _LANE_BUDGET)
+
+
+def test_leaf_straddling_a_wall_plane_keeps_the_pair():
+    # The leaf's box spans the wall's plane (x = 10), from 0.1 m before it to 25 m
+    # beyond tx's image. Only the receiver 1 mm before the plane reflects within
+    # the wall's extent (y <= -5.95), outside the hull of the box's projected
+    # corners, which holds no point of a straddling box's crossings.
+    wall = Box(10.0, 20.0, -20.0, -5.95, 0.0, 30.0)
+    scene = Scene((wall,), (0.0, 0.0, 10.0), CARRIER, max_bounces=1)
+    rx = np.array([[9.9, -6.0, 10.0], [35.0, -3.0, 10.0], [9.999, -6.0, 10.0]])
+    _, _, gamma, _, first, _ = _trace(scene._tracer, rx[2:])
+    assert np.any((gamma == -0.7) & (first[:, 0] > 0))  # the wall's reflection
+    assert_traced_alone(scene, rx, _LANE_BUDGET)
+
+
+def test_cull_drops_most_two_bounce_pairs():
+    # city(0)'s 40 x 40 map at 4 m: the pair stage keeps under a third of the
+    # (leaf, chain) pairs of its 2-bounce order (about 8% when recorded)
+    scene = city(0)
+    g = scene._tracer
+    r, c = np.indices((40, 40)).reshape(2, -1)
+    cells = np.stack([-78.0 + 4.0 * c, -78.0 + 4.0 * r, np.full(r.size, RX_HEIGHT)], axis=1)
+    cells = cells[~_inside(g, cells)]
+    facets, images = g.chains[2]
+    leaves = _leaves(cells, _LANE_BUDGET // sum(len(f) for f, _ in g.chains))
+    assert len(leaves) > 10 and all(len(leaf) > 1 for leaf in leaves)
+    live = _live(g, facets, images, cells, leaves)
+    pairs = sum(len(chains) for chains in live)
+    assert pairs < len(leaves) * len(facets) / 3
 
 
 def test_pruning_drops_most_candidate_chains():
