@@ -6,6 +6,11 @@ OFDM pilots, and benchmarks them against an OMP sparse-recovery baseline.
 ``mbce.autodiff`` is a small reverse-mode engine for the refinement network,
 which is not implemented yet.
 
+Power has one convention, for a unit transmit power: a traced path's gain is
+its per-element field gain ``lambda * E / sqrt(8*pi*eta0)``, so a channel's
+RSS is its mean power per antenna pair and, for one on-grid path, equals the
+RSS of its field.
+
 Boundary contract: a count, real, point or array argument that is malformed
 (not a number, of the wrong shape or out of range) or non-finite raises
 ``ValueError`` naming the argument; a numeric string such as ``"1"`` is not a
@@ -19,11 +24,11 @@ points share, such as the URA response under ``synth_channel`` and the OMP
 dictionary, check nothing and take what their callers have checked.
 
 Configs are values: ``ArrayGeometry``, ``PulseConfig``, ``PilotConfig``,
-``GainCalibration``, ``Box``, ``Scene`` and ``OmpDictionary`` are frozen
-dataclasses, checked once when made, that compare and hash by their fields.
-What they derive from those fields is not a field and takes no part in ``==``
-or ``hash``; an array they derive and keep, such as ``PilotConfig.pilot_matrix``
-or ``OmpDictionary.rx_dirs``, is read-only.
+``Box``, ``Scene`` and ``OmpDictionary`` are frozen dataclasses, checked once
+when made, that compare and hash by their fields. What they derive from those
+fields is not a field and takes no part in ``==`` or ``hash``; an array they
+derive and keep, such as ``PilotConfig.pilot_matrix`` or
+``OmpDictionary.rx_dirs``, is read-only.
 """
 
 __version__ = "0.1.0"

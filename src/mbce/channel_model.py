@@ -69,7 +69,9 @@ class PathSet:
     channel gains; ``toas``, times of arrival in seconds; ``aoa_az``,
     ``aoa_el``, ``aod_az`` and ``aod_el``, arrival and departure angles in
     radians; ``fields``, the complex electric-field amplitudes in V/m at the
-    receiver, zeros when not given. Columns are stored as float64 or
+    receiver, zeros when not given. A traced path's ``alphas`` are
+    ``lambda * fields / sqrt(8*pi*eta0)``, its per-element gain (see
+    :func:`mbce.propagation.trace_paths`). Columns are stored as float64 or
     complex128 arrays. Every column must hold finite numbers, not text;
     ``toas`` must be >= 0, elevations in [-pi/2, pi/2] and azimuths in
     (-pi, pi] (each with 1e-12 slack). A violation raises ``ValueError``

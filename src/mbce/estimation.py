@@ -335,6 +335,8 @@ def nmse(h_hat: ChannelTensor, h: ChannelTensor) -> float:
 
 
 def nmse_db(h_hat: ChannelTensor, h: ChannelTensor) -> float:
+    """:func:`nmse` in dB, ``10*log10(nmse)``; an NMSE below 1e-30 reads
+    -300 dB, so an exact estimate gives a finite figure."""
     return 10.0 * np.log10(max(nmse(h_hat, h), 1e-30))
 
 

@@ -1,9 +1,10 @@
 """Per-path electric fields, RSS maps, and the image-method ray model.
 
 Received signal strength follows the coherent field sum
-``RSS = lambda^2 / (8*pi*eta0) * |sum_l E_l|^2`` and, equivalently on the
-channel side, ``RSS = P_T * sum_d ||H_d||_F^2`` once path gains are
-calibrated as ``alpha_l = lambda * E_l / sqrt(8*pi*eta0*P_T*Nr*Nt)``.
+``RSS = lambda^2 / (8*pi*eta0) * |sum_l E_l|^2``. A path's gain is its
+per-element field gain ``alpha_l = lambda * E_l / sqrt(8*pi*eta0)``, so on the
+channel side the RSS is the mean power per antenna pair,
+``sum_d ||H_d||_F^2 / (Nr*Nt)``, and the two agree for one on-grid path.
 
 The ray model returns the line-of-sight path plus specular reflections
 (image method) off the ground and off vertical building facets, up to two
@@ -46,9 +47,7 @@ __all__ = [
     "Scene",
     "RssMap",
     "RssPatch",
-    "GainCalibration",
     "trace_paths",
-    "calibrate_alphas",
     "rss_from_fields",
     "rss_from_channel",
     "generate_rss_map",
@@ -97,10 +96,12 @@ class Scene:
     """Static propagation environment: buildings, ground plane at z=0, one tx.
 
     ``buildings`` is a sequence of :class:`Box` and ``tx_position`` 3 finite
-    values, stored as a tuple of boxes and a tuple of floats so that a scene
-    stays hashable and compares by value. ``carrier_freq`` is finite and > 0,
-    ``max_bounces`` the integer 0, 1 or 2. Every facet, the ground included,
-    reflects with Gamma = -0.7, whatever the carrier and the incidence angle.
+    values outside every building (as :meth:`Box.contains` has it, so a tx on
+    a wall's plane is outside), stored as a tuple of boxes and a tuple of
+    floats so that a scene stays hashable and compares by value.
+    ``carrier_freq`` is finite and > 0, ``max_bounces`` the integer 0, 1 or 2.
+    Every facet, the ground included, reflects with Gamma = -0.7, whatever the
+    carrier and the incidence angle.
     """
 
     buildings: tuple[Box, ...]
@@ -118,6 +119,8 @@ class Scene:
         object.__setattr__(self, "buildings", buildings)
         tx = point(self.tx_position, "tx_position")
         object.__setattr__(self, "tx_position", tuple(tx.tolist()))
+        if any(b.contains(tx) for b in buildings):
+            raise ValueError(f"tx_position {self.tx_position} lies inside a building")
         count_fields(self, "max_bounces")
         real(self.carrier_freq, "carrier_freq", positive=True)
         if self.max_bounces not in (0, 1, 2):
@@ -183,25 +186,6 @@ class RssPatch:
         self.values = finite_array(self.values, "patch values")
         if self.values.ndim != 2 or self.values.shape[0] != self.values.shape[1]:
             raise ValueError(f"patch values must be square, got shape {self.values.shape}")
-
-
-@dataclass(frozen=True)
-class GainCalibration:
-    """Context needed to map a field amplitude to a channel gain.
-
-    ``alpha = lambda * E / sqrt(8*pi*eta0 * p_t * nr * nt)`` makes the
-    field-side and channel-side RSS agree exactly for a single on-grid path
-    (``||outer(a_r, a_t)||_F^2 = nr*nt`` and unit pulse energy on-grid).
-    ``p_t`` must be finite and > 0, ``nr`` and ``nt`` integers >= 1.
-    """
-
-    p_t: float = 1.0
-    nr: int = 1
-    nt: int = 1
-
-    def __post_init__(self):
-        count_fields(self, "nr", "nt", low=1)
-        real(self.p_t, "transmit power p_t", positive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +484,6 @@ def _trace(g: _Geometry, rx: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(map(np.concatenate, zip(*record)))
 
 
-def _gain_scale(wavelength: float, calib: GainCalibration) -> float:
-    """Field-to-gain factor ``lambda / sqrt(8*pi*eta0 * p_t * nr * nt)``."""
-    return wavelength / math.sqrt(8.0 * math.pi * ETA0 * calib.p_t * calib.nr * calib.nt)
-
-
 def _fields(gamma: np.ndarray, dist: np.ndarray, wavelength: float) -> np.ndarray:
     """Fields ``E = Gamma^b * exp(-2j*pi*d/lambda) / d`` (V/m, for a 1 V/m reference
     field at 1 m) of paths of length ``d``, Gamma being -0.7 at every facet whatever
@@ -521,10 +500,9 @@ def trace_paths(scene: Scene, rx_position) -> PathSet:
     facet chain. An occluded receiver with no reflected path yields an empty
     PathSet. ``fields`` holds ``E = Gamma^b * exp(-2j*pi*d/lambda) / d``, with
     Gamma = -0.7 at every facet whatever the carrier and the incidence angle,
-    and ``alphas`` the channel gains for the default :class:`GainCalibration`;
-    :func:`calibrate_alphas` recomputes them for another transmit power or
-    other array sizes. ``rx_position`` must be 3 finite values, outside every
-    building and not at the transmitter.
+    and ``alphas`` the per-element gains ``lambda * E / sqrt(8*pi*eta0)``.
+    ``rx_position`` must be 3 finite values, outside every building and not at
+    the transmitter.
     """
     rx = point(rx_position, "rx_position")[None]
     g = scene._tracer
@@ -543,16 +521,8 @@ def trace_paths(scene: Scene, rx_position) -> PathSet:
     u = np.stack([np.copysign(span, -last), np.copysign(span, first)])
     az = np.arctan2(u[..., 1], u[..., 0])
     el = np.arcsin(np.clip(u[..., 2], -1.0, 1.0))
-    scale = _gain_scale(scene.wavelength, GainCalibration())
-    return PathSet(efield * scale, dist / C0, az[0], el[0], az[1], el[1], fields=efield)
-
-
-def calibrate_alphas(paths: PathSet, wavelength: float, calib: GainCalibration) -> PathSet:
-    """``paths`` with ``alphas`` recomputed from ``fields`` for a finite ``wavelength`` > 0
-    and the transmit power and array sizes of ``calib``, as :func:`trace_paths` computes
-    them; other columns shared."""
-    real(wavelength, "wavelength", positive=True)
-    return replace(paths, alphas=paths.fields * _gain_scale(wavelength, calib))
+    alphas = efield * (scene.wavelength / math.sqrt(8.0 * math.pi * ETA0))
+    return PathSet(alphas, dist / C0, az[0], el[0], az[1], el[1], fields=efield)
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +542,15 @@ def rss_from_fields(fields, wavelength: float) -> float:
     return float(_coherent_power(np.sum(fields), wavelength))
 
 
-def rss_from_channel(h: ChannelTensor, p_t: float) -> float:
-    """Channel-side received power ``P_T * sum_d ||H_d||_F^2`` of a :class:`ChannelTensor`."""
+def rss_from_channel(h: ChannelTensor) -> float:
+    """Channel-side received power of a :class:`ChannelTensor`: its mean power per
+    antenna pair, ``sum_d ||H_d||_F^2 / (Nr*Nt)``; ``h`` has at least one pair."""
     if not isinstance(h, ChannelTensor):
         raise ValueError(f"h must be a ChannelTensor, got {type(h).__name__}")
-    real(p_t, "transmit power p_t", positive=True)
-    return float(p_t * np.sum(np.abs(h.taps) ** 2))
+    _, nr, nt = h.taps.shape
+    if nr * nt == 0:
+        raise ValueError(f"h has no antenna pair, shape {h.taps.shape}")
+    return h.energy() / (nr * nt)
 
 
 def generate_rss_map(

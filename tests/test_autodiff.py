@@ -1,6 +1,5 @@
 import gc
 import sys
-import tracemalloc
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
@@ -35,6 +34,7 @@ from mbce.autodiff.convops import _COL_BUDGET, _Lowering
 from mbce.autodiff.engine import _tensor_sum as tensor_sum
 
 from archives import npy_bytes, npy_with_header, npz_bytes
+from memory import traced_peak
 
 RNG = np.random.default_rng(2024)
 ONE32 = np.ones(1, np.float32)
@@ -452,14 +452,13 @@ class TestConvBlocks:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(16, 32, 32, 32)).astype(np.float32), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 32, 3, 3)).astype(np.float32), requires_grad=True)
-        tracemalloc.start()
-        try:
+
+        def step():
             with Tape() as tape:
                 loss = tensor_sum(conv2d(x, k, pad=1))
             tape.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, peak = traced_peak(step)
         assert x.grad.shape == x.shape and k.grad.shape == k.shape
         assert peak <= 10e6
 

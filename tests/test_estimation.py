@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from mbce.estimation import (
     transmit_pilots,
 )
 
+from memory import traced_peak
 from references import channel_frequency_response, interp_reference
 
 
@@ -340,12 +340,7 @@ class TestBandMemory:
     @staticmethod
     def peak_of(fn, *args):
         fn(*args)
-        tracemalloc.start()
-        try:
-            result = fn(*args)
-            return result, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(fn, *args)
 
     def test_interpolation_holds_no_second_band(self):
         rng = np.random.default_rng(12)

@@ -17,7 +17,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +32,8 @@ from mbce.estimation import (
     omp_estimate,
     transmit_pilots,
 )
+
+from memory import traced_peak
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "omp_selected.json"
 RX, TX = ArrayGeometry(4, 4), ArrayGeometry(8, 4)
@@ -89,27 +90,17 @@ def test_selected_atoms_match_recorded(case):
     np.testing.assert_allclose(res.residual_norms, case["residual_norms"], rtol=1e-9, atol=0)
 
 
-def traced_peak(fn, *args, **kwargs) -> int:
-    """Peak bytes traced by ``tracemalloc`` during one call of ``fn``."""
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_adjoint_makes_no_grid_sized_temporary():
     # The 262,144-atom correlation itself is 4 MiB of complex128.
     obs = link(0)
-    assert traced_peak(DICTIONARY.adjoint, obs.y, CFG) <= 6 * 2**20
+    assert traced_peak(DICTIONARY.adjoint, obs.y, CFG)[1] <= 6 * 2**20
 
 
 def test_omp_holds_no_grid_sized_array_besides_the_correlation():
     # alpha0 (4 MiB), one slab's residual correlation and its magnitude
     # (192 KiB), the Gram factors and the refit's inverse Cholesky factor.
     obs = link(0)
-    assert traced_peak(omp_estimate, obs, CFG, DICTIONARY, K_MAX) <= 6 * 2**20
+    assert traced_peak(omp_estimate, obs, CFG, DICTIONARY, K_MAX)[1] <= 6 * 2**20
 
 
 def residual_corr(alpha0, gram, selected, gains):

@@ -1,8 +1,10 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import mbce
 
@@ -29,6 +31,21 @@ def test_every_all_resolves_and_lists_the_public_definitions():
             and obj.__module__ == name
         }
         assert defined <= set(exported), f"{name}.__all__ lacks {sorted(defined - set(exported))}"
+
+
+def test_docstring_names_every_config():
+    # the package docstring's "Configs are values" list is the set of frozen
+    # dataclasses the modules export, so a config deleted or added without it fails
+    listed = mbce.__doc__.split("Configs are values:")[1].split(" are frozen")[0]
+    frozen = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", []):
+            obj = getattr(module, attr)
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+                if obj.__dataclass_params__.frozen:
+                    frozen.add(attr)
+    assert set(re.findall(r"``(\w+)``", listed)) == frozen
 
 
 def test_no_module_packs_bytes_by_hand():

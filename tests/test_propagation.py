@@ -19,11 +19,9 @@ from mbce.propagation import (
     C0,
     ETA0,
     Box,
-    GainCalibration,
     RssMap,
     RssPatch,
     Scene,
-    calibrate_alphas,
     generate_rss_map,
     load_rss_map,
     rss_from_channel,
@@ -107,12 +105,18 @@ class TestInputChecks:
             ("buildings", (Box(0.0, 1.0, 0.0, 1.0, 0.0, 1.0), None), "buildings"),
             ("buildings", None, "buildings"),
             ("max_bounces", 3, "max_bounces must be 0, 1 or 2"),
+            # a building around the tx at (0, 0, 25), which would trace no path
+            ("buildings", (Box(-1.0, 1.0, -1.0, 1.0, 0.0, 30.0),), "tx_position"),
         ],
     )
     def test_scene_rejects(self, name, bad, match):
         good = dict(buildings=(), tx_position=(0.0, 0.0, 25.0), carrier_freq=CARRIER)
         with pytest.raises(ValueError, match=match):
             Scene(**{**good, name: bad})
+
+    def test_scene_tx_on_a_wall_plane_is_outside(self):
+        scene = Scene((Box(0.0, 1.0, -1.0, 1.0, 0.0, 30.0),), (0.0, 0.0, 25.0), CARRIER)
+        assert len(trace_paths(scene, (-40.0, 0.0, 1.5))) > 0
 
     def test_scene_from_a_list_of_boxes_is_hashable(self):
         wall = Box(10.0, 14.0, -20.0, 20.0, 0.0, 30.0)
@@ -195,15 +199,11 @@ class TestInputChecks:
             (lambda m: rss_patch_at(m, (np.nan, 0.0), 3), "position"),
             (lambda m: rss_from_fields([1e-3], np.nan), "wavelength"),
             (lambda m: rss_from_fields([1e-3], np.inf), "wavelength"),
-            (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), np.nan), "power"),
-            (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), np.inf), "power"),
             (lambda m: rss_from_fields([1e-3, np.nan], 0.02), "fields"),
             (lambda m: rss_from_fields([1e-3], "1"), "wavelength"),
             (lambda m: rss_from_fields([1e-3], None), "wavelength"),
             (lambda m: rss_from_fields([1j], True), "wavelength"),
             (lambda m: rss_from_fields([1e-3, "x"], 0.02), "fields"),
-            (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), None), "power"),
-            (lambda m: rss_from_channel(ChannelTensor(np.ones((1, 1, 1))), "x"), "power"),
             (lambda m: m.nearest_cell((None, 1.0)), "position"),
             (lambda m: m.nearest_cell(("x", 1.0)), "position"),
             (lambda m: m.nearest_cell(("1", 2.0)), "position"),
@@ -215,9 +215,8 @@ class TestInputChecks:
             (lambda m: rss_patch_at(m, None, 3), "position"),
         ],
         ids=["patch-inf", "patch-minus-inf", "patch-nan", "fields-nan", "fields-inf",
-             "channel-nan", "channel-inf", "field-value-nan", "wavelength-string",
-             "wavelength-none", "wavelength-bool", "field-value-string", "channel-none", "channel-string",
-             "cell-none", "cell-string", "cell-numeric-string", "taps-numeric-string",
+             "field-value-nan", "wavelength-string", "wavelength-none", "wavelength-bool",
+             "field-value-string", "cell-none", "cell-string", "cell-numeric-string", "taps-numeric-string",
              "cell-scalar", "cell-bare-none", "cell-numpy-scalar", "patch-scalar",
              "patch-bare-none"],
     )
@@ -257,49 +256,11 @@ class TestInputChecks:
 
     def test_rss_from_channel_takes_only_a_channel_tensor(self):
         with pytest.raises(ValueError, match="ChannelTensor"):
-            rss_from_channel(np.full((1, 1, 1), np.inf), 1.0)
+            rss_from_channel(np.full((1, 1, 1), np.inf))
 
-
-class TestGainCalibrationChecks:
-    @pytest.mark.parametrize(
-        "kw,match",
-        [
-            (dict(p_t=0.0), "p_t"),
-            (dict(p_t=-1.0), "p_t"),
-            (dict(p_t=np.nan), "p_t"),
-            (dict(p_t=np.inf), "p_t"),
-            (dict(nr=0), "nr"),
-            (dict(nt=0), "nt"),
-            (dict(nr=-2, nt=-2), "nr"),
-            (dict(nr=2.5), "nr"),
-            (dict(nt="16"), "nt"),
-            (dict(p_t=None), "p_t"),
-            (dict(p_t="x"), "p_t"),
-        ],
-        ids=["power-zero", "power-negative", "power-nan", "power-inf", "nr-zero", "nt-zero",
-             "both-negative", "nr-float", "nt-string", "power-none", "power-string"],
-    )
-    def test_rejects(self, kw, match):
-        with pytest.raises(ValueError, match=match):
-            GainCalibration(**kw)
-
-    def test_calibrate_alphas_rejects_zero_power(self):
-        ps = PathSet([1.0], [1e-8], [0.0], [0.0], [0.0], [0.0], fields=[0.01])
-        with pytest.raises(ValueError, match="p_t"):
-            calibrate_alphas(ps, 0.02, GainCalibration(p_t=0.0, nr=4, nt=16))
-
-    @pytest.mark.parametrize("wavelength", [-0.02, 0.0, np.nan, "x"])
-    def test_calibrate_alphas_rejects_wavelength(self, wavelength):
-        ps = PathSet([1.0], [1e-8], [0.0], [0.0], [0.0], [0.0], fields=[0.01])
-        with pytest.raises(ValueError, match="wavelength"):
-            calibrate_alphas(ps, wavelength, GainCalibration())
-
-    def test_calibrate_alphas_applies_gain_formula(self):
-        ps = PathSet([0j], [1e-8], [0.0], [0.0], [0.0], [0.0], fields=[0.01])
-        lam, p_t, nr, nt = 0.02, 2.0, 4, 16
-        cal = calibrate_alphas(ps, lam, GainCalibration(p_t, nr, nt))
-        expect = lam * 0.01 / math.sqrt(8 * math.pi * ETA0 * p_t * nr * nt)
-        assert cal.alphas[0] == pytest.approx(expect, rel=1e-12)
+    def test_rss_from_channel_rejects_a_channel_without_antenna_pairs(self):
+        with pytest.raises(ValueError, match="no antenna pair"):
+            rss_from_channel(ChannelTensor(np.zeros((1, 0, 2))))
 
 
 class TestTracePaths:
@@ -312,6 +273,15 @@ class TestTracePaths:
         # ground bounce unfolds to the image-source distance
         d_img = math.hypot(100.0, 40.0)
         assert ps.toas.max() == pytest.approx(d_img / C0, rel=1e-12)
+
+    def test_alphas_are_per_element_field_gains(self):
+        left = Box(-20.0, -10.0, -50.0, 50.0, 0.0, 30.0)
+        scene = Scene((left,), (0.0, -40.0, 10.0), CARRIER, max_bounces=2)
+        ps = trace_paths(scene, (0.0, 40.0, 1.5))
+        assert len(ps) > 2
+        np.testing.assert_array_equal(
+            ps.alphas, ps.fields * (scene.wavelength / math.sqrt(8 * math.pi * ETA0))
+        )
 
     def test_occluded_receiver_gives_empty_pathset(self):
         wall = Box(45.0, 55.0, -50.0, 50.0, 0.0, 60.0)
@@ -429,12 +399,12 @@ class TestRss:
         taps[0] = 1.0
         from mbce.channel_model import ChannelTensor
 
-        assert rss_from_channel(ChannelTensor(taps), 1.0) == pytest.approx(4.0)
+        assert rss_from_channel(ChannelTensor(taps)) == pytest.approx(1.0)
 
     def test_channel_side_zero(self):
         from mbce.channel_model import ChannelTensor
 
-        assert rss_from_channel(ChannelTensor(np.zeros((2, 2, 2))), 2.0) == 0.0
+        assert rss_from_channel(ChannelTensor(np.zeros((2, 2, 2)))) == 0.0
 
     def test_channel_side_matches_elementwise_oracle(self):
         rng = np.random.default_rng(9)
@@ -444,31 +414,27 @@ class TestRss:
         expect = 0.0
         for v in taps.ravel():
             expect += abs(v) ** 2
-        expect *= 1.7
-        assert rss_from_channel(ChannelTensor(taps), 1.7) == pytest.approx(
-            expect, rel=1e-12
-        )
+        expect /= 2 * 4
+        assert rss_from_channel(ChannelTensor(taps)) == pytest.approx(expect, rel=1e-12)
 
 
 class TestCalibrationIdentity:
     @settings(max_examples=60, deadline=None)
     @given(
-        p_t=st.floats(1e-3, 1e3),
         dims=st.tuples(*[st.integers(1, 4)] * 4),
         rx=st.tuples(st.floats(1.0, 300.0), st.floats(-300.0, 300.0), st.floats(0.5, 40.0)),
     )
-    def test_single_on_grid_path_field_channel_identity(self, p_t, dims, rx):
+    def test_single_on_grid_path_field_channel_identity(self, dims, rx):
         # One line-of-sight path, put on the tap grid by the clock offset: the
-        # channel-side RSS, with the gains calibrated for that transmit power and
-        # those array sizes, equals the field-side RSS for any receiver.
+        # channel's mean power per antenna pair equals the field-side RSS for
+        # any receiver and any array sizes.
         scene = free_space(max_bounces=0)
         rx_geom, tx_geom = ArrayGeometry(*dims[:2]), ArrayGeometry(*dims[2:])
-        calib = GainCalibration(p_t=p_t, nr=rx_geom.size, nt=tx_geom.size)
-        ps = calibrate_alphas(trace_paths(scene, rx), scene.wavelength, calib)
+        ps = trace_paths(scene, rx)
         assert len(ps) == 1
         cfg = PulseConfig(ts=1e-8, beta=0.3, t_off=ps.toas[0])
         h = synth_channel(ps, 4, cfg, rx_geom, tx_geom)
-        lhs = rss_from_channel(h, p_t)
+        lhs = rss_from_channel(h)
         rhs = rss_from_fields(ps.fields, scene.wavelength)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -477,9 +443,8 @@ class TestCalibrationIdentity:
         # delays so sampled pulse energy is exactly 1 per path.
         rng = np.random.default_rng(42)
         rx_geom, tx_geom = ArrayGeometry(2, 1), ArrayGeometry(2, 2)
-        p_t = 1.0
-        calib = GainCalibration(p_t=p_t, nr=rx_geom.size, nt=tx_geom.size)
         lam = C0 / CARRIER
+        gain = lam / math.sqrt(8 * math.pi * ETA0)
         ts = 1e-8
         n_paths, n_draws = 4, 2000
         mags = rng.uniform(0.001, 0.01, size=n_paths)
@@ -487,9 +452,9 @@ class TestCalibrationIdentity:
         angs = rng.uniform(-1.2, 1.2, size=(n_paths, 4))
 
         def build(phases):
-            ps = PathSet(np.zeros(n_paths), taps * ts, angs[:, 0], angs[:, 1] / 2, angs[:, 2],
-                         angs[:, 3] / 2, fields=mags * np.exp(1j * phases))
-            return calibrate_alphas(ps, lam, calib)
+            fields = mags * np.exp(1j * phases)
+            return PathSet(fields * gain, taps * ts, angs[:, 0], angs[:, 1] / 2, angs[:, 2],
+                           angs[:, 3] / 2, fields=fields)
 
         # Channel side: expectation over phases, estimated from the same draws.
         draws = rng.uniform(0, 2 * np.pi, size=(n_draws, n_paths))
@@ -499,7 +464,7 @@ class TestCalibrationIdentity:
         cfg = PulseConfig(ts=ts, beta=0.3)
         chan_vals = np.array(
             [
-                rss_from_channel(synth_channel(build(ph), 4, cfg, rx_geom, tx_geom), p_t)
+                rss_from_channel(synth_channel(build(ph), 4, cfg, rx_geom, tx_geom))
                 for ph in draws[:200]
             ]
         )
