@@ -11,13 +11,15 @@ its per-element field gain ``lambda * E / sqrt(8*pi*eta0)``, so a channel's
 RSS is its mean power per antenna pair and, for one on-grid path, equals the
 RSS of its field.
 
-Boundary contract: a count, real, point or array argument that is malformed
-(not a number, of the wrong shape or out of range) or non-finite raises
-``ValueError`` naming the argument; a numeric string such as ``"1"`` is not a
-number. So does a malformed file given to a loader; a missing one raises
-``FileNotFoundError``. A saver writes only what its loader accepts: it checks
-the map or tensors it is given again, since their arrays may have changed after
-construction, and raises ``ValueError`` naming the bad entry and writes nothing.
+Boundary contract: a count, a sequence of counts (such as a pilot placement,
+a grid shape, a stride or pad pair, or tensor axes), or a real, point or array
+argument that is malformed (not a number, ragged, of the wrong shape or out of
+range) or non-finite raises ``ValueError`` naming the argument; a numeric
+string such as ``"1"`` is not a number, and text is not a sequence. So does a
+malformed file given to a loader; a missing one raises ``FileNotFoundError``.
+A saver writes only what its loader accepts: it checks the map or tensors it
+is given again, since their arrays may have changed after construction, and
+raises ``ValueError`` naming the bad entry and writes nothing.
 Non-finite tensor data in ``mbce.autodiff`` raises ``NumericFault``. Each
 check runs once, at the public entry point: the underscore cores that entry
 points share, such as the URA response under ``synth_channel`` and the OMP

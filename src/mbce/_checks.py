@@ -1,4 +1,4 @@
-"""The rules for what enters ``mbce``: counts, reals, finite arrays, points and files.
+"""The rules for what enters ``mbce``: counts and count sequences, reals, arrays, points, files.
 
 Each conversion returns the accepted value or raises ``ValueError`` naming the
 argument, so a malformed input is one typed error wherever it enters.
@@ -15,7 +15,8 @@ import zipfile
 
 import numpy as np
 
-__all__ = ["count", "count_fields", "real", "finite_array", "point", "write_arrays", "read_arrays"]
+__all__ = ["count", "counts", "count_fields", "real", "finite_array", "point", "read_only",
+           "write_arrays", "read_arrays"]
 
 
 def count(value, name: str, low: int | None = None) -> int:
@@ -30,6 +31,19 @@ def count(value, name: str, low: int | None = None) -> int:
     if low is not None and n < low:
         raise ValueError(f"{name} must be >= {low}, got {n}")
     return n
+
+
+def counts(value, name: str, low: int | None = None, n: int | None = None) -> tuple[int, ...]:
+    """``value``, a 1-D sequence that is not text, as a tuple of :func:`count`
+    entries, each at least ``low`` if given, and ``n`` of them if given."""
+    try:
+        ndim = np.ndim(value)
+    except ValueError:  # a ragged sequence, of which numpy makes no array
+        ndim = None
+    if ndim != 1 or (n is not None and len(value) != n):
+        raise ValueError(f"{name} must be {'a sequence of' if n is None else n} integers, "
+                         f"got {value!r}")
+    return tuple(count(v, name, low) for v in value)
 
 
 def count_fields(obj, *names: str, low: int | None = None) -> None:
@@ -75,6 +89,12 @@ def finite_array(value, name: str, dtype=np.float64, shape: tuple | None = None)
 def point(value, name: str, n: int = 3) -> np.ndarray:
     """``value`` as a float64 array of ``n`` finite coordinates."""
     return finite_array(value, name, shape=(n,))
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, its ``writeable`` flag cleared."""
+    arr.flags.writeable = False
+    return arr
 
 
 def write_arrays(path, arrays: dict[str, np.ndarray]) -> None:

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._checks import count
+from .._checks import counts
 from .engine import Tensor, _record
 
 __all__ = ["conv2d", "conv_transpose2d", "max_pool2d", "adaptive_avg_pool"]
@@ -64,11 +64,7 @@ _COL_BUDGET = 2**18
 def _pair(v, name, low):
     """``(v, v)`` for an integer ``v``, else the integer pair ``v``, each ``>= low``;
     ``ValueError`` for anything else."""
-    try:
-        a, b = (v, v) if np.isscalar(v) else v
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be an integer or a pair of integers, got {v!r}") from None
-    return count(a, name, low), count(b, name, low)
+    return counts((v, v) if np.isscalar(v) else v, name, low, n=2)
 
 
 def _conv_out(size, k, s, p):

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 
-from .._checks import count, real
+from .._checks import count, counts, real
 
 __all__ = [
     "NumericFault",
@@ -263,7 +263,7 @@ def _ints(value, name: str) -> tuple[int, ...]:
     """``value``, an integer or a sequence of integers, as a tuple of ints."""
     if isinstance(value, (str, bytes)) or not np.iterable(value):
         return (count(value, name),)
-    return tuple(count(v, name) for v in value)
+    return counts(value, name)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

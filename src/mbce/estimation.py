@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import count, count_fields, finite_array, real
+from ._checks import count, count_fields, counts, finite_array, read_only, real
 from .channel_model import ArrayGeometry, ChannelTensor, _rank_one_taps, _ura
 
 __all__ = [
@@ -53,11 +53,6 @@ __all__ = [
 
 def _comb_indices(n_sc: int, n_pilot: int) -> tuple[int, ...]:
     return tuple(int(i * n_sc // n_pilot) for i in range(n_pilot))
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -88,13 +83,7 @@ class PilotConfig:
             raise ValueError(f"need n_pilot <= n_sc, got {self.n_pilot}/{self.n_sc}")
         if self.snr_db is not None:
             real(self.snr_db, "snr_db")
-        try:
-            ndim = np.ndim(self.placement)
-        except ValueError:  # a ragged sequence, of which numpy makes no array
-            ndim = None
-        if ndim != 1:
-            raise ValueError(f"pilot placement must be a sequence, got {self.placement!r}")
-        placement = tuple(count(k, "pilot placement") for k in self.placement)
+        placement = counts(self.placement, "pilot placement")
         object.__setattr__(self, "placement", placement or _comb_indices(self.n_sc, self.n_pilot))
         if len(self.placement) != self.n_pilot or any(
             b <= a for a, b in zip(self.placement, self.placement[1:])
@@ -106,7 +95,7 @@ class PilotConfig:
     @functools.cached_property
     def pilot_matrix(self) -> np.ndarray:
         """Unitary ``[Nt, Nt]`` DFT pilot matrix, one column per symbol slot."""
-        return _read_only(np.fft.fft(np.eye(self.nt)) / np.sqrt(self.nt))
+        return read_only(np.fft.fft(np.eye(self.nt)) / np.sqrt(self.nt))
 
 
 @dataclass
@@ -353,7 +342,7 @@ def _direction_grid(geom: ArrayGeometry, oversample: int) -> np.ndarray:
         g = oversample * n if n > 1 else 1
         return np.arange(g) * (2.0 / g) - 1.0
 
-    return _read_only(np.array([(a, b) for a in axis_grid(geom.nx) for b in axis_grid(geom.ny)]))
+    return read_only(np.array([(a, b) for a in axis_grid(geom.nx) for b in axis_grid(geom.ny)]))
 
 
 @dataclass(frozen=True)
@@ -421,11 +410,11 @@ class OmpDictionary:
 
     @functools.cached_property
     def _a_r(self) -> np.ndarray:
-        return _read_only(_ura(*self.rx_dirs.T, self.rx_geom))  # [Gr, Nr]
+        return read_only(_ura(*self.rx_dirs.T, self.rx_geom))  # [Gr, Nr]
 
     @functools.cached_property
     def _a_t(self) -> np.ndarray:
-        return _read_only(_ura(*self.tx_dirs.T, self.tx_geom))  # [Gt, Nt]
+        return read_only(_ura(*self.tx_dirs.T, self.tx_geom))  # [Gt, Nt]
 
     @functools.cached_property
     def _norm(self) -> float:
@@ -444,17 +433,11 @@ class OmpDictionary:
         """Grid indices ``(t, r, s)`` of ``atoms``, a 1-D sequence of integer
         flat indices below :attr:`n_atoms`, and ``gains`` as complex, one
         finite number per atom."""
-        try:
-            idx = np.asarray(atoms)
-        except ValueError:  # a ragged sequence, of which numpy makes no array
-            idx = None
-        if idx is None or idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
-            raise ValueError(f"atoms must be a 1-D sequence of integer indices, got {atoms!r}")
-        if idx.size and not (0 <= idx.min() and idx.max() < self.n_atoms):
-            raise ValueError(
-                f"atoms must be indices in [0, {self.n_atoms}), got {idx.min()}..{idx.max()}")
-        gains = finite_array(gains, "gains", np.complex128, idx.shape)
-        return np.unravel_index(idx.astype(np.int64), self.shape), gains
+        idx = counts(atoms, "atoms", 0)
+        if idx and max(idx) >= self.n_atoms:
+            raise ValueError(f"atoms must be indices below {self.n_atoms}, got {max(idx)}")
+        gains = finite_array(gains, "gains", np.complex128, (len(idx),))
+        return np.unravel_index(np.array(idx, dtype=np.int64), self.shape), gains
 
     def synthesize(self, atoms, gains) -> ChannelTensor:
         """Taps ``sum_j gains[j] * atom[atoms[j]]``, ``d`` of them."""

@@ -37,7 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import count, count_fields, finite_array, point, read_arrays, real, write_arrays
+from ._checks import (count, count_fields, counts, finite_array, point, read_arrays, read_only,
+                      real, write_arrays)
 from .channel_model import ChannelTensor, PathSet
 
 __all__ = [
@@ -252,7 +253,7 @@ def _candidates(scene: Scene) -> _Geometry:
         (facets[:, None], img1[:, None]),
         (np.stack([f1, f2], axis=1), np.stack([img1[f1], img2], axis=1)),
     ]
-    return _Geometry(tx, axis, value, sign, lo, hi, bounds[:, 0], bounds[:, 1],
+    return _Geometry(*map(read_only, (tx, axis, value, sign, lo, hi, bounds[:, 0], bounds[:, 1])),
                      chains[: scene.max_bounces + 1])
 
 
@@ -264,7 +265,7 @@ def _geometry(scene: Scene) -> _Geometry:
     reflection points. A facet's extent there is its bounds widened by
     ``_hit``'s ``_EPS`` slack, and its plane value by ``_EPS`` for the hit
     point's rounding. The ground faces every point, so only its partner can
-    make a pair with it dead."""
+    make a pair with it dead. Its arrays are read-only: every trace shares them."""
     g = _candidates(scene)
     facets = np.arange(len(g.axis))
     faces_tx = _outside(g, facets, np.broadcast_to(g.tx, (len(facets), 3)))
@@ -278,7 +279,8 @@ def _geometry(scene: Scene) -> _Geometry:
     if len(g.chains) > 2:
         f1, f2 = g.chains[2][0].T
         live.append(faces_tx[f1] & ~inner[f1, f2] & ~inner[f2, f1])
-    return replace(g, chains=[(f[k], im[k]) for (f, im), k in zip(g.chains, live)])
+    chains = [(read_only(f[k]), read_only(im[k])) for (f, im), k in zip(g.chains, live)]
+    return replace(g, chains=chains)
 
 
 def _outside(g: _Geometry, f: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -569,11 +571,7 @@ def generate_rss_map(
     :func:`trace_paths` lists them. ``shape`` is two integers ``(rows, cols)``,
     each ``>= 1``.
     """
-    try:
-        rows, cols = shape
-    except (TypeError, ValueError):
-        raise ValueError(f"grid shape must be two counts (rows, cols), got {shape!r}") from None
-    rows, cols = count(rows, "grid shape", 1), count(cols, "grid shape", 1)
+    rows, cols = counts(shape, "grid shape", 1, n=2)
     rss = RssMap(origin=origin, spacing=spacing, values=np.zeros((rows, cols)), rx_height=rx_height)
     origin, values = rss.origin, rss.values
     g = scene._tracer

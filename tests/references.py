@@ -18,6 +18,12 @@ def interp_reference(est, placement, n_sc):
     return out.reshape((n_sc,) + est.shape[1:])
 
 
+def random_channel(rng, d=4, nr=2, nt=4) -> ChannelTensor:
+    """``d`` taps of ``nr x nt`` complex Gaussian entries drawn from the generator
+    ``rng``: the real parts, then the imaginary parts."""
+    return ChannelTensor(rng.normal(size=(d, nr, nt)) + 1j * rng.normal(size=(d, nr, nt)))
+
+
 def channel_frequency_response(h: ChannelTensor, n_sc: int) -> np.ndarray:
     """DFT across taps: subcarrier k holds ``sum_d H_d exp(-2j*pi*k*d/n_sc)``.
 

@@ -109,9 +109,15 @@ class TestElementwise:
         assert err < 1e-4
 
     def test_broadcast_add_gradient(self):
+        # sub as well: (x + y) * (x - y) checks both ops' partials, reduced to y's shape
         a, b = t64(2, 3, 4), t64(1, 3, 1)
-        err = grad_check(lambda x, y: tensor_sum(mul(add(x, y), add(x, y))), (a, b))
+        err = grad_check(lambda x, y: tensor_sum(mul(add(x, y), sub(x, y))), (a, b))
         assert err < 1e-4
+
+    def test_item_and_repr(self):
+        assert Tensor(np.float64(2.5)).item() == 2.5
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        assert repr(t) == "Tensor(shape=(2, 3), dtype=float64, grad=True)"
 
     def test_relu_gradient_away_from_kink(self):
         x = t64(4, 5, margin=0.2)
@@ -199,9 +205,10 @@ class TestConv2d:
 @pytest.mark.parametrize(
     "stride,pad",
     [(1.5, 0), (0, 0), ((1, 0), 0), (-1, 1), (1, -1), (1, (0, -1)), (1, 0.5), ("1", 0),
-     ((1, 2, 3), 0)],
+     ((1, 2, 3), 0), ((1, [1]), 0), (1, np.zeros((2, 1), dtype=int))],
     ids=["float-stride", "zero-stride", "zero-stride-w", "negative-stride", "negative-pad",
-         "negative-pad-w", "float-pad", "str-stride", "triple-stride"],
+         "negative-pad-w", "float-pad", "str-stride", "triple-stride", "ragged-stride",
+         "2d-pad"],
 )
 def test_conv_geometry_rejected(op, stride, pad):
     x, k = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
@@ -617,6 +624,17 @@ class TestShapeOps:
     )
     def test_integer_arguments_rejected_by_name(self, call, name):
         with pytest.raises(ValueError, match=rf"^{name} must be an integer"):
+            call(t64(2, 3))
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [(lambda a: reshape(a, (3, [1, 2])), "shape"),
+         (lambda a: permute(a, np.zeros((2, 1), dtype=int)), "axes"),
+         (lambda a: layer_norm(a, (1, [1]), t64(3), t64(3)), "axes")],
+        ids=["reshape-ragged", "permute-2d", "layer-norm-ragged"],
+    )
+    def test_malformed_sequences_rejected_by_name(self, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a sequence of integers"):
             call(t64(2, 3))
 
     def test_concat_rejects_non_integer_axis(self):

@@ -27,12 +27,7 @@ from mbce.estimation import (
 )
 
 from memory import traced_peak
-from references import channel_frequency_response, interp_reference
-
-
-def random_channel(rng, d=4, nr=2, nt=4):
-    taps = rng.normal(size=(d, nr, nt)) + 1j * rng.normal(size=(d, nr, nt))
-    return ChannelTensor(taps)
+from references import channel_frequency_response, interp_reference, random_channel
 
 
 def coarse_chain(h, cfg, seed):
@@ -502,9 +497,11 @@ class TestOmpDictionaryChecks:
         [([0.9], [1.0], "atoms"), ([True], [1.0], "atoms"), ([[0]], [1.0], "atoms"),
          ([-1], [1.0], "atoms"), ([64], [1.0], "atoms"), (["0"], [1.0], "atoms"),
          ([0, [1]], [1.0, 1.0], "atoms"),
-         ([0], ["a"], "gains"), ([0], [np.nan], "gains"), ([0, 1], [1.0], "gains")],
+         ([0], ["a"], "gains"), ([0], [np.nan], "gains"), ([0, 1], [1.0], "gains"),
+         ([np.uint64(2**64 - 1)], [1.0], "atoms"), ("0", [1.0], "atoms")],
         ids=["float-atom", "bool-atom", "2d-atoms", "negative-atom", "atom-past-grid",
-             "text-atom", "ragged-atoms", "text-gain", "nan-gain", "gain-count"],
+             "text-atom", "ragged-atoms", "text-gain", "nan-gain", "gain-count",
+             "huge-uint64-atom", "text-atoms"],
     )
     @pytest.mark.parametrize("method", ["synthesize", "forward"])
     def test_atoms_and_gains_rejected_by_name(self, atoms, gains, name, method):
@@ -512,6 +509,12 @@ class TestOmpDictionaryChecks:
         cfg = () if method == "synthesize" else (PilotConfig(n_sc=16, n_pilot=4, nt=2),)
         with pytest.raises(ValueError, match=f"^{name}"):
             getattr(dc, method)(atoms, gains, *cfg)
+
+    def test_atoms_are_any_sequence_of_integers(self):
+        dc = OmpDictionary.build(4, ArrayGeometry(2, 1), ArrayGeometry(2, 1))
+        want = dc.synthesize([0, 63], [1.0, 2.0]).taps
+        for atoms in ((0, 63), np.array([0, 63], dtype=np.uint8), np.array([0, 63], dtype=object)):
+            np.testing.assert_array_equal(dc.synthesize(atoms, [1.0, 2.0]).taps, want)
 
     def test_build_gives_a_one_element_axis_one_cosine(self):
         dc = OmpDictionary.build(2, ArrayGeometry(1, 2), ArrayGeometry(1, 1), oversample=2)

@@ -249,7 +249,8 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=match):
             call(m)
 
-    @pytest.mark.parametrize("shape", [2, (2, 2, 2), (2,), None], ids=["int", "three", "one", "none"])
+    @pytest.mark.parametrize("shape", [2, (2, 2, 2), (2,), None, (2, [2]), "22", (2, 2.0)],
+                             ids=["int", "three", "one", "none", "ragged", "text", "float"])
     def test_grid_shape_must_be_two_counts(self, shape):
         with pytest.raises(ValueError, match="grid shape"):
             generate_rss_map(free_space(), (10.0, 0.0), 1.0, shape, 1.5)

@@ -15,7 +15,6 @@ from mbce.autodiff import Tensor, conv2d, conv_transpose2d, load_params, save_pa
 from mbce.channel_model import (
     PULSE_SUPPORT,
     ArrayGeometry,
-    ChannelTensor,
     PathSet,
     PulseConfig,
     raised_cosine,
@@ -35,7 +34,7 @@ from mbce.estimation import (
 )
 from mbce.propagation import RssMap, load_rss_map, save_rss_map
 
-from references import channel_frequency_response, interp_reference
+from references import channel_frequency_response, interp_reference, random_channel
 
 PROPS = settings(max_examples=40, deadline=None)
 
@@ -50,18 +49,13 @@ def pilot_grids(draw, max_sc=48):
     return n_sc, d, tuple(placement)
 
 
-def random_channel(seed, d, nr, nt):
-    rng = np.random.default_rng(seed)
-    return ChannelTensor(rng.normal(size=(d, nr, nt)) + 1j * rng.normal(size=(d, nr, nt)))
-
-
 @PROPS
 @given(
     grid=pilot_grids(), nr=st.integers(1, 3), nt=st.integers(1, 4), seed=st.integers(0, 2**32)
 )
 def test_noiseless_pilots_are_band_response_rows(grid, nr, nt, seed):
     n_sc, d, placement = grid
-    h = random_channel(seed, d, nr, nt)
+    h = random_channel(np.random.default_rng(seed), d, nr, nt)
     cfg = PilotConfig(n_sc=n_sc, n_pilot=len(placement), nt=nt, placement=placement)
     expect = channel_frequency_response(h, n_sc)[list(placement)] @ cfg.pilot_matrix
     np.testing.assert_allclose(transmit_pilots(h, cfg, 0).y, expect, rtol=0, atol=1e-12 * d)

@@ -16,7 +16,7 @@ refuses to overwrite an existing one: delete a file on purpose to re-record it.
 import json
 import pathlib
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from unittest.mock import patch
 
 import numpy as np
@@ -433,6 +433,17 @@ def test_pruning_drops_most_candidate_chains():
     pruned = [len(facets) for facets, _ in _geometry(scene).chains]
     assert full == [1, 25, 600]
     assert pruned[0] == 1 and pruned[1] < 25 and pruned[2] < 600 // 3
+
+
+def test_scene_geometry_is_read_only():
+    # every trace of a scene shares its geometry, so no caller may write into it
+    g = city(0)._tracer
+    arrays = [getattr(g, f.name) for f in fields(g) if f.name != "chains"]
+    arrays += [a for chain in g.chains for a in chain]
+    assert len(arrays) == 8 + 2 * 3
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
 
 
 def write_new(path: pathlib.Path, record) -> bool:
